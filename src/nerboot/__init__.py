@@ -19,7 +19,6 @@ from .errors import (
     NonPositiveScale,
     NumericalError,
     RankDeficient,
-    SingularBlock,
     SingularWeight,
     TooManyFailures,
 )
@@ -40,13 +39,7 @@ from .model import (
     read_csv_dataset,
     summarize,
 )
-from .moments import (
-    FourthMoments,
-    estimate_fourth_moments,
-    estimate_gamma_u,
-    estimate_gamma_v,
-    pair_contrast_moment,
-)
+from .moments import FourthMoments, estimate_gamma_u, estimate_gamma_v
 from .mspe import (
     BootstrapConfig,
     DoubleBootstrapResult,
@@ -57,7 +50,7 @@ from .mspe import (
     mspe_report,
     robust_correction,
 )
-from .pipeline import ModelFit, fit_model
+from .pipeline import ModelFit, WorldFits, fit_model, refit_worlds
 from .predictor import Prediction, eblup, naive_mse
 from .simulate import (
     ErrorModel,
@@ -71,13 +64,7 @@ from .simulate import (
     run_study,
     run_truth,
 )
-from .transform import CenteredSystem, UncenteredSystem, center, uncenter
-from .variance import (
-    VarianceComponents,
-    estimate_components,
-    estimate_sigma2_u,
-    estimate_sigma2_v,
-)
+from .variance import VarianceComponents
 
 __version__ = "0.1.0"
 
@@ -86,7 +73,6 @@ __all__ = [
     "Cluster",
     "ClusterSummaries",
     "ClusterWeight",
-    "CenteredSystem",
     "DataError",
     "Dataset",
     "DimensionMismatch",
@@ -110,25 +96,19 @@ __all__ = [
     "Prediction",
     "RankDeficient",
     "Scenario",
-    "SingularBlock",
     "SingularWeight",
     "StudyResult",
     "TooManyFailures",
-    "UncenteredSystem",
     "VarianceComponents",
+    "WorldFits",
     "bootstrap_world",
     "build_dataset",
-    "center",
     "cluster_weights",
     "draw_error",
     "eblup",
     "error_model",
-    "estimate_components",
-    "estimate_fourth_moments",
     "estimate_gamma_u",
     "estimate_gamma_v",
-    "estimate_sigma2_u",
-    "estimate_sigma2_v",
     "fit_fixed_effects",
     "fit_model",
     "from_arrays",
@@ -141,12 +121,11 @@ __all__ = [
     "mse_single",
     "mspe_report",
     "naive_mse",
-    "pair_contrast_moment",
     "read_csv_dataset",
+    "refit_worlds",
     "robust_correction",
     "run_study",
     "run_truth",
     "sample",
     "summarize",
-    "uncenter",
 ]

@@ -34,10 +34,6 @@ class InsufficientDegreesOfFreedom(DataError):
     """Total observations minus clusters does not exceed the covariate dimension."""
 
 
-class SingularBlock(NumericalError):
-    """A within-cluster covariance block is not positive-definite."""
-
-
 class RankDeficient(NumericalError):
     """A design matrix does not have full rank."""
 

@@ -11,7 +11,8 @@ with D_i = sigma_V^2 diag(s_i^2),
     lambda_i = sigma_U^2 / (sigma_V^2 (sigma_V^2 + sigma_U^2 a_i)),
 
 so the normal equations assemble from cached design cross-products in
-O(N r) per call.
+O(N r) per world.  They are built and solved for a whole block of worlds at
+once: one stacked (B, r+1, r+1) system and one batched solve.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficient, SingularWeight
-from .model import Dataset
+from .model import Dataset, _summaries_design
 from .transform import _uncentered_design
 from .variance import VarianceComponents
 
@@ -62,6 +63,46 @@ def cluster_weights(d: Dataset, vc: VarianceComponents) -> list[ClusterWeight]:
     return out
 
 
+def normal_equations(d: Dataset, q_bar, zy, sigma2_u, sigma2_v):
+    """Stacked GLS normal matrices (B, r+1, r+1) and right-hand sides (B, r+1).
+
+    Row b uses the rescaled responses q_bar[b] = y / s, the cluster sums
+    zy[b] = a_i y_bar_i and the variance components sigma2_u[b],
+    sigma2_v[b].
+    """
+    design = _uncentered_design(d)
+    s2u, s2v = sigma2_u[:, None], sigma2_v[:, None]
+    lam = s2u / (s2v * (s2v + s2u * _summaries_design(d)["a"]))  # (B, n)
+    zmat = design.zmat  # (n, r+1): sum_j s^-2 (1, x')' per cluster
+    weighted = np.swapaxes(lam[:, :, None] * zmat, 1, 2)  # (B, r+1, n)
+    normal = design.gram / s2v[:, :, None] - weighted @ zmat
+    rhs = (q_bar @ design.p_bar_rows) / s2v - (lam * zy) @ zmat
+    return normal, rhs
+
+
+def _positive_definite(normal: np.ndarray) -> np.ndarray:
+    """(B,) mask of the stacked matrices that are finite and admit a Cholesky
+    factor.  The refit kernel's failure test; tests patch it to inject
+    failures."""
+    ok = np.isfinite(normal).all(axis=(1, 2))
+    try:
+        np.linalg.cholesky(normal[ok])
+    except np.linalg.LinAlgError:  # rare: find the offending worlds one by one
+        for b in np.flatnonzero(ok):
+            try:
+                np.linalg.cholesky(normal[b])
+            except np.linalg.LinAlgError:
+                ok[b] = False
+    return ok
+
+
+def solve_normal_equations(normal: np.ndarray, rhs: np.ndarray):
+    """(coef (B, r+1), ok (B,)); rows with ok False hold no estimate."""
+    ok = _positive_definite(normal)
+    safe = np.where(ok[:, None, None], normal, np.eye(normal.shape[-1]))
+    return np.linalg.solve(safe, rhs[:, :, None])[:, :, 0], ok
+
+
 def fit_fixed_effects(d: Dataset, vc: VarianceComponents) -> FixedEffects:
     """Joint GLS solve for (mu, beta) with block weights W_i."""
     if vc.sigma2_v <= 0 or vc.sigma2_u < 0:
@@ -69,18 +110,12 @@ def fit_fixed_effects(d: Dataset, vc: VarianceComponents) -> FixedEffects:
             f"invalid variance components (sigma2_v={vc.sigma2_v}, "
             f"sigma2_u={vc.sigma2_u})"
         )
-    design = _uncentered_design(d)
     w = 1.0 / d.s**2
-    a = np.add.reduceat(w, d.starts[:-1])
-    lam = vc.sigma2_u / (vc.sigma2_v * (vc.sigma2_v + vc.sigma2_u * a))  # (n,)
-
-    zmat = design.zmat  # (n, r+1): sum_j s^-2 (1, x')' per cluster
-    normal = design.gram / vc.sigma2_v - (lam[:, None] * zmat).T @ zmat
     zy = np.add.reduceat(w * d.y, d.starts[:-1])  # a_i * ybar_i
-    rhs = design.p_bar_rows.T @ (d.y / d.s) / vc.sigma2_v - zmat.T @ (lam * zy)
-    try:
-        np.linalg.cholesky(normal)
-    except np.linalg.LinAlgError:
-        raise RankDeficient("GLS normal equations are singular") from None
-    theta = np.linalg.solve(normal, rhs)
-    return FixedEffects(mu=float(theta[0]), beta=theta[1:])
+    normal, rhs = normal_equations(
+        d, (d.y / d.s)[None], zy[None], np.array([vc.sigma2_u]), np.array([vc.sigma2_v])
+    )
+    coef, ok = solve_normal_equations(normal, rhs)
+    if not ok[0]:
+        raise RankDeficient("GLS normal equations are singular")
+    return FixedEffects(mu=float(coef[0, 0]), beta=coef[0, 1:])

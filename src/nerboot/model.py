@@ -15,6 +15,7 @@ makes bootstrap refits on a fixed design cheap.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,16 +213,22 @@ def _summaries_design(d: Dataset) -> dict:
     return cache["summaries_design"]
 
 
-def summarize(d: Dataset) -> ClusterSummaries:
-    """Per-cluster a_i, weighted means (x_bar, y_bar) and unweighted x_under."""
+def summarize(d: Dataset, y=None) -> ClusterSummaries:
+    """Per-cluster a_i, weighted means (x_bar, y_bar) and unweighted x_under.
+
+    ``y`` defaults to the dataset's responses; a (B, N) block of response
+    rows on the same design gives y_bar of shape (B, n).
+    """
     des = _summaries_design(d)
-    y_bar = np.add.reduceat(des["w"] * d.y, d.starts[:-1]) / des["a"]
+    y = d.y if y is None else y
+    y_bar = np.add.reduceat(des["w"] * y, d.starts[:-1], axis=-1) / des["a"]
     return ClusterSummaries(
         a=des["a"], x_bar=des["x_bar"], y_bar=y_bar, x_under=des["x_under"]
     )
 
 
-# CSV ingestion: header ``cluster,y,s,x1,...,xr`` (s column optional, default 1)
+# CSV ingestion: header ``cluster,y,s,x1,...,xr`` (s column optional, default 1);
+# other columns, such as ``xtra``, are ignored
 def read_csv_dataset(path) -> Dataset:
     """Read the CLI ingestion format into a Dataset."""
     try:
@@ -240,7 +247,7 @@ def read_csv_dataset(path) -> Dataset:
                 f"{path}: expected header 'cluster,y[,s],x1,...', got {header!r}"
             )
         col = {name: k for k, name in enumerate(header)}
-        xcols = [k for k, name in enumerate(header) if name.startswith("x")]
+        xcols = [k for k, name in enumerate(header) if re.fullmatch(r"x\d+", name)]
         if not xcols:
             raise DataError(f"{path}: no covariate columns x1,...,xr found")
         has_s = "s" in col

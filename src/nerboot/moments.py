@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gls import FixedEffects
 from .model import Dataset
 
 
@@ -36,18 +35,13 @@ class _MomentDesign:
         lo = d.starts[:-1]
         sizes = d.sizes
         s2 = d.s**2
-        self.s2_sum = np.add.reduceat(s2, lo)           # per cluster
-        self.s4_sum = np.add.reduceat(s2**2, lo)
+        s2_sum = np.add.reduceat(s2, lo)           # per cluster
+        s4_sum = np.add.reduceat(s2**2, lo)
         self.pair_count = float(np.sum(sizes * (sizes - 1)))
-        self.a4_pair = float(np.sum((sizes - 1) * self.s4_sum)) / self.pair_count
-        self.c_pair = float(np.sum(self.s2_sum**2 - self.s4_sum)) / self.pair_count
+        self.a4_pair = float(np.sum((sizes - 1) * s4_sum)) / self.pair_count
+        self.c_pair = float(np.sum(s2_sum**2 - s4_sum)) / self.pair_count
         self.sum_s2 = float(np.sum(s2))
         self.sum_s4 = float(np.sum(s2**2))
-        # per-size observation gather indices for batched pair sums
-        self.groups = [
-            lo[np.flatnonzero(sizes == m)][:, None] + np.arange(m)[None, :]
-            for m in np.unique(sizes)
-        ]
 
 
 def _moment_design(d: Dataset) -> _MomentDesign:
@@ -56,53 +50,42 @@ def _moment_design(d: Dataset) -> _MomentDesign:
     return d._cache["moment_design"]
 
 
-def _residuals(d: Dataset, fe: FixedEffects) -> np.ndarray:
-    return d.y - fe.mu - d.x @ fe.beta
+def _square(sigma2):
+    """sigma2^2 rounded as ``float.__pow__`` rounds it (libm pow, not x * x,
+    which can differ in the last bit), so that a floored fourth moment passes
+    the matched-law check z4 >= z2**2 exactly."""
+    return np.float_power(sigma2, 2)
 
 
-def pair_contrast_moment(
-    d: Dataset, fe: FixedEffects, k: int, s_coef: float, t_coef: float
-) -> float:
-    """Average of (s e_ij1 + t e_ij2)^k over ordered pairs j1 != j2.
+def estimate_gamma_v(d: Dataset, resid: np.ndarray, sigma2_v):
+    """Truncated estimator of E(V^4) from fourth-power pair contrasts.
 
-    e_ij are the fitted residuals y_ij - mu-hat - x_ij' beta-hat; the
-    denominator is sum_i n_i (n_i - 1).
+    ``resid`` holds fitted residuals y_ij - mu-hat - x_ij' beta-hat, one row
+    per world (or a single (N,) vector); ``sigma2_v`` matches its leading
+    shape.  With per-cluster power sums S_k = sum_j e_ij^k,
+
+        sum_{j1 != j2} (e_ij1 - e_ij2)^4 = 2 n_i S4 - 8 S1 S3 + 6 S2^2,
+
+    so the ordered-pair average needs no pairwise tensors.
     """
     design = _moment_design(d)
-    resid = _residuals(d, fe)
-    total = 0.0
-    for oidx in design.groups:
-        r = resid[oidx]  # (g, m)
-        w = s_coef * r[:, :, None] + t_coef * r[:, None, :]
-        total += float(np.sum(w**k))
-        # remove the j1 = j2 diagonal included by the broadcast
-        total -= float(np.sum(((s_coef + t_coef) * r) ** k))
-    return total / design.pair_count
-
-
-def estimate_gamma_v(d: Dataset, fe: FixedEffects, sigma2_v: float) -> float:
-    """Truncated estimator of E(V^4) from fourth-power pair contrasts."""
-    design = _moment_design(d)
-    w4 = pair_contrast_moment(d, fe, 4, 1.0, -1.0)
+    e2 = resid * resid
+    s1, s2, s3, s4 = (
+        np.add.reduceat(p, d.starts[:-1], axis=-1)
+        for p in (resid, e2, e2 * resid, e2 * e2)
+    )
+    pairs = 2.0 * d.sizes * s4 - 8.0 * s1 * s3 + 6.0 * s2 * s2
+    w4 = np.sum(pairs, axis=-1) / design.pair_count
     raw = (w4 - 6.0 * design.c_pair * sigma2_v**2) / (2.0 * design.a4_pair)
-    return max(raw, sigma2_v**2)
+    return np.maximum(raw, _square(sigma2_v))
 
 
-def estimate_gamma_u(
-    d: Dataset, fe: FixedEffects, sigma2_u: float, sigma2_v: float, gamma_v: float
-) -> float:
-    """Truncated estimator of E(U^4) from raw fourth powers of residuals."""
+def estimate_gamma_u(d: Dataset, resid: np.ndarray, sigma2_u, sigma2_v, gamma_v):
+    """Truncated estimator of E(U^4) from raw fourth powers of residuals;
+    broadcasts like ``estimate_gamma_v``."""
     design = _moment_design(d)
-    resid4 = float(np.sum(_residuals(d, fe) ** 4))
+    resid4 = np.sum(resid**4, axis=-1)
     raw = (
         resid4 - 6.0 * sigma2_u * sigma2_v * design.sum_s2 - gamma_v * design.sum_s4
     ) / d.total
-    return max(raw, sigma2_u**2)
-
-
-def estimate_fourth_moments(
-    d: Dataset, fe: FixedEffects, sigma2_u: float, sigma2_v: float
-) -> FourthMoments:
-    gamma_v = estimate_gamma_v(d, fe, sigma2_v)
-    gamma_u = estimate_gamma_u(d, fe, sigma2_u, sigma2_v, gamma_v)
-    return FourthMoments(gamma_u=gamma_u, gamma_v=gamma_v)
+    return np.maximum(raw, _square(sigma2_u))

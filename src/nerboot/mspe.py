@@ -19,9 +19,13 @@ Both branches agree at u = v and are strictly positive for u > 0.
 Every bootstrap world gets its own random substream keyed by
 (master_seed, level code, replicate index), with the level code always in
 second position, so results are reproducible and independent of execution
-order.  Replicates whose refit fails numerically
-are skipped and counted; more than 1% failures at any level aborts the run,
-since under the ridge safeguard failures signal a pathological input.
+order.  Each world draws U and then V from its own substream; the worlds of
+a level are then refitted together, in blocks of ``pipeline.block_size``
+response rows, by the one refit kernel ``pipeline.refit_worlds``.  The
+block size depends only on the design.  Worlds whose refit fails
+numerically are masked, skipped and counted; more than 1% failures at any
+level aborts the run, since under the ridge safeguard failures signal a
+pathological input.
 """
 
 from __future__ import annotations
@@ -31,12 +35,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import streams
-from .errors import DivisionGuard, NumericalError, TooManyFailures
+from .errors import DivisionGuard, TooManyFailures
 from .gls import FixedEffects
 from .mmdist import THREE_POINT, MatchedDistribution, make_distribution, sample
 from .model import Dataset, _summaries_design
 from .moments import FourthMoments
-from .pipeline import ModelFit, fit_model
+from .pipeline import ModelFit, block_size, fit_model, refit_worlds
 from .variance import DEFAULT_RIDGE, VarianceComponents
 
 FAILURE_TOLERANCE = 0.01  # max tolerated share of failed replicates per level
@@ -135,13 +139,33 @@ def robust_correction(
     lower = u < v
     if np.any(lower & (adjusted <= 0)):
         raise DivisionGuard("robust correction denominator is not positive")
-    out = np.where(lower, np.divide(u**2, adjusted, where=adjusted > 0), adjusted)
+    ratio = np.divide(u**2, adjusted, out=np.zeros_like(u), where=adjusted > 0)
+    out = np.where(lower, ratio, adjusted)
     return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
 # world generation
 # ---------------------------------------------------------------------------
+
+def _draw_worlds(
+    d: Dataset,
+    fe: FixedEffects,
+    u_dist: MatchedDistribution,
+    v_dist: MatchedDistribution,
+    rngs: list,
+):
+    """Synthetic response rows (B, N) on the same design and the true theta
+    (B, n); world b draws U before V from its own generator ``rngs[b]``."""
+    u_star = np.empty((len(rngs), d.n))
+    v_star = np.empty((len(rngs), d.total))
+    for b, rng in enumerate(rngs):
+        u_star[b] = sample(u_dist, rng, d.n)
+        v_star[b] = sample(v_dist, rng, d.total)
+    y_star = fe.mu + d.x @ fe.beta + np.repeat(u_star, d.sizes, axis=1) + d.s * v_star
+    theta_star = fe.mu + _summaries_design(d)["x_under"] @ fe.beta + u_star
+    return y_star, theta_star
+
 
 def _draw_world(
     d: Dataset,
@@ -150,13 +174,17 @@ def _draw_world(
     v_dist: MatchedDistribution,
     rng: np.random.Generator,
 ):
-    """Synthetic responses on the same design; U drawn before V."""
-    u_star = sample(u_dist, rng, d.n)
-    v_star = sample(v_dist, rng, d.total)
-    mean = fe.mu + d.x @ fe.beta
-    y_star = mean + np.repeat(u_star, d.sizes) + d.s * v_star
-    theta_star = fe.mu + _summaries_design(d)["x_under"] @ fe.beta + u_star
-    return d.with_responses(y_star), theta_star
+    """One synthetic world on the same design: (dataset, true theta*)."""
+    y_star, theta_star = _draw_worlds(d, fe, u_dist, v_dist, [rng])
+    return d.with_responses(y_star[0]), theta_star[0]
+
+
+def _matched(sigma2_u, gamma_u, sigma2_v, gamma_v, family: str):
+    """Matched laws of the cluster effect and the noise, U first."""
+    return (
+        make_distribution(float(sigma2_u), float(gamma_u), family),
+        make_distribution(float(sigma2_v), float(gamma_v), family),
+    )
 
 
 def bootstrap_world(
@@ -168,8 +196,7 @@ def bootstrap_world(
     family: str = THREE_POINT,
 ):
     """One synthetic world around a fit: (synthetic dataset, true theta*)."""
-    u_dist = make_distribution(vc.sigma2_u, fm.gamma_u, family)
-    v_dist = make_distribution(vc.sigma2_v, fm.gamma_v, family)
+    u_dist, v_dist = _matched(vc.sigma2_u, fm.gamma_u, vc.sigma2_v, fm.gamma_v, family)
     return _draw_world(d, fe, u_dist, v_dist, rng)
 
 
@@ -184,34 +211,47 @@ def _check_failures(failed: int, attempted: int, level: str) -> None:
         )
 
 
+def _blocks(d: Dataset, keys: list):
+    step = block_size(d)
+    return (keys[lo : lo + step] for lo in range(0, len(keys), step))
+
+
+def _mean_squared_error(d, fe, u_dist, v_dist, ridge, keys: list):
+    """Per-cluster mean of (theta-hat - theta)^2 over the keyed worlds that
+    refit (None if none did), and the number that failed.  ``keys`` are
+    full ``streams.substream`` arguments, one per world."""
+    acc = np.zeros(d.n)
+    failed = 0
+    for block in _blocks(d, keys):
+        rngs = [streams.substream(*key) for key in block]
+        y_star, theta_star = _draw_worlds(d, fe, u_dist, v_dist, rngs)
+        fits = refit_worlds(d, y_star, ridge)
+        acc += np.sum((fits.theta_hat[fits.ok] - theta_star[fits.ok]) ** 2, axis=0)
+        failed += int(np.count_nonzero(~fits.ok))
+    done = len(keys) - failed
+    return (acc / done if done else None), failed
+
+
+def _fit_laws(fit: ModelFit, family: str):
+    if fit.fourth_moments is None:
+        raise ValueError("the bootstrap needs a fit with fourth moments")
+    vc, fm = fit.variance, fit.fourth_moments
+    return _matched(vc.sigma2_u, fm.gamma_u, vc.sigma2_v, fm.gamma_v, family)
+
+
 def mse_single(
     d: Dataset, fit: ModelFit, cfg: BootstrapConfig, key_prefix: tuple = ()
 ) -> tuple[np.ndarray, int]:
     """Level-one bootstrap estimate u-hat of MSE_i; returns (u_hat, failures)."""
-    if fit.fourth_moments is None:
-        raise ValueError("mse_single needs a fit with fourth moments")
-    u_dist = make_distribution(
-        fit.variance.sigma2_u, fit.fourth_moments.gamma_u, cfg.family
+    u_dist, v_dist = _fit_laws(fit, cfg.family)
+    keys = [(cfg.master_seed, streams.SINGLE, *key_prefix, b) for b in range(cfg.b1)]
+    u_hat, failed = _mean_squared_error(
+        d, fit.fixed_effects, u_dist, v_dist, cfg.ridge, keys
     )
-    v_dist = make_distribution(
-        fit.variance.sigma2_v, fit.fourth_moments.gamma_v, cfg.family
-    )
-    acc = np.zeros(d.n)
-    done = failed = 0
-    for b in range(cfg.b1):
-        rng = streams.substream(cfg.master_seed, streams.SINGLE, *key_prefix, b)
-        d_star, theta_star = _draw_world(d, fit.fixed_effects, u_dist, v_dist, rng)
-        try:
-            refit = fit_model(d_star, cfg.ridge, with_fourth_moments=False)
-        except NumericalError:
-            failed += 1
-            continue
-        acc += (refit.theta_hat - theta_star) ** 2
-        done += 1
     _check_failures(failed, cfg.b1, "level-one")
-    if done == 0:
+    if u_hat is None:
         raise TooManyFailures("every level-one bootstrap replicate failed")
-    return acc / done, failed
+    return u_hat, failed
 
 
 def mse_double(
@@ -225,52 +265,36 @@ def mse_double(
     predictor.
     """
     u_hat, fail1 = mse_single(d, fit, cfg, key_prefix)
-    u_dist = make_distribution(
-        fit.variance.sigma2_u, fit.fourth_moments.gamma_u, cfg.family
-    )
-    v_dist = make_distribution(
-        fit.variance.sigma2_v, fit.fourth_moments.gamma_v, cfg.family
-    )
+    u_dist, v_dist = _fit_laws(fit, cfg.family)
 
     vacc = np.zeros(d.n)
     outer_done = outer_failed = 0
     inner_attempted = inner_failed = 0
-    for b in range(cfg.b2):
-        rng = streams.substream(cfg.master_seed, streams.OUTER, *key_prefix, b)
-        d_star, _ = _draw_world(d, fit.fixed_effects, u_dist, v_dist, rng)
-        try:
-            refit = fit_model(d_star, cfg.ridge, with_fourth_moments=True)
-        except NumericalError:
-            outer_failed += 1
-            continue
-        u_dist_star = make_distribution(
-            refit.variance.sigma2_u, refit.fourth_moments.gamma_u, cfg.family
-        )
-        v_dist_star = make_distribution(
-            refit.variance.sigma2_v, refit.fourth_moments.gamma_v, cfg.family
-        )
-        inner_acc = np.zeros(d.n)
-        inner_done = 0
-        for el in range(cfg.c):
-            rng2 = streams.substream(
-                cfg.master_seed, streams.INNER, *key_prefix, b, el
-            )
-            d_ss, theta_ss = _draw_world(
-                d, refit.fixed_effects, u_dist_star, v_dist_star, rng2
-            )
-            inner_attempted += 1
-            try:
-                refit2 = fit_model(d_ss, cfg.ridge, with_fourth_moments=False)
-            except NumericalError:
-                inner_failed += 1
+    outer = [(cfg.master_seed, streams.OUTER, *key_prefix, b) for b in range(cfg.b2)]
+    for block in _blocks(d, outer):
+        rngs = [streams.substream(*key) for key in block]
+        y_star, _ = _draw_worlds(d, fit.fixed_effects, u_dist, v_dist, rngs)
+        fits = refit_worlds(d, y_star, cfg.ridge, with_fourth_moments=True)
+        for k, key in enumerate(block):
+            if not fits.ok[k]:
+                outer_failed += 1
                 continue
-            inner_acc += (refit2.theta_hat - theta_ss) ** 2
-            inner_done += 1
-        if inner_done == 0:
-            outer_failed += 1
-            continue
-        vacc += inner_acc / inner_done
-        outer_done += 1
+            laws = _matched(
+                fits.sigma2_u[k], fits.gamma_u[k], fits.sigma2_v[k], fits.gamma_v[k],
+                cfg.family,
+            )
+            fe_star = FixedEffects(mu=float(fits.mu[k]), beta=fits.beta[k])
+            inner = [
+                (cfg.master_seed, streams.INNER, *key[2:], el) for el in range(cfg.c)
+            ]
+            v_b, failed = _mean_squared_error(d, fe_star, *laws, cfg.ridge, inner)
+            inner_attempted += cfg.c
+            inner_failed += failed
+            if v_b is None:
+                outer_failed += 1
+                continue
+            vacc += v_b
+            outer_done += 1
     _check_failures(outer_failed, cfg.b2, "outer")
     _check_failures(inner_failed, inner_attempted, "inner")
     if outer_done == 0:

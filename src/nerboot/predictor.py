@@ -40,14 +40,23 @@ def naive_mse(vc: VarianceComponents, a_i: float) -> float:
     return vc.sigma2_u * within / (vc.sigma2_u + within)
 
 
+def predict(cs: ClusterSummaries, mu, beta, sigma2_u, sigma2_v) -> Prediction:
+    """EBLUP, shrinkage factor and naive MSE per cluster.
+
+    Broadcasts over a leading world axis: with mu, sigma2_u and sigma2_v of
+    shape (B, 1), beta (B, r) and cs.y_bar (B, n), every field is (B, n).
+    """
+    within = sigma2_v / cs.a  # a_i^-1 sigma_V^2 > 0 under the ridge
+    rho = sigma2_u / (sigma2_u + within)
+    synthetic = mu + beta @ cs.x_under.T
+    direct_gap = cs.y_bar - mu - beta @ cs.x_bar.T
+    theta = synthetic + rho * direct_gap
+    naive = sigma2_u * within / (sigma2_u + within)
+    return Prediction(theta_hat=theta, rho=rho, naive_mse=naive)
+
+
 def eblup(
     d: Dataset, cs: ClusterSummaries, fe: FixedEffects, vc: VarianceComponents
 ) -> Prediction:
     """Per-cluster EBLUP, shrinkage factor and naive MSE."""
-    within = vc.sigma2_v / cs.a  # a_i^-1 sigma_V^2 > 0 under the ridge
-    rho = vc.sigma2_u / (vc.sigma2_u + within)
-    synthetic = fe.mu + cs.x_under @ fe.beta
-    direct_gap = cs.y_bar - fe.mu - cs.x_bar @ fe.beta
-    theta = synthetic + rho * direct_gap
-    naive = vc.sigma2_u * within / (vc.sigma2_u + within)
-    return Prediction(theta_hat=theta, rho=rho, naive_mse=naive)
+    return predict(cs, fe.mu, fe.beta, vc.sigma2_u, vc.sigma2_v)

@@ -31,7 +31,8 @@ import numpy as np
 from . import streams
 from .model import Dataset, from_arrays, _summaries_design
 from .mspe import BootstrapConfig, mse_double, mse_single
-from .pipeline import fit_model
+from .errors import RankDeficient
+from .pipeline import block_size, fit_model, refit_worlds
 
 # record-log columns, in file order
 RECORD_COLUMNS = (
@@ -186,16 +187,25 @@ def run_truth(scenario: Scenario, model: ErrorModel, replicates: int, rng):
     """Per-cluster SMSE from a pure truth simulation (no bootstrap).
 
     ``rng`` may be a Generator or an integer seed.  The covariate design is
-    drawn once, then held fixed across replicates.
+    drawn once, then held fixed across replicates.  Replicates draw from
+    ``rng`` in order and are refitted in blocks by the refit kernel.
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     design = make_design(scenario, rng)
     acc = np.zeros(scenario.n)
-    for _ in range(replicates):
-        d_rep, theta = _simulate_responses(design, scenario, model, rng)
-        fit = fit_model(d_rep, with_fourth_moments=False)
-        acc += (fit.theta_hat - theta) ** 2
+    step = block_size(design)
+    for lo in range(0, replicates, step):
+        count = min(step, replicates - lo)
+        y = np.empty((count, design.total))
+        theta = np.empty((count, scenario.n))
+        for k in range(count):
+            d_rep, theta[k] = _simulate_responses(design, scenario, model, rng)
+            y[k] = d_rep.y
+        fits = refit_worlds(design, y)
+        if not fits.ok.all():
+            raise RankDeficient("a truth-simulation refit failed")
+        acc += np.sum((fits.theta_hat - theta) ** 2, axis=0)
     return acc / replicates
 
 
@@ -262,7 +272,7 @@ def metrics_from_records(records: np.ndarray, double: bool) -> tuple:
     return smse, metrics
 
 
-# worker state for process pools (populated by fork-time initializer)
+# worker state for process pools (populated by the pool initializer)
 _WORKER: dict = {}
 
 
@@ -318,7 +328,8 @@ def run_study(
     if replicates < 1:
         raise ValueError("need at least one replicate")
     design = make_design(scenario, streams.substream(cfg.master_seed, streams.DESIGN))
-    # prebuild the shared design caches so workers inherit them via fork
+    # prebuild every design cache the refit kernel uses; workers receive them
+    # with the design, whether they are forked or unpickle it
     fit_model(design, cfg.ridge, with_fourth_moments=True)
 
     records = np.empty((replicates, scenario.n, len(RECORD_COLUMNS)))

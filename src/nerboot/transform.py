@@ -1,110 +1,38 @@
-"""Centered and uncentered regression systems for variance estimation.
+"""Design-only pieces of the two regressions behind the variance estimates.
 
-The centered system removes the cluster effect by subtracting precision-
-weighted cluster means: q_ij = p_ij'beta + e_ij with p_ij = s_ij^-1 (x_ij -
-x_bar_i) and q_ij = s_ij^-1 (y_ij - y_bar_i).  One observation per cluster
-is dropped because the centered residuals satisfy sum_j s_ij^-1 e_ij = 0
-exactly; the retained residual vector has covariance sigma_V^2 T_i with
-
-    T_i[j1, j2] = delta_{j1 j2} - s_ij1^-1 s_ij2^-1 / a_i,
-
-which is always positive-definite (its smallest eigenvalue is
-s_{i,drop}^-2 / a_i).  The uncentered system rescales the raw model by
-s_ij^-1 and augments the design with an intercept row, so the ordinary
-least-squares sum of squares SSE2 obeys E(SSE2) = K sigma_U^2 +
+The within regression removes the cluster effect by subtracting precision-
+weighted cluster means: q_ij = s_ij^-1 (y_ij - y_bar_i) on the covariates
+p_ij = s_ij^-1 (x_ij - x_bar_i).  Centering leaves each cluster's residuals
+with covariance sigma_V^2 times a projection (the paper's T_i after one
+observation per cluster is dropped), so SSE1 -- the generalized residual
+sum of squares e' T^-1 e -- equals the ordinary residual sum of squares of
+q on p over all N rows.  The uncentered regression rescales the raw model
+by s_ij^-1 and augments the design with an intercept column, so its
+ordinary residual sum of squares SSE2 obeys E(SSE2) = K sigma_U^2 +
 (N - r_aug) sigma_V^2.
 
-Everything that depends only on the design (x, s, clustering) -- block
-Cholesky factors, whitened design QR, projector for SSE2, the constants
-K1, K2 -- is computed once per design and memoized on the dataset, so
-bootstrap refits that reuse the design only touch response-dependent work.
+Both designs are factored once by QR and memoized on the dataset; a sum of
+squares is then ||q||^2 - ||q Q||^2 per response row, which is how the
+refit kernel computes SSE1 and SSE2 for a whole block of worlds at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import RankDeficient, SingularBlock
-from .model import ClusterSummaries, Dataset, _summaries_design
+from .errors import NonPositiveK, RankDeficient
+from .model import Dataset, _summaries_design
 
 RANK_RTOL = 1e-10  # relative singular-value threshold for rank checks
 
 
-# ---------------------------------------------------------------------------
-# design-only caches
-# ---------------------------------------------------------------------------
-
-class _CenteredDesign:
-    """Design-dependent pieces of the centered system (fixed drop choice)."""
-
-    def __init__(self, d: Dataset, dropped_index: np.ndarray):
-        sizes = d.sizes
-        n, total, r = d.n, d.total, d.r
-        lo = d.starts[:-1]
-        dropped_index = np.asarray(dropped_index, dtype=np.int64)
-        if dropped_index.shape != (n,) or np.any(dropped_index < 0) or np.any(
-            dropped_index >= sizes
-        ):
-            raise ValueError("dropped_index must hold a valid index per cluster")
-        self.dropped_index = dropped_index
-
-        keep = np.ones(total, dtype=bool)
-        keep[lo + dropped_index] = False
-        self.keep = keep
-        compact = np.cumsum(keep) - 1  # position among retained obs
-
-        cs_design = _summaries_design(d)
-        a, x_bar = cs_design["a"], cs_design["x_bar"]
-        s_inv = 1.0 / d.s
-        p_rows_full = s_inv[:, None] * (d.x - np.repeat(x_bar, sizes, axis=0))
-        p_rows = p_rows_full[keep]  # (N-n, r), row = p_ij'
-
-        # per-cluster-size groups for batched block algebra
-        self.groups = []
-        t_blocks: list = [None] * n
-        for m in np.unique(sizes):
-            rows = np.flatnonzero(sizes == m)
-            oidx = lo[rows][:, None] + np.arange(m)[None, :]
-            ridx = oidx[keep[oidx]].reshape(len(rows), m - 1)  # retained obs
-            u = s_inv[ridx]  # (g, m-1)
-            t = -u[:, :, None] * u[:, None, :] / a[rows][:, None, None]
-            t[:, np.arange(m - 1), np.arange(m - 1)] += 1.0
-            try:
-                chol = np.linalg.cholesky(t)
-            except np.linalg.LinAlgError:
-                raise SingularBlock(
-                    "a within-cluster covariance block T_i is not positive-definite"
-                ) from None
-            l_inv = np.linalg.inv(chol)
-            pos = compact[ridx]  # (g, m-1) positions in the retained layout
-            self.groups.append((pos, l_inv))
-            for k, ci in enumerate(rows):
-                blk = t[k].copy()
-                blk.flags.writeable = False
-                t_blocks[ci] = blk
-        self.t_blocks = tuple(t_blocks)
-
-        p_tilde = np.empty_like(p_rows)
-        for pos, l_inv in self.groups:
-            p_tilde[pos] = np.einsum("gab,gbr->gar", l_inv, p_rows[pos])
-        self.p_rows = p_rows
-        q_mat, r_mat = np.linalg.qr(p_tilde)
-        svals = np.linalg.svd(r_mat, compute_uv=False)
-        if svals[-1] <= RANK_RTOL * svals[0]:
-            raise RankDeficient(
-                "centered design P T^-1 P' has rank below the covariate dimension"
-            )
-        self.q_mat = q_mat  # (N-n, r), orthonormal columns of whitened design
-        self.r_mat = r_mat
-
-    def whiten(self, q: np.ndarray) -> np.ndarray:
-        """Apply blockdiag(L_i^-1) to a retained-layout vector."""
-        out = np.empty_like(q)
-        for pos, l_inv in self.groups:
-            out[pos] = np.einsum("gab,gb->ga", l_inv, q[pos])
-        return out
+def _orthonormal_basis(mat: np.ndarray, message: str) -> np.ndarray:
+    """Q of the thin QR of ``mat``; raises RankDeficient below full column rank."""
+    q_mat, r_mat = np.linalg.qr(mat)
+    svals = np.linalg.svd(r_mat, compute_uv=False)
+    if svals[-1] <= RANK_RTOL * svals[0]:
+        raise RankDeficient(message)
+    return q_mat
 
 
 class _UncenteredDesign:
@@ -114,10 +42,9 @@ class _UncenteredDesign:
         s_inv = 1.0 / d.s
         x_aug = np.column_stack([np.ones(d.total), d.x])  # (N, r+1)
         p_bar_rows = s_inv[:, None] * x_aug
-        svals = np.linalg.svd(p_bar_rows, compute_uv=False)
-        if svals[-1] <= RANK_RTOL * svals[0]:
-            raise RankDeficient("augmented design P-bar is not of full row rank")
-        self.q_mat, _ = np.linalg.qr(p_bar_rows)  # (N, r+1)
+        self.q_mat = _orthonormal_basis(
+            p_bar_rows, "augmented design P-bar is not of full row rank"
+        )  # (N, r+1)
         self.p_bar_rows = p_bar_rows
         self.r_aug = d.r + 1
 
@@ -128,12 +55,19 @@ class _UncenteredDesign:
         sol = np.linalg.solve(self.gram, self.zmat.T)  # (r+1, n)
         self.k2 = float(np.sum(self.zmat * sol.T))
         self.k = self.k1 - self.k2
+        if self.k <= 0:
+            raise NonPositiveK(f"K = K1 - K2 = {self.k} is not positive")
 
 
-def _centered_design(d: Dataset) -> _CenteredDesign:
-    if "centered_design" not in d._cache:
-        d._cache["centered_design"] = _CenteredDesign(d, d.sizes - 1)
-    return d._cache["centered_design"]
+def _within_design(d: Dataset) -> np.ndarray:
+    """Orthonormal basis (N, r) of the within design s^-1 (x - x_bar_i)."""
+    if "within_design" not in d._cache:
+        x_bar = _summaries_design(d)["x_bar"]
+        p_rows = (d.x - np.repeat(x_bar, d.sizes, axis=0)) / d.s[:, None]
+        d._cache["within_design"] = _orthonormal_basis(
+            p_rows, "centered design P T^-1 P' has rank below the covariate dimension"
+        )
+    return d._cache["within_design"]
 
 
 def _uncentered_design(d: Dataset) -> _UncenteredDesign:
@@ -142,71 +76,8 @@ def _uncentered_design(d: Dataset) -> _UncenteredDesign:
     return d._cache["uncentered_design"]
 
 
-# ---------------------------------------------------------------------------
-# public systems
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CenteredSystem:
-    """Centered regression q = P'beta + e with cov(e) = sigma_V^2 T."""
-
-    p: np.ndarray                # (r, N-n), column j is p_ij
-    q: np.ndarray                # (N-n,)
-    t_blocks: tuple              # per-cluster (n_i-1, n_i-1) blocks of T
-    dropped_index: np.ndarray    # (n,) within-cluster index removed
-    _design: _CenteredDesign
-
-    def t_matrix(self) -> np.ndarray:
-        """Dense block-diagonal T (diagnostic; cross-cluster entries are 0)."""
-        m = sum(b.shape[0] for b in self.t_blocks)
-        out = np.zeros((m, m))
-        at = 0
-        for blk in self.t_blocks:
-            k = blk.shape[0]
-            out[at : at + k, at : at + k] = blk
-            at += k
-        return out
-
-
-@dataclass(frozen=True)
-class UncenteredSystem:
-    """Rescaled uncentered regression q_bar = P_bar' beta_aug + e_bar."""
-
-    p_bar: np.ndarray  # (r+1, N), intercept row included
-    q_bar: np.ndarray  # (N,)
-    r_aug: int
-    _design: _UncenteredDesign
-
-
-def center(d: Dataset, cs: ClusterSummaries, dropped=None) -> CenteredSystem:
-    """Build the centered system, dropping one observation per cluster.
-
-    By default the last observation of each cluster is dropped; passing
-    ``dropped`` (a per-cluster within-cluster index) overrides this.  The
-    choice is immaterial for SSE1 -- the retained equations encode the same
-    linear constraints -- which is verified by the drop-invariance test.
-    """
-    if dropped is None:
-        design = _centered_design(d)
-    else:
-        design = _CenteredDesign(d, np.asarray(dropped, dtype=np.int64))
-    q_full = (d.y - np.repeat(cs.y_bar, d.sizes)) / d.s
-    q = q_full[design.keep]
-    return CenteredSystem(
-        p=design.p_rows.T,
-        q=q,
-        t_blocks=design.t_blocks,
-        dropped_index=design.dropped_index,
-        _design=design,
-    )
-
-
-def uncenter(d: Dataset) -> UncenteredSystem:
-    """Build the uncentered system with an intercept-augmented design."""
-    design = _uncentered_design(d)
-    return UncenteredSystem(
-        p_bar=design.p_bar_rows.T,
-        q_bar=d.y / d.s,
-        r_aug=design.r_aug,
-        _design=design,
-    )
+def residual_ss(q: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Residual sum of squares of each row of q (B, N) on orthonormal columns
+    ``basis`` (N, k); tiny negative rounding is clamped to 0."""
+    z = q @ basis
+    return np.maximum(np.sum(q * q, axis=1) - np.sum(z * z, axis=1), 0.0)

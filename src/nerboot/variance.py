@@ -1,24 +1,25 @@
 """Method-of-moments variance-component estimation.
 
-sigma_V^2 comes from the centered weighted regression, sigma_U^2 from the
-uncentered one:
+sigma_V^2 comes from the within regression, sigma_U^2 from the uncentered
+one:
 
     sigma_V^2-hat = max(SSE1, B1 n^-B2) / (N - n - r)
     sigma_U^2-hat = max(K^-1 {SSE2 - (N - r_aug) sigma_V^2-hat}, 0)
 
 The ridge floor B1 n^-B2 (defaults B1 = 1e-6, B2 = 2) keeps sigma_V^2-hat
-strictly positive, hence all cluster weight matrices invertible.  Both sums
-of squares are computed through cached QR factorizations of the whitened
-designs, so only O(N) response-dependent work happens per call.
+strictly positive, hence all cluster weight matrices invertible.  The refit
+kernel computes SSE1 and SSE2 for a block of worlds from cached QR factors
+(``transform``) and applies these formulas row-wise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NonPositiveK
+import numpy as np
+
 from .model import Dataset
-from .transform import CenteredSystem, UncenteredSystem
+from .transform import _uncentered_design
 
 DEFAULT_RIDGE = (1e-6, 2.0)  # (B1, B2); B1 > 0, B2 >= 2
 
@@ -39,43 +40,11 @@ def ridge_floor(n: int, ridge=DEFAULT_RIDGE) -> float:
     return b1 * float(n) ** (-b2)
 
 
-def estimate_sigma2_v(
-    sys: CenteredSystem, n: int, r: int, ridge=DEFAULT_RIDGE
-) -> tuple[float, float]:
-    """(sigma_V^2-hat, SSE1) from the centered weighted regression."""
-    design = sys._design
-    q_t = design.whiten(sys.q)
-    z = design.q_mat.T @ q_t
-    # residual quadratic form e' T^-1 e; clamp tiny negative rounding
-    sse1 = max(float(q_t @ q_t - z @ z), 0.0)
-    sse1 = max(sse1, ridge_floor(n, ridge))
-    dof = sys.q.shape[0] - r
-    if dof < 1:
-        raise ValueError("need N - n - r >= 1 for sigma_V^2")
-    return sse1 / dof, sse1
-
-
-def estimate_sigma2_u(
-    sys: UncenteredSystem, d: Dataset, sigma2_v: float
-) -> tuple[float, float, float]:
-    """(sigma_U^2-hat, SSE2, K) from the uncentered rescaled regression."""
-    design = sys._design
-    z = design.q_mat.T @ sys.q_bar
-    sse2 = max(float(sys.q_bar @ sys.q_bar - z @ z), 0.0)
-    k = design.k
-    if k <= 0:
-        raise NonPositiveK(f"K = K1 - K2 = {k} is not positive")
-    sigma2_u = max((sse2 - (d.total - design.r_aug) * sigma2_v) / k, 0.0)
-    return sigma2_u, sse2, k
-
-
-def estimate_components(d: Dataset, ridge=DEFAULT_RIDGE) -> VarianceComponents:
-    """Run both stages on a dataset and bundle the results."""
-    from .model import summarize
-    from .transform import center, uncenter
-
-    sigma2_v, sse1 = estimate_sigma2_v(center(d, summarize(d)), d.n, d.r, ridge)
-    sigma2_u, sse2, k = estimate_sigma2_u(uncenter(d), d, sigma2_v)
-    return VarianceComponents(
-        sigma2_u=sigma2_u, sigma2_v=sigma2_v, sse1=sse1, sse2=sse2, k_constant=k
-    )
+def estimate_variances(d: Dataset, sse1, sse2, ridge=DEFAULT_RIDGE):
+    """Per-world (floored SSE1, sigma_V^2-hat, sigma_U^2-hat) from the two
+    sums of squares, each an array over worlds."""
+    sse1 = np.maximum(sse1, ridge_floor(d.n, ridge))
+    sigma2_v = sse1 / (d.total - d.n - d.r)
+    design = _uncentered_design(d)
+    sigma2_u = np.maximum((sse2 - (d.total - design.r_aug) * sigma2_v) / design.k, 0.0)
+    return sse1, sigma2_v, sigma2_u

@@ -6,7 +6,7 @@ from nerboot.errors import NonPositiveK, SingularWeight
 from nerboot.gls import fit_fixed_effects
 from nerboot.mspe import BootstrapConfig
 from nerboot.streams import substream
-from nerboot.transform import uncenter
+from nerboot.transform import _uncentered_design
 from nerboot.variance import VarianceComponents, ridge_floor
 
 
@@ -18,7 +18,7 @@ def test_non_positive_k_detected():
     y = np.arange(6.0)
     d = nb.from_arrays(labels, x, y)
     with pytest.raises(NonPositiveK):
-        nb.estimate_sigma2_u(uncenter(d), d, 1.0)
+        _uncentered_design(d)
 
 
 def test_singular_weight_rejected():

@@ -147,3 +147,27 @@ def test_csv_round_trip(tmp_path):
     bad.write_text("id,y,x1\na,1,0.2\n")
     with pytest.raises(DataError):
         nb.read_csv_dataset(bad)
+
+
+def test_csv_ignores_columns_that_are_not_covariates(tmp_path):
+    # only x<digits> headers are covariates; "xtra" and "x" are not
+    path = tmp_path / "extra.csv"
+    path.write_text(
+        "cluster,y,xtra,x1,x,x2\n"
+        "a,1.5,9,0.25,7,1.0\n"
+        "a,2.5,9,0.75,7,3.0\n"
+        "a,2.0,9,0.55,7,4.0\n"
+        "b,0.5,9,0.5,7,2.0\n"
+        "b,1.0,9,0.6,7,5.0\n"
+    )
+    d = nb.read_csv_dataset(path)
+    assert d.r == 2
+    np.testing.assert_array_equal(
+        d.x, [[0.25, 1.0], [0.75, 3.0], [0.55, 4.0], [0.5, 2.0], [0.6, 5.0]]
+    )
+    np.testing.assert_array_equal(d.y, [1.5, 2.5, 2.0, 0.5, 1.0])
+
+    only_extra = tmp_path / "only_extra.csv"
+    only_extra.write_text("cluster,y,xtra\na,1,0.2\na,2,0.4\n")
+    with pytest.raises(DataError):
+        nb.read_csv_dataset(only_extra)

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 import nerboot as nb
-from nerboot.gls import FixedEffects
-from nerboot.moments import (
-    estimate_gamma_u,
-    estimate_gamma_v,
-    pair_contrast_moment,
-)
+from nerboot.moments import _moment_design, estimate_gamma_u, estimate_gamma_v
 from nerboot.pipeline import fit_model
 
 import _brute
@@ -16,23 +11,27 @@ from conftest import benchmark_dataset, random_ragged_dataset
 
 def test_first_power_vanishes_for_balanced_fit(benchmark_fixture):
     d = benchmark_fixture
-    fit = fit_model(d)
-    fe = fit.fixed_effects
+    fe = fit_model(d).fixed_effects
     scale = float(np.mean(np.abs(d.y)))
     # balanced design, unit scales: GLS residuals sum to zero exactly
     for s_coef, t_coef in ((1.0, 1.0), (2.0, -0.5)):
-        val = pair_contrast_moment(d, fe, 1, s_coef, t_coef)
+        val = _brute.pair_moment_dense(d, fe.mu, fe.beta, 1, s_coef, t_coef)
         assert abs(val) < 1e-10 * scale
 
 
 def test_pair_contrast_matches_double_loop_oracle():
+    # the power-sum form of gamma_v-hat equals its definition through the
+    # double-loop pair average of (e_ij1 - e_ij2)^4
     for seed in (0, 3):
         d = random_ragged_dataset(seed)
-        fe = FixedEffects(mu=0.2, beta=np.array([0.8]))
-        for k, s_coef, t_coef in ((4, 1.0, -1.0), (2, 1.0, 1.0), (3, 0.5, 1.5)):
-            got = pair_contrast_moment(d, fe, k, s_coef, t_coef)
-            want = _brute.pair_moment_dense(d, 0.2, np.array([0.8]), k, s_coef, t_coef)
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        resid = d.y - 0.2 - d.x @ np.array([0.8])
+        w4 = _brute.pair_moment_dense(d, 0.2, np.array([0.8]), 4, 1.0, -1.0)
+        design = _moment_design(d)
+        sigma2_v = 0.3
+        want = (w4 - 6.0 * design.c_pair * sigma2_v**2) / (2.0 * design.a4_pair)
+        assert want > sigma2_v**2  # the untruncated branch
+        got = estimate_gamma_v(d, resid, sigma2_v)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_contrast_of_exact_errors_estimates_twice_sigma2_v():
@@ -45,18 +44,29 @@ def test_contrast_of_exact_errors_estimates_twice_sigma2_v():
     u = np.repeat(rng.standard_normal(n), m)
     v = rng.standard_normal(n * m)
     d = nb.from_arrays(labels, x, u + v)
-    zero_fe = FixedEffects(mu=0.0, beta=np.array([0.0]))
-    got = pair_contrast_moment(d, zero_fe, 2, 1.0, -1.0)
+    got = _brute.pair_moment_dense(d, 0.0, np.array([0.0]), 2, 1.0, -1.0)
     # MC band: ordered-pair average of (v1 - v2)^2 over n clusters
     assert got == pytest.approx(2.0, abs=0.1)
 
 
 def test_gamma_v_truncation_branch():
     d = benchmark_dataset(n=5, m=3, seed=2)
-    fit = fit_model(d)
+    fe = fit_model(d).fixed_effects
     # huge sigma2_v forces the raw expression negative
-    val = estimate_gamma_v(d, fit.fixed_effects, sigma2_v=100.0)
+    val = estimate_gamma_v(d, d.y - fe.mu - d.x @ fe.beta, sigma2_v=100.0)
     assert val == 100.0**2
+
+
+def test_floored_gamma_is_feasible_for_matching():
+    # with glibc, x * x rounds one bit below x**2 at this sigma^2: the floor
+    # must be the value the matched-law check z4 >= z2**2 compares against
+    sigma2 = np.array([0.7257929380218189])
+    d = benchmark_dataset(n=5, m=3, seed=2)
+    resid = np.zeros((1, d.total))
+    gamma_v = estimate_gamma_v(d, resid, sigma2)
+    gamma_u = estimate_gamma_u(d, resid, sigma2, sigma2, gamma_v)
+    for gamma in (gamma_v, gamma_u):
+        nb.make_three_point(float(sigma2[0]), float(gamma[0]))
 
 
 def test_gamma_u_truncation_with_zero_sigma_u():
@@ -126,8 +136,8 @@ def test_exact_error_fourth_moment_identity():
     v = rng.standard_normal(n * m)
     errors = u + s * v
     d = nb.from_arrays(labels, x, errors, s)
-    zero_fe = FixedEffects(mu=0.0, beta=np.array([0.0]))
-    got = estimate_gamma_u(d, zero_fe, sigma2_u=1.0, sigma2_v=1.0, gamma_v=3.0)
+    # known fixed effects mu = 0, beta = 0: the residuals are the errors
+    got = estimate_gamma_u(d, d.y, sigma2_u=1.0, sigma2_v=1.0, gamma_v=3.0)
     # only the mean of errors^4 is random here; self-calibrated 4-sigma band
     se = (errors**4).std(ddof=1) / np.sqrt(errors.size)
     assert got == pytest.approx(3.0, abs=4 * se)

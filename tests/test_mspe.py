@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import nerboot as nb
+import nerboot.gls
+import nerboot.mspe
 import nerboot.streams as streams
 from nerboot.errors import DivisionGuard, TooManyFailures
 from nerboot.mspe import (
@@ -216,19 +218,59 @@ def test_level_one_tracks_independent_truth_simulation():
 
 
 def test_too_many_failures(monkeypatch, fitted):
+    # the kernel's failure test is the injection seam: every 10th world fails
     d, fit = fitted
     calls = {"k": 0}
+    real = nerboot.gls._positive_definite
 
-    def flaky(dataset, ridge, with_fourth_moments=True):
-        calls["k"] += 1
-        if calls["k"] % 10 == 0:
-            raise nb.RankDeficient("injected failure")
-        return fit_model(dataset, ridge, with_fourth_moments=with_fourth_moments)
+    def flaky(normal):
+        ok = real(normal)
+        for b in range(len(ok)):
+            calls["k"] += 1
+            if calls["k"] % 10 == 0:
+                ok[b] = False
+        return ok
 
-    monkeypatch.setattr("nerboot.mspe.fit_model", flaky)
+    monkeypatch.setattr("nerboot.gls._positive_definite", flaky)
     cfg = BootstrapConfig(b1=50, b2=1, c=1, master_seed=1)
     with pytest.raises(TooManyFailures):
         mse_single(d, fit, cfg)
+
+
+def test_failed_world_is_masked_and_excluded(monkeypatch, fitted):
+    # one world of a block gets a non-finite response, hence a non-finite
+    # normal matrix: it is counted, left out of u-hat, and the rest of its
+    # block is untouched
+    d, fit = fitted
+    cfg = BootstrapConfig(b1=100, b2=1, c=1, master_seed=4)
+    bad = 37
+    seen = {"worlds": 0}
+    real = nerboot.mspe._draw_worlds
+
+    def poisoned(*args):
+        y_star, theta_star = real(*args)
+        lo = seen["worlds"]
+        seen["worlds"] += len(y_star)
+        if lo <= bad < seen["worlds"]:
+            y_star[bad - lo, 0] = np.nan
+        return y_star, theta_star
+
+    monkeypatch.setattr("nerboot.mspe._draw_worlds", poisoned)
+    u_hat, failures = mse_single(d, fit, cfg)
+    monkeypatch.undo()
+    assert failures == 1
+
+    u_dist = nb.make_distribution(fit.variance.sigma2_u, fit.fourth_moments.gamma_u)
+    v_dist = nb.make_distribution(fit.variance.sigma2_v, fit.fourth_moments.gamma_v)
+    acc = np.zeros(d.n)
+    for b in range(cfg.b1):
+        if b == bad:
+            continue
+        rng = streams.substream(4, streams.SINGLE, b)
+        d_star, theta_star = _draw_world(d, fit.fixed_effects, u_dist, v_dist, rng)
+        refit = fit_model(d_star, with_fourth_moments=False)
+        acc += (refit.theta_hat - theta_star) ** 2
+    np.testing.assert_allclose(u_hat, acc / (cfg.b1 - 1), rtol=1e-12)
 
 
 def test_mspe_report_consistency(fitted):

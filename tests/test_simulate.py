@@ -145,3 +145,32 @@ def test_run_study_parallel_matches_serial():
         scen, error_model("m7"), cfg, replicates=10, double=True, jobs=2
     )
     np.testing.assert_array_equal(serial.records, parallel.records)
+
+
+def test_pickled_design_gives_identical_replicates():
+    # spawn and forkserver workers receive the design pickled: the prebuilt
+    # kernel caches must travel with it and give bit-identical records
+    import pickle
+
+    from nerboot import simulate, streams
+    from nerboot.pipeline import fit_model
+
+    scen = Scenario.from_ratio(n=10, ratio=0.5)
+    model = error_model("m3")
+    cfg = BootstrapConfig(b1=4, b2=2, c=3, master_seed=17)
+    design = make_design(scen, streams.substream(cfg.master_seed, streams.DESIGN))
+    fit_model(design, cfg.ridge, with_fourth_moments=True)  # run_study's prebuild
+    prebuilt = set(design._cache)
+    kernel_caches = {
+        "summaries_design", "within_design", "uncentered_design", "moment_design"
+    }
+    assert kernel_caches <= prebuilt
+    clone = pickle.loads(pickle.dumps(design))
+    assert set(clone._cache) == prebuilt
+
+    records = []
+    for d in (design, clone):
+        simulate._init_worker(d, scen, model, cfg, True)
+        records.append([simulate._one_replicate(rep) for rep in range(3)])
+        assert set(d._cache) == prebuilt  # nothing left to build in a worker
+    np.testing.assert_array_equal(records[0], records[1])

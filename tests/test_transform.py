@@ -3,7 +3,8 @@ import pytest
 
 import nerboot as nb
 from nerboot.errors import RankDeficient
-from nerboot.transform import center, uncenter
+from nerboot.pipeline import fit_model
+from nerboot.transform import _uncentered_design
 
 import _brute
 from conftest import benchmark_dataset, random_ragged_dataset
@@ -18,24 +19,28 @@ def _pairs_dataset():
     return nb.from_arrays(labels, x, y)
 
 
+def _blocks(t, sizes):
+    """Diagonal blocks of a dense T with one dropped observation per cluster."""
+    ends = np.cumsum(sizes - 1)
+    return [t[e - k : e, e - k : e] for e, k in zip(ends, sizes - 1)]
+
+
 def test_pair_cluster_centering():
     d = _pairs_dataset()
-    sys = center(d, nb.summarize(d))
+    _, q, t = _brute.centered_dense(d)
     # one retained observation per cluster: q_i1 = (y_i1 - y_i2)/2, T_i = [[1/2]]
-    assert sys.q.shape == (3,)
+    assert q.shape == (3,)
     expected_q = (d.y[0::2] - d.y[1::2]) / 2.0
-    np.testing.assert_allclose(sys.q, expected_q, rtol=1e-12)
-    for blk in sys.t_blocks:
-        np.testing.assert_allclose(blk, [[0.5]], rtol=1e-12)
+    np.testing.assert_allclose(q, expected_q, rtol=1e-12)
+    np.testing.assert_allclose(t, 0.5 * np.eye(3), rtol=1e-12)
 
 
 def test_triplet_block_is_deviation_covariance():
     d = benchmark_dataset(n=4, m=3)
-    sys = center(d, nb.summarize(d))
+    _, _, t = _brute.centered_dense(d)
     expected = np.array([[2.0 / 3.0, -1.0 / 3.0], [-1.0 / 3.0, 2.0 / 3.0]])
-    for blk in sys.t_blocks:
+    for blk in _blocks(t, d.sizes):
         np.testing.assert_allclose(blk, expected, rtol=1e-12)
-    np.testing.assert_array_equal(sys.dropped_index, [2, 2, 2, 2])
 
 
 def test_block_covariance_matches_monte_carlo():
@@ -48,7 +53,7 @@ def test_block_covariance_matches_monte_carlo():
         np.zeros(6),
         np.tile(s, 2),
     )
-    sys = center(d, nb.summarize(d))
+    t0 = _blocks(_brute.centered_dense(d)[2], d.sizes)[0]
     a = np.sum(s**-2.0)
     rng = np.random.default_rng(99)
     draws = 1_000_000
@@ -59,20 +64,23 @@ def test_block_covariance_matches_monte_carlo():
         for j2 in range(2):
             prods = e[:, j1] * e[:, j2]
             se = prods.std(ddof=1) / np.sqrt(draws)
-            assert abs(prods.mean() - sys.t_blocks[0][j1, j2]) < 3 * se
+            assert abs(prods.mean() - t0[j1, j2]) < 3 * se
 
 
 def test_t_matrix_block_diagonal_zeros():
+    # the dense T is block-diagonal, and each block is positive-definite with
+    # smallest eigenvalue s_{i,drop}^-2 / a_i
     d = random_ragged_dataset(7)
-    sys = center(d, nb.summarize(d))
-    t = sys.t_matrix()
-    at = 0
+    _, _, t = _brute.centered_dense(d)
     mask = np.zeros_like(t, dtype=bool)
-    for blk in sys.t_blocks:
-        k = blk.shape[0]
-        mask[at : at + k, at : at + k] = True
-        at += k
+    ends = np.cumsum(d.sizes - 1)
+    for e, k in zip(ends, d.sizes - 1):
+        mask[e - k : e, e - k : e] = True
     assert np.all(t[~mask] == 0.0)
+    a, *_ = _brute.summaries(d)
+    for i, (blk, c) in enumerate(zip(_blocks(t, d.sizes), d.clusters)):
+        smallest = np.linalg.eigvalsh(blk)[0]
+        assert smallest == pytest.approx(c.s[-1] ** -2.0 / a[i], rel=1e-10)
 
 
 def test_centered_rank_deficient_when_x_constant_within_clusters():
@@ -81,47 +89,45 @@ def test_centered_rank_deficient_when_x_constant_within_clusters():
     y = np.arange(9.0)
     d = nb.from_arrays(labels, x, y)
     with pytest.raises(RankDeficient):
-        center(d, nb.summarize(d))
+        fit_model(d)
 
 
 def test_uncentered_system_entries_and_rank():
     d = random_ragged_dataset(5)
-    sys = uncenter(d)
-    p_bar, q_bar = _brute.uncentered_dense(d)
-    np.testing.assert_allclose(sys.p_bar, p_bar, rtol=1e-12)
-    np.testing.assert_allclose(sys.q_bar, q_bar, rtol=1e-12)
-    assert sys.r_aug == d.r + 1
+    p_bar, _ = _brute.uncentered_dense(d)
+    design = _uncentered_design(d)
+    np.testing.assert_allclose(design.p_bar_rows.T, p_bar, rtol=1e-12)
+    assert design.r_aug == d.r + 1
 
     # a constant covariate is collinear with the intercept row
     labels = np.repeat(np.arange(3), 3)
     d_const = nb.from_arrays(labels, np.full((9, 1), 2.0), np.arange(9.0))
     with pytest.raises(RankDeficient):
-        uncenter(d_const)
+        _uncentered_design(d_const)
 
 
 def test_unit_scale_uncentered_columns():
     d = benchmark_dataset(n=3, m=3)
-    sys = uncenter(d)
-    np.testing.assert_allclose(sys.p_bar[0], np.ones(d.total), rtol=1e-15)
-    np.testing.assert_allclose(sys.p_bar[1], d.x[:, 0], rtol=1e-15)
-    np.testing.assert_allclose(sys.q_bar, d.y, rtol=1e-15)
+    p_bar_rows = _uncentered_design(d).p_bar_rows
+    np.testing.assert_allclose(p_bar_rows[:, 0], np.ones(d.total), rtol=1e-15)
+    np.testing.assert_allclose(p_bar_rows[:, 1], d.x[:, 0], rtol=1e-15)
 
 
 @pytest.mark.parametrize("seed", [0, 4, 8])
 def test_sse1_invariant_to_dropped_observation(seed):
+    # the T-form SSE1 of the oracle does not depend on which observation each
+    # cluster drops, and equals the kernel's all-rows within regression
     d = random_ragged_dataset(seed)
-    cs = nb.summarize(d)
-    _, base = nb.estimate_sigma2_v(center(d, cs), d.n, d.r)
+    base = fit_model(d, with_fourth_moments=False).variance.sse1
     rng = np.random.default_rng(seed + 100)
     for _ in range(3):
         dropped = np.array([rng.integers(0, m) for m in d.sizes])
-        _, alt = nb.estimate_sigma2_v(center(d, cs, dropped=dropped), d.n, d.r)
+        alt = _brute.sse1_dense(d, dropped=dropped)
         assert abs(alt - base) <= 1e-8 * abs(base)
 
 
 def test_sse1_matches_dense_oracle():
     for seed in (1, 2):
         d = random_ragged_dataset(seed)
-        cs = nb.summarize(d)
-        _, sse1 = nb.estimate_sigma2_v(center(d, cs), d.n, d.r)
+        sse1 = fit_model(d, with_fourth_moments=False).variance.sse1
         assert sse1 == pytest.approx(_brute.sse1_dense(d), rel=1e-10)

@@ -3,11 +3,15 @@ import pytest
 
 import nerboot as nb
 from nerboot.pipeline import fit_model
-from nerboot.transform import center, uncenter
+from nerboot.transform import _uncentered_design
 from nerboot.variance import ridge_floor
 
 import _brute
 from conftest import benchmark_dataset, random_ragged_dataset
+
+
+def _variances(d):
+    return fit_model(d, with_fourth_moments=False).variance
 
 
 def test_noise_free_data_hits_ridge_floor():
@@ -17,9 +21,9 @@ def test_noise_free_data_hits_ridge_floor():
     x = rng.uniform(size=(12, 1))
     y = 2.0 + 3.0 * x[:, 0]
     d = nb.from_arrays(labels, x, y)
-    sigma2_v, sse1 = nb.estimate_sigma2_v(center(d, nb.summarize(d)), d.n, d.r)
-    assert sse1 == ridge_floor(d.n)
-    assert sigma2_v == ridge_floor(d.n) / (d.total - d.n - d.r)
+    vc = _variances(d)
+    assert vc.sse1 == ridge_floor(d.n)
+    assert vc.sigma2_v == ridge_floor(d.n) / (d.total - d.n - d.r)
 
 
 def test_sigma2_v_matches_direct_solve_small_case():
@@ -29,7 +33,7 @@ def test_sigma2_v_matches_direct_solve_small_case():
     x = rng.normal(size=(6, 1))
     y = rng.normal(size=6)
     d = nb.from_arrays(labels, x, y)
-    sigma2_v, _ = nb.estimate_sigma2_v(center(d, nb.summarize(d)), d.n, d.r)
+    sigma2_v = _variances(d).sigma2_v
     expected = max(_brute.sse1_dense(d), ridge_floor(3)) / (6 - 3 - 1)
     assert sigma2_v == pytest.approx(expected, rel=1e-10)
 
@@ -37,18 +41,16 @@ def test_sigma2_v_matches_direct_solve_small_case():
 def test_sse2_and_k_match_dense_oracle():
     for seed in (3, 9):
         d = random_ragged_dataset(seed, r=2)
-        sigma2_v, _ = nb.estimate_sigma2_v(center(d, nb.summarize(d)), d.n, d.r)
-        sigma2_u, sse2, k = nb.estimate_sigma2_u(uncenter(d), d, sigma2_v)
-        assert sse2 == pytest.approx(_brute.sse2_dense(d), rel=1e-10)
+        vc = _variances(d)
+        assert vc.sse2 == pytest.approx(_brute.sse2_dense(d), rel=1e-10)
         k1, k2 = _brute.k_constants_dense(d)
-        assert k == pytest.approx(k1 - k2, rel=1e-10)
-        assert sigma2_u >= 0.0
+        assert vc.k_constant == pytest.approx(k1 - k2, rel=1e-10)
+        assert vc.sigma2_u >= 0.0
 
 
 def test_k1_equals_total_for_unit_scales(benchmark_fixture):
     d = benchmark_fixture
-    sys = uncenter(d)
-    assert sys._design.k1 == pytest.approx(d.total, rel=1e-12)
+    assert _uncentered_design(d).k1 == pytest.approx(d.total, rel=1e-12)
 
 
 def test_sigma2_u_truncates_to_zero():
@@ -59,19 +61,16 @@ def test_sigma2_u_truncates_to_zero():
     y = rng.standard_normal(18)
     y -= np.repeat([y[k : k + 3].mean() for k in range(0, 18, 3)], 3)
     d = nb.from_arrays(labels, x, y)
-    sigma2_v, _ = nb.estimate_sigma2_v(center(d, nb.summarize(d)), d.n, d.r)
-    sigma2_u, sse2, k = nb.estimate_sigma2_u(uncenter(d), d, sigma2_v)
-    assert sse2 < (d.total - (d.r + 1)) * sigma2_v
-    assert sigma2_u == 0.0
+    vc = _variances(d)
+    assert vc.sse2 < (d.total - (d.r + 1)) * vc.sigma2_v
+    assert vc.sigma2_u == 0.0
 
 
 def test_sigma2_v_invariant_to_linear_shift():
     d = random_ragged_dataset(6)
-    sigma2_v, _ = nb.estimate_sigma2_v(center(d, nb.summarize(d)), d.n, d.r)
     y2 = d.y + 5.0 + 2.5 * d.x[:, 0]
-    d2 = d.with_responses(y2)
-    sigma2_v2, _ = nb.estimate_sigma2_v(center(d2, nb.summarize(d2)), d2.n, d2.r)
-    assert sigma2_v2 == pytest.approx(sigma2_v, rel=1e-8)
+    sigma2_v2 = _variances(d.with_responses(y2)).sigma2_v
+    assert sigma2_v2 == pytest.approx(_variances(d).sigma2_v, rel=1e-8)
 
 
 def test_unbiasedness_smoke_monte_carlo():
