@@ -44,7 +44,6 @@ from .mspe import (
     BootstrapConfig,
     DoubleBootstrapResult,
     MspeReport,
-    bootstrap_world,
     mse_double,
     mse_single,
     mspe_report,
@@ -101,7 +100,6 @@ __all__ = [
     "TooManyFailures",
     "VarianceComponents",
     "WorldFits",
-    "bootstrap_world",
     "build_dataset",
     "cluster_weights",
     "draw_error",

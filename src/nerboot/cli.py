@@ -109,7 +109,14 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _json_dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Strict JSON: a NaN or infinite estimate is a numerical failure, not
+    a ``NaN`` token that JSON readers reject."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalError(
+            f"cannot write non-finite values as JSON ({exc})"
+        ) from None
 
 
 def _progress(stream):

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import streams
 from .errors import KurtosisNotHeavy, MomentInfeasible
 
 log = logging.getLogger(__name__)
@@ -106,14 +107,75 @@ def make_distribution(
     return make_three_point(z2, z4)
 
 
+def _three_point_values(dist: MatchedDistribution, u):
+    p, atom = dist.params["p"], dist.params["atom"]
+    return np.where(u < 0.5 * p, atom, np.where(u < p, -atom, 0.0))
+
+
+def _student_t_values(dist: MatchedDistribution, z, chi2):
+    # gamma-mixture representation of t_df, exact for fractional df
+    return dist.params["scale"] * z / np.sqrt(chi2 / dist.params["df"])
+
+
 def sample(dist: MatchedDistribution, rng: np.random.Generator, count: int):
     """``count`` i.i.d. draws; deterministic given the generator state."""
     if dist.family == THREE_POINT:
-        p, atom = dist.params["p"], dist.params["atom"]
-        u = rng.random(count)
-        return np.where(u < 0.5 * p, atom, np.where(u < p, -atom, 0.0))
-    df, scale = dist.params["df"], dist.params["scale"]
-    # gamma-mixture representation of t_df, exact for fractional df
+        return _three_point_values(dist, rng.random(count))
     z = rng.standard_normal(count)
-    chi2 = rng.gamma(shape=df / 2.0, scale=2.0, size=count)
-    return scale * z / np.sqrt(chi2 / df)
+    chi2 = rng.gamma(shape=dist.params["df"] / 2.0, scale=2.0, size=count)
+    return _student_t_values(dist, z, chi2)
+
+
+def _raw_block(dist: MatchedDistribution, worlds: int, count: int) -> list:
+    """Buffers for the generator output behind ``sample``, one row per world."""
+    calls = 1 if dist.family == THREE_POINT else 2
+    return [np.empty((worlds, count)) for _ in range(calls)]
+
+
+def _draw_raw(dist: MatchedDistribution, rng, raw: list, b: int) -> None:
+    """World b's generator calls of ``sample(dist, rng, count)``, in order."""
+    if dist.family == THREE_POINT:
+        rng.random(out=raw[0][b])
+        return
+    rng.standard_normal(out=raw[0][b])
+    count = raw[1].shape[1]
+    raw[1][b] = rng.gamma(shape=dist.params["df"] / 2.0, scale=2.0, size=count)
+
+
+def _values(dist: MatchedDistribution, raw: list):
+    if dist.family == THREE_POINT:
+        return _three_point_values(dist, *raw)
+    return _student_t_values(dist, *raw)
+
+
+def sample_worlds(
+    u_dist: MatchedDistribution,
+    v_dist: MatchedDistribution,
+    states: list,
+    count_u: int,
+    count_v: int,
+):
+    """U (B, count_u) and V (B, count_v) draws for a block of worlds; world b
+    draws from the PCG64 state ``states[b]`` (see ``streams.replay``).
+
+    Each world makes the generator calls of ``sample(u_dist, rng, count_u)``
+    and then of ``sample(v_dist, rng, count_v)``, so its draws equal that
+    pair of calls bit for bit; the transforms run once on the whole block.
+    When both laws are three-point, one ``random(count_u + count_v)`` call
+    per world yields the same uniforms as the two calls.
+    """
+    worlds = len(states)
+    if u_dist.family == v_dist.family == THREE_POINT:
+        uniform = np.empty((worlds, count_u + count_v))
+        for b, rng in enumerate(streams.replay(states)):
+            rng.random(out=uniform[b])
+        return (
+            _three_point_values(u_dist, uniform[:, :count_u]),
+            _three_point_values(v_dist, uniform[:, count_u:]),
+        )
+    u_raw = _raw_block(u_dist, worlds, count_u)
+    v_raw = _raw_block(v_dist, worlds, count_v)
+    for b, rng in enumerate(streams.replay(states)):
+        _draw_raw(u_dist, rng, u_raw, b)
+        _draw_raw(v_dist, rng, v_raw, b)
+    return _values(u_dist, u_raw), _values(v_dist, v_raw)

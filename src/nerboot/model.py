@@ -97,12 +97,6 @@ class Dataset:
             )
         return Dataset(y, self.x, self.s, self.starts, self.cluster_ids, self._cache)
 
-    # -- labels for per-observation vectors --------------------------------
-    @property
-    def obs_cluster_index(self) -> np.ndarray:
-        """(N,) integer cluster index of every observation."""
-        return np.repeat(np.arange(self.n), self.sizes)
-
 
 @dataclass(frozen=True)
 class ClusterSummaries:

@@ -19,13 +19,16 @@ Both branches agree at u = v and are strictly positive for u > 0.
 Every bootstrap world gets its own random substream keyed by
 (master_seed, level code, replicate index), with the level code always in
 second position, so results are reproducible and independent of execution
-order.  Each world draws U and then V from its own substream; the worlds of
-a level are then refitted together, in blocks of ``pipeline.block_size``
-response rows, by the one refit kernel ``pipeline.refit_worlds``.  The
-block size depends only on the design.  Worlds whose refit fails
-numerically are masked, skipped and counted; more than 1% failures at any
-level aborts the run, since under the ridge safeguard failures signal a
-pathological input.
+order.  The PCG64 states of a whole level -- the b1 level-one worlds, the
+b2 outer worlds, or all b2 * c inner worlds, ordered (b, l) -- are derived
+in one ``streams.substream_states`` call; each world then reseeds one
+generator and draws U and then V (``mmdist.sample_worlds``), bit for bit
+what its own ``streams.substream`` would give.  The worlds of a level are
+refitted together, in blocks of ``pipeline.block_size`` response rows, by
+the one refit kernel ``pipeline.refit_worlds``.  The block size depends
+only on the design.  Worlds whose refit fails numerically are masked,
+skipped and counted; more than 1% failures at any level aborts the run,
+since under the ridge safeguard failures signal a pathological input.
 """
 
 from __future__ import annotations
@@ -37,11 +40,16 @@ import numpy as np
 from . import streams
 from .errors import DivisionGuard, TooManyFailures
 from .gls import FixedEffects
-from .mmdist import THREE_POINT, MatchedDistribution, make_distribution, sample
+from .mmdist import (
+    THREE_POINT,
+    MatchedDistribution,
+    make_distribution,
+    sample,
+    sample_worlds,
+)
 from .model import Dataset, _summaries_design
-from .moments import FourthMoments
 from .pipeline import ModelFit, block_size, fit_model, refit_worlds
-from .variance import DEFAULT_RIDGE, VarianceComponents
+from .variance import DEFAULT_RIDGE
 
 FAILURE_TOLERANCE = 0.01  # max tolerated share of failed replicates per level
 
@@ -148,23 +156,25 @@ def robust_correction(
 # world generation
 # ---------------------------------------------------------------------------
 
+def _responses(d: Dataset, fe: FixedEffects, u_star, v_star):
+    """Response rows (B, N) and true theta (B, n) of worlds with cluster
+    effects ``u_star`` (B, n) and noise ``v_star`` (B, N)."""
+    y_star = fe.mu + d.x @ fe.beta + np.repeat(u_star, d.sizes, axis=1) + d.s * v_star
+    theta_star = fe.mu + _summaries_design(d)["x_under"] @ fe.beta + u_star
+    return y_star, theta_star
+
+
 def _draw_worlds(
     d: Dataset,
     fe: FixedEffects,
     u_dist: MatchedDistribution,
     v_dist: MatchedDistribution,
-    rngs: list,
+    states: list,
 ):
     """Synthetic response rows (B, N) on the same design and the true theta
-    (B, n); world b draws U before V from its own generator ``rngs[b]``."""
-    u_star = np.empty((len(rngs), d.n))
-    v_star = np.empty((len(rngs), d.total))
-    for b, rng in enumerate(rngs):
-        u_star[b] = sample(u_dist, rng, d.n)
-        v_star[b] = sample(v_dist, rng, d.total)
-    y_star = fe.mu + d.x @ fe.beta + np.repeat(u_star, d.sizes, axis=1) + d.s * v_star
-    theta_star = fe.mu + _summaries_design(d)["x_under"] @ fe.beta + u_star
-    return y_star, theta_star
+    (B, n); world b draws U before V from the PCG64 state ``states[b]``."""
+    u_star, v_star = sample_worlds(u_dist, v_dist, states, d.n, d.total)
+    return _responses(d, fe, u_star, v_star)
 
 
 def _draw_world(
@@ -174,8 +184,11 @@ def _draw_world(
     v_dist: MatchedDistribution,
     rng: np.random.Generator,
 ):
-    """One synthetic world on the same design: (dataset, true theta*)."""
-    y_star, theta_star = _draw_worlds(d, fe, u_dist, v_dist, [rng])
+    """One synthetic world on the same design, drawn with ``sample``:
+    (dataset, true theta*).  The reference for ``_draw_worlds``."""
+    u_star = sample(u_dist, rng, d.n)
+    v_star = sample(v_dist, rng, d.total)
+    y_star, theta_star = _responses(d, fe, u_star[None], v_star[None])
     return d.with_responses(y_star[0]), theta_star[0]
 
 
@@ -185,19 +198,6 @@ def _matched(sigma2_u, gamma_u, sigma2_v, gamma_v, family: str):
         make_distribution(float(sigma2_u), float(gamma_u), family),
         make_distribution(float(sigma2_v), float(gamma_v), family),
     )
-
-
-def bootstrap_world(
-    d: Dataset,
-    fe: FixedEffects,
-    vc: VarianceComponents,
-    fm: FourthMoments,
-    rng: np.random.Generator,
-    family: str = THREE_POINT,
-):
-    """One synthetic world around a fit: (synthetic dataset, true theta*)."""
-    u_dist, v_dist = _matched(vc.sigma2_u, fm.gamma_u, vc.sigma2_v, fm.gamma_v, family)
-    return _draw_world(d, fe, u_dist, v_dist, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -211,24 +211,30 @@ def _check_failures(failed: int, attempted: int, level: str) -> None:
         )
 
 
-def _blocks(d: Dataset, keys: list):
+def _blocks(d: Dataset, states: list):
+    """(offset, states) of each refit block of worlds."""
     step = block_size(d)
-    return (keys[lo : lo + step] for lo in range(0, len(keys), step))
+    return ((lo, states[lo : lo + step]) for lo in range(0, len(states), step))
 
 
-def _mean_squared_error(d, fe, u_dist, v_dist, ridge, keys: list):
-    """Per-cluster mean of (theta-hat - theta)^2 over the keyed worlds that
-    refit (None if none did), and the number that failed.  ``keys`` are
-    full ``streams.substream`` arguments, one per world."""
+def _level_states(cfg: BootstrapConfig, level: int, key_prefix: tuple, *counts):
+    """PCG64 states of every world of a level, keyed (level, *key_prefix,
+    *index) with the indices in row-major order over ``counts``."""
+    index = np.indices(counts).reshape(len(counts), -1).T
+    return streams.substream_states(cfg.master_seed, level, *key_prefix, tails=index)
+
+
+def _mean_squared_error(d, fe, u_dist, v_dist, ridge, states: list):
+    """Per-cluster mean of (theta-hat - theta)^2 over the worlds drawn from
+    ``states`` that refit (None if none did), and the number that failed."""
     acc = np.zeros(d.n)
     failed = 0
-    for block in _blocks(d, keys):
-        rngs = [streams.substream(*key) for key in block]
-        y_star, theta_star = _draw_worlds(d, fe, u_dist, v_dist, rngs)
+    for _, block in _blocks(d, states):
+        y_star, theta_star = _draw_worlds(d, fe, u_dist, v_dist, block)
         fits = refit_worlds(d, y_star, ridge)
         acc += np.sum((fits.theta_hat[fits.ok] - theta_star[fits.ok]) ** 2, axis=0)
         failed += int(np.count_nonzero(~fits.ok))
-    done = len(keys) - failed
+    done = len(states) - failed
     return (acc / done if done else None), failed
 
 
@@ -244,9 +250,9 @@ def mse_single(
 ) -> tuple[np.ndarray, int]:
     """Level-one bootstrap estimate u-hat of MSE_i; returns (u_hat, failures)."""
     u_dist, v_dist = _fit_laws(fit, cfg.family)
-    keys = [(cfg.master_seed, streams.SINGLE, *key_prefix, b) for b in range(cfg.b1)]
+    states = _level_states(cfg, streams.SINGLE, key_prefix, cfg.b1)
     u_hat, failed = _mean_squared_error(
-        d, fit.fixed_effects, u_dist, v_dist, cfg.ridge, keys
+        d, fit.fixed_effects, u_dist, v_dist, cfg.ridge, states
     )
     _check_failures(failed, cfg.b1, "level-one")
     if u_hat is None:
@@ -270,12 +276,13 @@ def mse_double(
     vacc = np.zeros(d.n)
     outer_done = outer_failed = 0
     inner_attempted = inner_failed = 0
-    outer = [(cfg.master_seed, streams.OUTER, *key_prefix, b) for b in range(cfg.b2)]
-    for block in _blocks(d, outer):
-        rngs = [streams.substream(*key) for key in block]
-        y_star, _ = _draw_worlds(d, fit.fixed_effects, u_dist, v_dist, rngs)
+    outer = _level_states(cfg, streams.OUTER, key_prefix, cfg.b2)
+    # inner world (b, l) is row b * c + l; outer world b takes its c rows
+    inner = _level_states(cfg, streams.INNER, key_prefix, cfg.b2, cfg.c)
+    for lo, block in _blocks(d, outer):
+        y_star, _ = _draw_worlds(d, fit.fixed_effects, u_dist, v_dist, block)
         fits = refit_worlds(d, y_star, cfg.ridge, with_fourth_moments=True)
-        for k, key in enumerate(block):
+        for k in range(len(block)):
             if not fits.ok[k]:
                 outer_failed += 1
                 continue
@@ -284,10 +291,9 @@ def mse_double(
                 cfg.family,
             )
             fe_star = FixedEffects(mu=float(fits.mu[k]), beta=fits.beta[k])
-            inner = [
-                (cfg.master_seed, streams.INNER, *key[2:], el) for el in range(cfg.c)
-            ]
-            v_b, failed = _mean_squared_error(d, fe_star, *laws, cfg.ridge, inner)
+            b = lo + k
+            worlds = inner[b * cfg.c : (b + 1) * cfg.c]
+            v_b, failed = _mean_squared_error(d, fe_star, *laws, cfg.ridge, worlds)
             inner_attempted += cfg.c
             inner_failed += failed
             if v_b is None:

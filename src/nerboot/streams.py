@@ -1,14 +1,26 @@
 """Deterministic random-stream derivation.
 
-Every stochastic routine in the library draws from a generator obtained via
-``substream(master_seed, *key)``.  The derivation rule is fixed: the master
-seed and the integer key components are fed, in order, as the entropy of a
-fresh ``numpy.random.default_rng``.  Distinct keys therefore yield
-independent streams, and results never depend on the order in which
-replicates execute -- the contract that makes parallel runs bit-identical
-to serial ones.
+Every stochastic routine in the library draws from a generator keyed by a
+tuple of non-negative integers ``(master_seed, *key)``.  The derivation
+rule is fixed: the key tuple, in order, is the entropy of a fresh
+``numpy.random.default_rng`` -- a PCG64 seeded through numpy's
+``SeedSequence``.  Distinct keys therefore yield independent streams, and
+results never depend on the order in which replicates execute -- the
+contract that makes parallel runs bit-identical to serial ones.
 
-Key layout used across the package (first component after the seed):
+``substream`` applies the rule to one key.  ``substream_states`` applies it
+to a whole level of bootstrap worlds at once: keys that share a prefix and
+differ in their trailing components go through ``SeedSequence``'s entropy
+mixing and state generation as uint32 column arithmetic, one array
+operation per step for all keys, then through PCG64's seeding step, giving
+each world's PCG64 ``(state, inc)``.
+``replay`` reseeds one generator to each state in turn; world b then draws
+exactly what ``substream(*key_b)`` would.
+
+Key layout: the component after the master seed is one of the purpose
+codes below, so streams of different purposes never share a key; a study
+replicate index follows it when a bootstrap runs inside a study, and world
+indices come last.
 """
 
 import numpy as np
@@ -20,17 +32,143 @@ OUTER = 3        # (OUTER, b)                    double-bootstrap outer world b
 INNER = 4        # (INNER, b, l)                 inner world l around outer b
 DESIGN = 5       # (DESIGN,)                     covariate design of a study
 STUDY = 6        # (STUDY, replicate)            per-replicate study error draws
+# inside a study: (SINGLE, replicate, b), (OUTER, replicate, b) and
+# (INNER, replicate, b, l)
 
 MAX_SEED = 2**64 - 1
+
+# numpy's SeedSequence constants (pool of four 32-bit words)
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+_MASK32 = 2**32 - 1
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = 2**128 - 1
 
 
 def substream(master_seed, *key):
     """Independent generator for the given (master_seed, *key) tuple."""
-    if not 0 <= int(master_seed) <= MAX_SEED:
-        raise ValueError(f"master seed must be in [0, 2**64), got {master_seed}")
+    _check_seed(master_seed)
     return np.random.default_rng([int(master_seed), *[int(k) for k in key]])
 
 
 def draw_master_seed():
     """Fresh master seed from system entropy (printed by the CLI when used)."""
     return int(np.random.SeedSequence().entropy % (2**63))
+
+
+def _check_seed(master_seed) -> None:
+    if not 0 <= int(master_seed) <= MAX_SEED:
+        raise ValueError(f"master seed must be in [0, 2**64), got {master_seed}")
+
+
+def _words(value: int) -> list:
+    """A non-negative integer as little-endian uint32 words, as SeedSequence
+    reads one entropy component (zero is one word)."""
+    if value < 0:
+        raise ValueError(f"key components must be non-negative, got {value}")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+class _Hash:
+    """SeedSequence's hashmix with its running multiplier, on uint32 arrays."""
+
+    def __init__(self):
+        self.const = _INIT_A
+
+    def __call__(self, value):
+        value = value ^ np.uint32(self.const)
+        self.const = (self.const * _MULT_A) & _MASK32
+        value = value * np.uint32(self.const)
+        return value ^ (value >> _XSHIFT)
+
+
+def _mix(x, y):
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _pool(entropy: list) -> list:
+    """SeedSequence's mixed entropy pool; ``entropy`` holds one uint32 array
+    per word, of shape (1,) for a word every key shares and (B,) otherwise."""
+    hashmix = _Hash()
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [
+        hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)
+    ]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _pcg64_states(pool: list, rows: int) -> list:
+    """PCG64 (state, inc) per row from ``generate_state(4, uint64)`` of the
+    pool and PCG64's srandom_r seeding (two LCG steps from state 0)."""
+    const = _INIT_B
+    halves = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = (const * _MULT_B) & _MASK32
+        value = value * np.uint32(const)
+        value = np.broadcast_to(value ^ (value >> _XSHIFT), rows)
+        halves.append(value.astype(np.uint64))
+    seed = [
+        (halves[2 * j + 1] << np.uint64(32) | halves[2 * j]).tolist() for j in range(4)
+    ]
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*seed):
+        inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
+        state = (((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT) + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
+
+def substream_states(master_seed, *key_prefix, tails) -> list:
+    """PCG64 ``(state, inc)`` of ``substream(master_seed, *key_prefix, *t)``
+    for every row t of the (B, k) integer array ``tails``, in row order.
+
+    Trailing components must lie in [0, 2**32), so that each is one entropy
+    word and every row shares one entropy layout; prefix components may be
+    any non-negative integer.
+    """
+    _check_seed(master_seed)
+    prefix = [w for k in (master_seed, *key_prefix) for w in _words(int(k))]
+    tails = np.asarray(tails)
+    if tails.ndim != 2 or tails.dtype.kind not in "iu":
+        raise ValueError("tails must be a (B, k) integer array")
+    if tails.size and (tails.min() < 0 or tails.max() > _MASK32):
+        raise ValueError("trailing key components must be in [0, 2**32)")
+    entropy = [np.array([w], dtype=np.uint32) for w in prefix]
+    entropy += [tails[:, j].astype(np.uint32) for j in range(tails.shape[1])]
+    return _pcg64_states(_pool(entropy), len(tails))
+
+
+def replay(states):
+    """One Generator, reseeded to each PCG64 ``(state, inc)`` in turn; draw
+    from it before advancing the iteration."""
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for state, inc in states:
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import nerboot.cli
 from nerboot.cli import main
 
 from conftest import benchmark_dataset
@@ -73,6 +74,24 @@ def test_fit_singleton_cluster_exit_code(tmp_path, capsys):
     code = main(["fit", str(bad), "--seed", "1"])
     assert code == 3
     assert "lonely" in capsys.readouterr().err
+
+
+def test_fit_non_finite_estimate_is_numerical_failure(
+    fixture_csv, tmp_path, capsys, monkeypatch
+):
+    # a NaN estimate must not reach report.json as an invalid NaN token
+    real = nerboot.cli.mspe_report
+
+    def with_nan(d, cfg):
+        report = real(d, cfg)
+        report.mse_boot[3] = np.nan
+        return report
+
+    monkeypatch.setattr("nerboot.cli.mspe_report", with_nan)
+    out = tmp_path / "report"
+    assert main(_fit_args(fixture_csv, out)) == 4
+    assert "non-finite values" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_fit_missing_seed_prints_one(fixture_csv, tmp_path, capsys):

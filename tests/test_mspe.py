@@ -11,7 +11,6 @@ from nerboot.errors import DivisionGuard, TooManyFailures
 from nerboot.mspe import (
     BootstrapConfig,
     _draw_world,
-    bootstrap_world,
     mse_double,
     mse_single,
     mspe_report,
@@ -75,15 +74,21 @@ def test_correction_division_guard():
 # world generation
 # ---------------------------------------------------------------------------
 
+def _fit_laws(vc, fm):
+    return (
+        nb.make_distribution(vc.sigma2_u, fm.gamma_u),
+        nb.make_distribution(vc.sigma2_v, fm.gamma_v),
+    )
+
+
 def test_world_moments_match_fit(fitted):
     d, fit = fitted
     rng = np.random.default_rng(2)
+    laws = _fit_laws(fit.variance, fit.fourth_moments)
     n_worlds = 20_000
     u_all = np.empty((n_worlds, d.n))
     for k in range(n_worlds):
-        d_star, theta_star = bootstrap_world(
-            d, fit.fixed_effects, fit.variance, fit.fourth_moments, rng
-        )
+        d_star, theta_star = _draw_world(d, fit.fixed_effects, *laws, rng)
         u_all[k] = theta_star - (
             fit.fixed_effects.mu + nb.summarize(d).x_under @ fit.fixed_effects.beta
         )
@@ -108,8 +113,8 @@ def test_world_point_mass_when_sigma_u_zero(fitted):
         k_constant=fit.variance.k_constant,
     )
     fm = nb.FourthMoments(gamma_u=0.0, gamma_v=fit.fourth_moments.gamma_v)
-    d_star, theta_star = bootstrap_world(
-        d, fit.fixed_effects, vc, fm, np.random.default_rng(0)
+    d_star, theta_star = _draw_world(
+        d, fit.fixed_effects, *_fit_laws(vc, fm), np.random.default_rng(0)
     )
     synthetic = fit.fixed_effects.mu + nb.summarize(d).x_under @ fit.fixed_effects.beta
     np.testing.assert_allclose(theta_star, synthetic, rtol=1e-12)
@@ -117,9 +122,9 @@ def test_world_point_mass_when_sigma_u_zero(fitted):
 
 def test_world_determinism(fitted):
     d, fit = fitted
-    args = (d, fit.fixed_effects, fit.variance, fit.fourth_moments)
-    d1, t1 = bootstrap_world(*args, np.random.default_rng(99))
-    d2, t2 = bootstrap_world(*args, np.random.default_rng(99))
+    args = (d, fit.fixed_effects, *_fit_laws(fit.variance, fit.fourth_moments))
+    d1, t1 = _draw_world(*args, np.random.default_rng(99))
+    d2, t2 = _draw_world(*args, np.random.default_rng(99))
     np.testing.assert_array_equal(d1.y, d2.y)
     np.testing.assert_array_equal(t1, t2)
 
