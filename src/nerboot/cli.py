@@ -348,7 +348,7 @@ def cmd_simulate(args) -> int:
             )
         scenario = simulate.Scenario.from_ratio(n=n, ratio=ratio)
 
-    summaries = []
+    summaries, records = [], {}
     for name in model_names:
         try:
             model = simulate.error_model(name)
@@ -373,18 +373,20 @@ def cmd_simulate(args) -> int:
         summaries.append(_summary_dict(result))
         if args.out:
             suffix = f"_{model.kind}" if all_models else ""
-            _write_text(
-                Path(f"{args.out}{suffix}_records.csv"), _records_csv(result)
-            )
+            records[Path(f"{args.out}{suffix}_records.csv")] = _records_csv(result)
 
     payload = summaries[0] if not all_models else {s["model"]: s for s in summaries}
+    # serialise first: a non-finite summary must leave no file behind
+    summary_json = _json_dump(payload) if args.out or not table else None
     if args.out:
-        _write_text(Path(args.out + "_summary.json"), _json_dump(payload))
+        for path, text in records.items():
+            _write_text(path, text)
+        _write_text(Path(args.out + "_summary.json"), summary_json)
         print(f"wrote {args.out}_summary.json", file=sys.stderr)
     if table:
         sys.stdout.write(_render_table(summaries))
     elif not args.out:
-        sys.stdout.write(_json_dump(payload))
+        sys.stdout.write(summary_json)
     return EXIT_OK
 
 

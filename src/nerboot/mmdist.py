@@ -161,18 +161,8 @@ def sample_worlds(
     Each world makes the generator calls of ``sample(u_dist, rng, count_u)``
     and then of ``sample(v_dist, rng, count_v)``, so its draws equal that
     pair of calls bit for bit; the transforms run once on the whole block.
-    When both laws are three-point, one ``random(count_u + count_v)`` call
-    per world yields the same uniforms as the two calls.
     """
     worlds = len(states)
-    if u_dist.family == v_dist.family == THREE_POINT:
-        uniform = np.empty((worlds, count_u + count_v))
-        for b, rng in enumerate(streams.replay(states)):
-            rng.random(out=uniform[b])
-        return (
-            _three_point_values(u_dist, uniform[:, :count_u]),
-            _three_point_values(v_dist, uniform[:, count_u:]),
-        )
     u_raw = _raw_block(u_dist, worlds, count_u)
     v_raw = _raw_block(v_dist, worlds, count_v)
     for b, rng in enumerate(streams.replay(states)):

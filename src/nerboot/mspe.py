@@ -19,12 +19,13 @@ Both branches agree at u = v and are strictly positive for u > 0.
 Every bootstrap world gets its own random substream keyed by
 (master_seed, level code, replicate index), with the level code always in
 second position, so results are reproducible and independent of execution
-order.  The PCG64 states of a whole level -- the b1 level-one worlds, the
-b2 outer worlds, or all b2 * c inner worlds, ordered (b, l) -- are derived
-in one ``streams.substream_states`` call; each world then reseeds one
-generator and draws U and then V (``mmdist.sample_worlds``), bit for bit
-what its own ``streams.substream`` would give.  The worlds of a level are
-refitted together, in blocks of ``pipeline.block_size`` response rows, by
+order.  The PCG64 states of many worlds are derived in one
+``streams.substream_states`` call -- all b1 level-one worlds, all b2 outer
+worlds, and per refit block of outer worlds all their inner worlds,
+ordered (b, l), which bounds the states held at once by the block size
+times c.  Each world then reseeds one generator and draws U and then V
+(``mmdist.sample_worlds``), bit for bit what its own ``streams.substream``
+would give.  The worlds of a level are refitted together, in blocks of ``pipeline.block_size`` response rows, by
 the one refit kernel ``pipeline.refit_worlds``.  The block size depends
 only on the design.  Worlds whose refit fails numerically are masked,
 skipped and counted; more than 1% failures at any level aborts the run,
@@ -211,16 +212,17 @@ def _check_failures(failed: int, attempted: int, level: str) -> None:
         )
 
 
-def _blocks(d: Dataset, states: list):
-    """(offset, states) of each refit block of worlds."""
+def _blocks(d: Dataset, worlds):
+    """Slices of ``worlds`` (a sequence or a range), one per refit block."""
     step = block_size(d)
-    return ((lo, states[lo : lo + step]) for lo in range(0, len(states), step))
+    return (worlds[lo : lo + step] for lo in range(0, len(worlds), step))
 
 
-def _level_states(cfg: BootstrapConfig, level: int, key_prefix: tuple, *counts):
-    """PCG64 states of every world of a level, keyed (level, *key_prefix,
-    *index) with the indices in row-major order over ``counts``."""
-    index = np.indices(counts).reshape(len(counts), -1).T
+def _level_states(cfg: BootstrapConfig, level: int, key_prefix: tuple, *axes):
+    """PCG64 states of the worlds keyed (level, *key_prefix, *index), one
+    per index in the product of the ranges ``axes``, in row-major order."""
+    grid = np.meshgrid(*[np.asarray(axis) for axis in axes], indexing="ij")
+    index = np.stack(grid, axis=-1).reshape(-1, len(axes))
     return streams.substream_states(cfg.master_seed, level, *key_prefix, tails=index)
 
 
@@ -229,7 +231,7 @@ def _mean_squared_error(d, fe, u_dist, v_dist, ridge, states: list):
     ``states`` that refit (None if none did), and the number that failed."""
     acc = np.zeros(d.n)
     failed = 0
-    for _, block in _blocks(d, states):
+    for block in _blocks(d, states):
         y_star, theta_star = _draw_worlds(d, fe, u_dist, v_dist, block)
         fits = refit_worlds(d, y_star, ridge)
         acc += np.sum((fits.theta_hat[fits.ok] - theta_star[fits.ok]) ** 2, axis=0)
@@ -250,7 +252,7 @@ def mse_single(
 ) -> tuple[np.ndarray, int]:
     """Level-one bootstrap estimate u-hat of MSE_i; returns (u_hat, failures)."""
     u_dist, v_dist = _fit_laws(fit, cfg.family)
-    states = _level_states(cfg, streams.SINGLE, key_prefix, cfg.b1)
+    states = _level_states(cfg, streams.SINGLE, key_prefix, range(cfg.b1))
     u_hat, failed = _mean_squared_error(
         d, fit.fixed_effects, u_dist, v_dist, cfg.ridge, states
     )
@@ -276,13 +278,15 @@ def mse_double(
     vacc = np.zeros(d.n)
     outer_done = outer_failed = 0
     inner_attempted = inner_failed = 0
-    outer = _level_states(cfg, streams.OUTER, key_prefix, cfg.b2)
-    # inner world (b, l) is row b * c + l; outer world b takes its c rows
-    inner = _level_states(cfg, streams.INNER, key_prefix, cfg.b2, cfg.c)
-    for lo, block in _blocks(d, outer):
+    outer = _level_states(cfg, streams.OUTER, key_prefix, range(cfg.b2))
+    for rows in _blocks(d, range(cfg.b2)):
+        # the inner worlds (b, l) of the block's k-th outer world b are
+        # rows k * c to (k + 1) * c
+        inner = _level_states(cfg, streams.INNER, key_prefix, rows, range(cfg.c))
+        block = outer[rows.start : rows.stop]
         y_star, _ = _draw_worlds(d, fit.fixed_effects, u_dist, v_dist, block)
         fits = refit_worlds(d, y_star, cfg.ridge, with_fourth_moments=True)
-        for k in range(len(block)):
+        for k in range(len(rows)):
             if not fits.ok[k]:
                 outer_failed += 1
                 continue
@@ -291,8 +295,7 @@ def mse_double(
                 cfg.family,
             )
             fe_star = FixedEffects(mu=float(fits.mu[k]), beta=fits.beta[k])
-            b = lo + k
-            worlds = inner[b * cfg.c : (b + 1) * cfg.c]
+            worlds = inner[k * cfg.c : (k + 1) * cfg.c]
             v_b, failed = _mean_squared_error(d, fe_star, *laws, cfg.ridge, worlds)
             inner_attempted += cfg.c
             inner_failed += failed

@@ -82,14 +82,17 @@ def _words(value: int) -> list:
 
 
 class _Hash:
-    """SeedSequence's hashmix with its running multiplier, on uint32 arrays."""
+    """SeedSequence's hashmix with its running multiplier, on uint32 arrays;
+    (``_INIT_A``, ``_MULT_A``) mix the pool, (``_INIT_B``, ``_MULT_B``)
+    generate the state."""
 
-    def __init__(self):
-        self.const = _INIT_A
+    def __init__(self, init, mult):
+        self.const = init
+        self.mult = mult
 
     def __call__(self, value):
         value = value ^ np.uint32(self.const)
-        self.const = (self.const * _MULT_A) & _MASK32
+        self.const = (self.const * self.mult) & _MASK32
         value = value * np.uint32(self.const)
         return value ^ (value >> _XSHIFT)
 
@@ -102,7 +105,7 @@ def _mix(x, y):
 def _pool(entropy: list) -> list:
     """SeedSequence's mixed entropy pool; ``entropy`` holds one uint32 array
     per word, of shape (1,) for a word every key shares and (B,) otherwise."""
-    hashmix = _Hash()
+    hashmix = _Hash(_INIT_A, _MULT_A)
     zero = np.zeros(1, dtype=np.uint32)
     pool = [
         hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)
@@ -120,14 +123,11 @@ def _pool(entropy: list) -> list:
 def _pcg64_states(pool: list, rows: int) -> list:
     """PCG64 (state, inc) per row from ``generate_state(4, uint64)`` of the
     pool and PCG64's srandom_r seeding (two LCG steps from state 0)."""
-    const = _INIT_B
-    halves = []
-    for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
-        const = (const * _MULT_B) & _MASK32
-        value = value * np.uint32(const)
-        value = np.broadcast_to(value ^ (value >> _XSHIFT), rows)
-        halves.append(value.astype(np.uint64))
+    hashmix = _Hash(_INIT_B, _MULT_B)
+    halves = [
+        np.broadcast_to(hashmix(pool[i % _POOL_SIZE]), rows).astype(np.uint64)
+        for i in range(8)
+    ]
     seed = [
         (halves[2 * j + 1] << np.uint64(32) | halves[2 * j]).tolist() for j in range(4)
     ]

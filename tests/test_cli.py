@@ -178,6 +178,27 @@ def test_simulate_writes_records_and_summary(tmp_path):
     assert summary["replicates"] == 5
 
 
+def test_simulate_non_finite_summary_writes_nothing(tmp_path, capsys, monkeypatch):
+    # the records files must not be left behind when the summary fails
+    real = nerboot.cli._summary_dict
+
+    def with_nan(result):
+        summary = real(result)
+        summary["smse_mean"] = float("nan")
+        return summary
+
+    monkeypatch.setattr("nerboot.cli._summary_dict", with_nan)
+    out = tmp_path / "study"
+    args = [
+        "simulate", "--model", "m1", "--n", "8", "--ratio", "1",
+        "--replicates", "3", "--b1", "2", "--single-only",
+        "--seed", "7", "--jobs", "1", "--out", str(out),
+    ]
+    assert main(args) == 4
+    assert "non-finite values" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_all_models_table(tmp_path, capsys):
     args = [
         "simulate", "--all-models", "--n", "8", "--ratio", "1",

@@ -174,6 +174,35 @@ def test_double_bootstrap_identities(fitted):
     assert np.all(res.corrected_robust > 0.0)
 
 
+def test_double_bootstrap_across_blocks_matches_looped_oracle(monkeypatch, fitted):
+    # refit blocks of two outer worlds: each block derives its own outer and
+    # inner streams, and v-hat equals the per-world substream loop
+    d, fit = fitted
+    cfg = BootstrapConfig(b1=3, b2=5, c=3, master_seed=2**40 + 1)
+    monkeypatch.setattr("nerboot.mspe.block_size", lambda d: 2)
+    res = mse_double(d, fit, cfg)
+    monkeypatch.undo()
+    assert res.failures == {"single": 0, "outer": 0, "inner": 0}
+
+    u_dist = nb.make_distribution(fit.variance.sigma2_u, fit.fourth_moments.gamma_u)
+    v_dist = nb.make_distribution(fit.variance.sigma2_v, fit.fourth_moments.gamma_v)
+    vacc = np.zeros(d.n)
+    for b in range(cfg.b2):
+        rng = streams.substream(cfg.master_seed, streams.OUTER, b)
+        d_star, _ = _draw_world(d, fit.fixed_effects, u_dist, v_dist, rng)
+        outer = fit_model(d_star, with_fourth_moments=True)
+        laws = (
+            nb.make_distribution(outer.variance.sigma2_u, outer.fourth_moments.gamma_u),
+            nb.make_distribution(outer.variance.sigma2_v, outer.fourth_moments.gamma_v),
+        )
+        for el in range(cfg.c):
+            rng = streams.substream(cfg.master_seed, streams.INNER, b, el)
+            d_in, theta = _draw_world(d, outer.fixed_effects, *laws, rng)
+            refit = fit_model(d_in, with_fourth_moments=False)
+            vacc += (refit.theta_hat - theta) ** 2 / cfg.c
+    np.testing.assert_allclose(res.mse_double, vacc / cfg.b2, rtol=1e-10)
+
+
 def test_seed_stream_equivalence(fitted):
     # two disjoint seed streams at b1 = 2000 agree within combined MC error
     d, fit = fitted
