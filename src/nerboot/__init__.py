@@ -19,10 +19,8 @@ from .errors import (
     NonPositiveScale,
     NumericalError,
     RankDeficient,
-    SingularWeight,
     TooManyFailures,
 )
-from .gls import ClusterWeight, FixedEffects, cluster_weights, fit_fixed_effects
 from .mmdist import (
     MatchedDistribution,
     make_distribution,
@@ -49,8 +47,15 @@ from .mspe import (
     mspe_report,
     robust_correction,
 )
-from .pipeline import ModelFit, WorldFits, fit_model, refit_worlds
-from .predictor import Prediction, eblup, naive_mse
+from .pipeline import (
+    FixedEffects,
+    ModelFit,
+    Prediction,
+    VarianceComponents,
+    WorldFits,
+    fit_model,
+    refit_worlds,
+)
 from .simulate import (
     ErrorModel,
     EstimatorMetrics,
@@ -63,7 +68,6 @@ from .simulate import (
     run_study,
     run_truth,
 )
-from .variance import VarianceComponents
 
 __version__ = "0.1.0"
 
@@ -71,7 +75,6 @@ __all__ = [
     "BootstrapConfig",
     "Cluster",
     "ClusterSummaries",
-    "ClusterWeight",
     "DataError",
     "Dataset",
     "DimensionMismatch",
@@ -95,19 +98,15 @@ __all__ = [
     "Prediction",
     "RankDeficient",
     "Scenario",
-    "SingularWeight",
     "StudyResult",
     "TooManyFailures",
     "VarianceComponents",
     "WorldFits",
     "build_dataset",
-    "cluster_weights",
     "draw_error",
-    "eblup",
     "error_model",
     "estimate_gamma_u",
     "estimate_gamma_v",
-    "fit_fixed_effects",
     "fit_model",
     "from_arrays",
     "make_design",
@@ -118,7 +117,6 @@ __all__ = [
     "mse_double",
     "mse_single",
     "mspe_report",
-    "naive_mse",
     "read_csv_dataset",
     "refit_worlds",
     "robust_correction",

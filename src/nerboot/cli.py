@@ -329,6 +329,8 @@ def cmd_simulate(args) -> int:
     sigma_u = merge_option(args, config, "sigma_u", float, None)
     sigma_v = merge_option(args, config, "sigma_v", float, None)
     replicates = merge_option(args, config, "replicates", int, 200)
+    if replicates < 1:
+        raise UsageError(f"replicates must be at least 1 (got {replicates})")
     jobs = merge_option(args, config, "jobs", int, os.cpu_count() or 1)
     double = not merge_option(args, config, "single_only", _parse_bool, False)
     table = merge_option(args, config, "table", _parse_bool, False)
@@ -395,6 +397,8 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_dist(args) -> int:
+    if args.count < 2:  # the MC standard error needs two draws
+        raise UsageError(f"--count must be at least 2 (got {args.count})")
     seed = resolve_seed(args.seed)
     family = args.family.replace("-", "_")
     if family not in mmdist.FAMILIES:

@@ -42,10 +42,6 @@ class NonPositiveK(NumericalError):
     """The between-cluster contrast constant K = K1 - K2 is not positive."""
 
 
-class SingularWeight(NumericalError):
-    """A cluster weight matrix W_i cannot be inverted."""
-
-
 class MomentInfeasible(DataError):
     """Requested (variance, fourth moment) pair violates z4 >= z2^2."""
 

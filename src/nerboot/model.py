@@ -8,8 +8,9 @@ degrees of freedom N - n exceed the covariate dimension r.
 
 Observations are stored concatenated, grouped by cluster in first-appearance
 order; ``Dataset.with_responses`` swaps the response vector while sharing
-the design (and any design-derived factorization caches), which is what
-makes bootstrap refits on a fixed design cheap.
+the design, including ``Dataset.design``: every array the refit kernel
+derives from the design alone, built once.  That is what makes bootstrap
+refits on a fixed design cheap.
 """
 
 from __future__ import annotations
@@ -25,8 +26,12 @@ from .errors import (
     DimensionMismatch,
     EmptyCluster,
     InsufficientDegreesOfFreedom,
+    NonPositiveK,
     NonPositiveScale,
+    RankDeficient,
 )
+
+RANK_RTOL = 1e-10  # relative singular-value threshold for rank checks
 
 
 @dataclass(frozen=True)
@@ -48,8 +53,8 @@ class Dataset:
 
     ``starts`` holds n+1 offsets into the concatenated arrays; cluster i
     occupies rows starts[i]:starts[i+1].  Instances are immutable; the
-    ``_cache`` dict memoizes design-only factorizations and is shared by
-    every response-swapped copy of the same design.
+    ``_cache`` dict holds the memoized ``design`` and is shared by every
+    response-swapped copy of the same design.
     """
 
     y: np.ndarray            # (N,)
@@ -84,9 +89,13 @@ class Dataset:
             Cluster(self.x[a:b], self.y[a:b], self.s[a:b]) for a, b in zip(lo, hi)
         )
 
-    def cluster(self, i: int) -> Cluster:
-        a, b = self.starts[i], self.starts[i + 1]
-        return Cluster(self.x[a:b], self.y[a:b], self.s[a:b])
+    @property
+    def design(self) -> "_Design":
+        """The design-only arrays of the refit kernel, built on first use."""
+        design = self._cache.get("design")
+        if design is None:
+            design = self._cache["design"] = _Design(self)
+        return design
 
     def with_responses(self, y: np.ndarray) -> "Dataset":
         """Same design (x, s, clustering), new responses; caches are shared."""
@@ -192,19 +201,88 @@ def build_dataset(raw) -> Dataset:
     return from_arrays(labels, np.vstack(xs), ys, ss)
 
 
-def _summaries_design(d: Dataset) -> dict:
-    """Design-only summary pieces, memoized on the dataset's shared cache."""
-    cache = d._cache
-    if "summaries_design" not in cache:
+def _orthonormal_basis(mat: np.ndarray, message: str) -> np.ndarray:
+    """Q of the thin QR of ``mat``; raises RankDeficient below full column rank."""
+    q_mat, r_mat = np.linalg.qr(mat)
+    svals = np.linalg.svd(r_mat, compute_uv=False)
+    if svals[-1] <= RANK_RTOL * svals[0]:
+        raise RankDeficient(message)
+    return q_mat
+
+
+class _Design:
+    """Every design-only array the refit kernel reads; all are read-only.
+
+    Summaries: w = s^-2, a_i = sum_j w_ij, weighted x_bar, unweighted x_under.
+
+    Uncentered regression of s^-1 y on s^-1 (1, x') (``p_bar_rows``, r_aug
+    columns): its residual sum of squares obeys E(SSE2) = K sigma_U^2 +
+    (N - r_aug) sigma_V^2, with K = K1 - K2 from the Gram matrix and the
+    cluster sums ``zmat`` = sum_j s^-2 (1, x')', which GLS reuses.
+
+    Within regression: centering at weighted cluster means leaves each
+    cluster's residuals with covariance sigma_V^2 times a projection (the
+    paper's T_i after one observation per cluster is dropped), so SSE1 =
+    e' T^-1 e is the ordinary residual sum of squares of s^-1 (y - y_bar_i)
+    on s^-1 (x - x_bar_i) over all N rows.
+
+    Each regression keeps an orthonormal basis Q from one QR, so a residual
+    sum of squares is ||q||^2 - ||q Q||^2 per response row.  K is checked
+    before the within rank: K <= 0 puts a cluster indicator in the span of
+    (1, x), which also leaves the within design rank-deficient.
+
+    Fourth moments: the ordered-pair coefficients of ``moments``.
+    """
+
+    def __init__(self, d: Dataset):
         lo = d.starts[:-1]
-        w = d.s**-2
-        a = np.add.reduceat(w, lo)
-        x_bar = np.add.reduceat(w[:, None] * d.x, lo, axis=0) / a[:, None]
-        x_under = np.add.reduceat(d.x, lo, axis=0) / d.sizes[:, None]
-        for arr in (w, a, x_bar, x_under):
-            arr.flags.writeable = False
-        cache["summaries_design"] = {"w": w, "a": a, "x_bar": x_bar, "x_under": x_under}
-    return cache["summaries_design"]
+        sizes = d.sizes
+
+        self.w = d.s**-2
+        self.a = np.add.reduceat(self.w, lo)
+        self.x_bar = (
+            np.add.reduceat(self.w[:, None] * d.x, lo, axis=0) / self.a[:, None]
+        )
+        self.x_under = np.add.reduceat(d.x, lo, axis=0) / sizes[:, None]
+
+        s_inv = 1.0 / d.s
+        x_aug = np.column_stack([np.ones(d.total), d.x])  # (N, r+1)
+        self.p_bar_rows = s_inv[:, None] * x_aug
+        self.uncentered_basis = _orthonormal_basis(
+            self.p_bar_rows, "augmented design P-bar is not of full row rank"
+        )  # (N, r+1)
+        self.r_aug = d.r + 1
+        w_k = s_inv**2  # can round apart from s**-2 (self.w) in the last bit
+        self.k1 = float(np.sum(w_k))
+        self.gram = self.p_bar_rows.T @ self.p_bar_rows  # sum_ij s^-2 x~ x~'
+        self.zmat = np.add.reduceat(w_k[:, None] * x_aug, lo, axis=0)  # (n, r+1)
+        sol = np.linalg.solve(self.gram, self.zmat.T)  # (r+1, n)
+        self.k = self.k1 - float(np.sum(self.zmat * sol.T))
+        if self.k <= 0:
+            raise NonPositiveK(f"K = K1 - K2 = {self.k} is not positive")
+
+        p_rows = (d.x - np.repeat(self.x_bar, sizes, axis=0)) / d.s[:, None]
+        self.within_basis = _orthonormal_basis(
+            p_rows, "centered design P T^-1 P' has rank below the covariate dimension"
+        )  # (N, r)
+
+        s2 = d.s**2
+        s2_sum = np.add.reduceat(s2, lo)
+        s4_sum = np.add.reduceat(s2**2, lo)
+        self.pair_count = float(np.sum(sizes * (sizes - 1)))
+        self.a4_pair = float(np.sum((sizes - 1) * s4_sum)) / self.pair_count
+        self.c_pair = float(np.sum(s2_sum**2 - s4_sum)) / self.pair_count
+        self.sum_s2 = float(np.sum(s2))
+        self.sum_s4 = float(np.sum(s2**2))
+        self.__setstate__(vars(self))
+
+    def __setstate__(self, state):
+        """Set ``state`` with every array read-only; unpickling (in spawn and
+        forkserver workers) calls this too."""
+        vars(self).update(state)
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
 
 def summarize(d: Dataset, y=None) -> ClusterSummaries:
@@ -213,12 +291,10 @@ def summarize(d: Dataset, y=None) -> ClusterSummaries:
     ``y`` defaults to the dataset's responses; a (B, N) block of response
     rows on the same design gives y_bar of shape (B, n).
     """
-    des = _summaries_design(d)
+    des = d.design
     y = d.y if y is None else y
-    y_bar = np.add.reduceat(des["w"] * y, d.starts[:-1], axis=-1) / des["a"]
-    return ClusterSummaries(
-        a=des["a"], x_bar=des["x_bar"], y_bar=y_bar, x_under=des["x_under"]
-    )
+    y_bar = np.add.reduceat(des.w * y, d.starts[:-1], axis=-1) / des.a
+    return ClusterSummaries(a=des.a, x_bar=des.x_bar, y_bar=y_bar, x_under=des.x_under)
 
 
 # CSV ingestion: header ``cluster,y,s,x1,...,xr`` (s column optional, default 1);

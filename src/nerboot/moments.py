@@ -9,10 +9,11 @@ fourth power over ordered pairs of distinct observations gives
 with pair-average coefficients a4 and c_pair.  The shortcut a4 =
 N^-1 sum s^4 equals the exact pair average only for equal cluster sizes;
 the exact coefficient sum_i (n_i - 1) sum_j s_ij^4 / sum_i n_i (n_i - 1)
-is used here so the identity also holds for unbalanced designs.  E(U^4)
-then follows from raw fourth powers of residuals.  Both estimators are
-truncated from below at the squared variance estimates, which keeps every
-matched distribution feasible.
+is used here so the identity also holds for unbalanced designs (both
+coefficients live in ``Dataset.design``).  E(U^4) then follows from raw
+fourth powers of residuals.  Both estimators are truncated from below at
+the squared variance estimates, which keeps every matched distribution
+feasible.
 """
 
 from __future__ import annotations
@@ -28,26 +29,6 @@ from .model import Dataset
 class FourthMoments:
     gamma_u: float  # >= sigma2_u^2
     gamma_v: float  # >= sigma2_v^2
-
-
-class _MomentDesign:
-    def __init__(self, d: Dataset):
-        lo = d.starts[:-1]
-        sizes = d.sizes
-        s2 = d.s**2
-        s2_sum = np.add.reduceat(s2, lo)           # per cluster
-        s4_sum = np.add.reduceat(s2**2, lo)
-        self.pair_count = float(np.sum(sizes * (sizes - 1)))
-        self.a4_pair = float(np.sum((sizes - 1) * s4_sum)) / self.pair_count
-        self.c_pair = float(np.sum(s2_sum**2 - s4_sum)) / self.pair_count
-        self.sum_s2 = float(np.sum(s2))
-        self.sum_s4 = float(np.sum(s2**2))
-
-
-def _moment_design(d: Dataset) -> _MomentDesign:
-    if "moment_design" not in d._cache:
-        d._cache["moment_design"] = _MomentDesign(d)
-    return d._cache["moment_design"]
 
 
 def _square(sigma2):
@@ -68,7 +49,7 @@ def estimate_gamma_v(d: Dataset, resid: np.ndarray, sigma2_v):
 
     so the ordered-pair average needs no pairwise tensors.
     """
-    design = _moment_design(d)
+    design = d.design
     e2 = resid * resid
     s1, s2, s3, s4 = (
         np.add.reduceat(p, d.starts[:-1], axis=-1)
@@ -83,7 +64,7 @@ def estimate_gamma_v(d: Dataset, resid: np.ndarray, sigma2_v):
 def estimate_gamma_u(d: Dataset, resid: np.ndarray, sigma2_u, sigma2_v, gamma_v):
     """Truncated estimator of E(U^4) from raw fourth powers of residuals;
     broadcasts like ``estimate_gamma_v``."""
-    design = _moment_design(d)
+    design = d.design
     resid4 = np.sum(resid**4, axis=-1)
     raw = (
         resid4 - 6.0 * sigma2_u * sigma2_v * design.sum_s2 - gamma_v * design.sum_s4

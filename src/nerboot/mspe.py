@@ -40,17 +40,17 @@ import numpy as np
 
 from . import streams
 from .errors import DivisionGuard, TooManyFailures
-from .gls import FixedEffects
-from .mmdist import (
-    THREE_POINT,
-    MatchedDistribution,
-    make_distribution,
-    sample,
-    sample_worlds,
+from .mmdist import THREE_POINT, MatchedDistribution, make_distribution, sample_worlds
+from .model import Dataset
+from .pipeline import (
+    DEFAULT_RIDGE,
+    FixedEffects,
+    ModelFit,
+    block_size,
+    fit_model,
+    refit_worlds,
+    ridge_floor,
 )
-from .model import Dataset, _summaries_design
-from .pipeline import ModelFit, block_size, fit_model, refit_worlds
-from .variance import DEFAULT_RIDGE
 
 FAILURE_TOLERANCE = 0.01  # max tolerated share of failed replicates per level
 
@@ -84,6 +84,7 @@ class BootstrapConfig:
             raise ValueError("c_clip must be positive for the clipped g")
         if not 0 <= self.master_seed <= streams.MAX_SEED:
             raise ValueError("master_seed must fit in 64 bits")
+        ridge_floor(2, self.ridge)  # raises ValueError for an invalid ridge
 
     @classmethod
     def desk_scale(cls, master_seed: int = 0, **kw) -> "BootstrapConfig":
@@ -161,7 +162,7 @@ def _responses(d: Dataset, fe: FixedEffects, u_star, v_star):
     """Response rows (B, N) and true theta (B, n) of worlds with cluster
     effects ``u_star`` (B, n) and noise ``v_star`` (B, N)."""
     y_star = fe.mu + d.x @ fe.beta + np.repeat(u_star, d.sizes, axis=1) + d.s * v_star
-    theta_star = fe.mu + _summaries_design(d)["x_under"] @ fe.beta + u_star
+    theta_star = fe.mu + d.design.x_under @ fe.beta + u_star
     return y_star, theta_star
 
 
@@ -176,21 +177,6 @@ def _draw_worlds(
     (B, n); world b draws U before V from the PCG64 state ``states[b]``."""
     u_star, v_star = sample_worlds(u_dist, v_dist, states, d.n, d.total)
     return _responses(d, fe, u_star, v_star)
-
-
-def _draw_world(
-    d: Dataset,
-    fe: FixedEffects,
-    u_dist: MatchedDistribution,
-    v_dist: MatchedDistribution,
-    rng: np.random.Generator,
-):
-    """One synthetic world on the same design, drawn with ``sample``:
-    (dataset, true theta*).  The reference for ``_draw_worlds``."""
-    u_star = sample(u_dist, rng, d.n)
-    v_star = sample(v_dist, rng, d.total)
-    y_star, theta_star = _responses(d, fe, u_star[None], v_star[None])
-    return d.with_responses(y_star[0]), theta_star[0]
 
 
 def _matched(sigma2_u, gamma_u, sigma2_v, gamma_v, family: str):

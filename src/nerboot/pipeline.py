@@ -3,12 +3,30 @@
 Every estimate nerboot reports -- the original fit, the truth simulation,
 level one, the outer and the inner bootstrap worlds -- comes from
 ``refit_worlds``: a fixed design ``d`` and a (B, N) block of response rows
-in, per-world arrays out.  Fit order: cluster summaries -> within
-regression (SSE1, sigma_V^2) -> uncentered regression (SSE2, sigma_U^2) ->
-GLS fixed effects -> EBLUP -> (optionally) fourth moments.  On a fixed
-design each stage is a few quadratic forms in the responses plus one small
-solve per world; everything that depends only on the design is built once
-and memoized in ``d._cache``, so bootstrap refits reuse it.
+in, per-world arrays out.  Each stage is a few quadratic forms in the
+responses plus one small solve per world; everything that depends only on
+the design is built once in ``d.design`` (``model._Design``).  In order:
+
+1. Cluster summaries and the residual sums of squares SSE1 (within
+   regression) and SSE2 (uncentered regression), by ``residual_ss``.
+2. Method-of-moments variance components (``estimate_variances``):
+       sigma_V^2-hat = max(SSE1, B1 n^-B2) / (N - n - r)
+       sigma_U^2-hat = max(K^-1 {SSE2 - (N - r_aug) sigma_V^2-hat}, 0)
+   The ridge floor B1 n^-B2 (defaults B1 = 1e-6, B2 = 2) keeps sigma_V^2-hat
+   positive, hence W_i = sigma_U^2 1 1' + sigma_V^2 diag(s_i^2) invertible.
+3. GLS for (mu, beta): the (r+1)-dimensional normal equations with design
+   (1, x_ij'), one stacked (B, r+1, r+1) system and one batched solve.
+   W_i^-1 is never formed: with D_i = sigma_V^2 diag(s_i^2),
+       W_i^-1 = D_i^-1 - lambda_i (s_i^-2)(s_i^-2)',
+       lambda_i = sigma_U^2 / (sigma_V^2 (sigma_V^2 + sigma_U^2 a_i)),
+   so the equations assemble from design cross-products in O(N r) per world.
+4. EBLUP and naive MSE (``predict``):
+       theta_i-hat = mu-hat + x_under_i' beta-hat
+                     + rho_i-hat (y_bar_i - mu-hat - x_bar_i' beta-hat),
+       rho_i-hat   = sigma_U^2 / (sigma_U^2 + a_i^-1 sigma_V^2);
+   the naive MSE is the leading term psi_0 = rho_i-hat a_i^-1 sigma_V^2 with
+   estimates plugged in, whose underestimation the bootstrap repairs.
+5. Optionally, the fourth moments (``moments``).
 
 A world fails when its GLS normal matrix is not positive-definite or its
 EBLUP is not finite.  The kernel masks such worlds in ``ok`` and never
@@ -18,17 +36,16 @@ raises RankDeficient when that one world fails.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import RankDeficient
-from .gls import FixedEffects, normal_equations, solve_normal_equations
 from .model import ClusterSummaries, Dataset, summarize
 from .moments import FourthMoments, estimate_gamma_u, estimate_gamma_v
-from .predictor import Prediction, predict
-from .transform import _uncentered_design, _within_design, residual_ss
-from .variance import DEFAULT_RIDGE, VarianceComponents, estimate_variances
+
+DEFAULT_RIDGE = (1e-6, 2.0)  # (B1, B2); B1 > 0, B2 >= 2
 
 # Worlds are drawn and refitted in blocks of max(1, CHUNK_ELEMENTS // N)
 # response rows, which bounds the kernel's working memory on large designs.
@@ -38,6 +55,108 @@ CHUNK_ELEMENTS = 2**14
 def block_size(d: Dataset) -> int:
     """Worlds per refit block on this design."""
     return max(1, CHUNK_ELEMENTS // d.total)
+
+
+def residual_ss(q: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Residual sum of squares of each row of q (B, N) on orthonormal columns
+    ``basis`` (N, k); tiny negative rounding is clamped to 0."""
+    z = q @ basis
+    return np.maximum(np.sum(q * q, axis=1) - np.sum(z * z, axis=1), 0.0)
+
+
+@dataclass(frozen=True)
+class VarianceComponents:
+    sigma2_u: float  # >= 0 by truncation
+    sigma2_v: float  # > 0 by ridge floor
+    sse1: float
+    sse2: float
+    k_constant: float
+
+
+def ridge_floor(n: int, ridge=DEFAULT_RIDGE) -> float:
+    """B1 n^-B2; raises ValueError unless B1 > 0 and B2 >= 2, both finite."""
+    b1, b2 = ridge
+    if not (0 < b1 < math.inf and 2 <= b2 < math.inf):
+        raise ValueError("ridge parameters require finite B1 > 0 and B2 >= 2")
+    return b1 * float(n) ** (-b2)
+
+
+def estimate_variances(d: Dataset, sse1, sse2, ridge=DEFAULT_RIDGE):
+    """Per-world (floored SSE1, sigma_V^2-hat, sigma_U^2-hat) from the two
+    sums of squares, each an array over worlds."""
+    sse1 = np.maximum(sse1, ridge_floor(d.n, ridge))
+    sigma2_v = sse1 / (d.total - d.n - d.r)
+    design = d.design
+    sigma2_u = np.maximum((sse2 - (d.total - design.r_aug) * sigma2_v) / design.k, 0.0)
+    return sse1, sigma2_v, sigma2_u
+
+
+@dataclass(frozen=True)
+class FixedEffects:
+    mu: float
+    beta: np.ndarray  # (r,)
+
+
+def normal_equations(d: Dataset, q_bar, zy, sigma2_u, sigma2_v):
+    """Stacked GLS normal matrices (B, r+1, r+1) and right-hand sides (B, r+1).
+
+    Row b uses the rescaled responses q_bar[b] = y / s, the cluster sums
+    zy[b] = a_i y_bar_i and the variance components sigma2_u[b],
+    sigma2_v[b].
+    """
+    design = d.design
+    s2u, s2v = sigma2_u[:, None], sigma2_v[:, None]
+    lam = s2u / (s2v * (s2v + s2u * design.a))  # (B, n)
+    zmat = design.zmat  # (n, r+1): sum_j s^-2 (1, x')' per cluster
+    weighted = np.swapaxes(lam[:, :, None] * zmat, 1, 2)  # (B, r+1, n)
+    normal = design.gram / s2v[:, :, None] - weighted @ zmat
+    rhs = (q_bar @ design.p_bar_rows) / s2v - (lam * zy) @ zmat
+    return normal, rhs
+
+
+def _positive_definite(normal: np.ndarray) -> np.ndarray:
+    """(B,) mask of the stacked matrices that are finite and admit a Cholesky
+    factor.  The refit kernel's failure test; tests patch it to inject
+    failures."""
+    ok = np.isfinite(normal).all(axis=(1, 2))
+    try:
+        np.linalg.cholesky(normal[ok])
+    except np.linalg.LinAlgError:  # rare: find the offending worlds one by one
+        for b in np.flatnonzero(ok):
+            try:
+                np.linalg.cholesky(normal[b])
+            except np.linalg.LinAlgError:
+                ok[b] = False
+    return ok
+
+
+def solve_normal_equations(normal: np.ndarray, rhs: np.ndarray):
+    """(coef (B, r+1), ok (B,)); rows with ok False hold no estimate."""
+    ok = _positive_definite(normal)
+    safe = np.where(ok[:, None, None], normal, np.eye(normal.shape[-1]))
+    return np.linalg.solve(safe, rhs[:, :, None])[:, :, 0], ok
+
+
+@dataclass(frozen=True)
+class Prediction:
+    theta_hat: np.ndarray  # (n,) EBLUP per cluster
+    rho: np.ndarray        # (n,) shrinkage weights in [0, 1]
+    naive_mse: np.ndarray  # (n,) psi_0 with estimated components
+
+
+def predict(cs: ClusterSummaries, mu, beta, sigma2_u, sigma2_v) -> Prediction:
+    """EBLUP, shrinkage factor and naive MSE per cluster.
+
+    Broadcasts over a leading world axis: with mu, sigma2_u and sigma2_v of
+    shape (B, 1), beta (B, r) and cs.y_bar (B, n), every field is (B, n).
+    """
+    within = sigma2_v / cs.a  # a_i^-1 sigma_V^2 > 0 under the ridge
+    rho = sigma2_u / (sigma2_u + within)
+    synthetic = mu + beta @ cs.x_under.T
+    direct_gap = cs.y_bar - mu - beta @ cs.x_bar.T
+    theta = synthetic + rho * direct_gap
+    naive = sigma2_u * within / (sigma2_u + within)
+    return Prediction(theta_hat=theta, rho=rho, naive_mse=naive)
 
 
 @dataclass(frozen=True)
@@ -63,10 +182,11 @@ def refit_worlds(
 ) -> WorldFits:
     """Fit every response row of ``y`` (B, N) on the design of ``d``."""
     cs = summarize(d, y)
+    design = d.design
     q = (y - np.repeat(cs.y_bar, d.sizes, axis=1)) / d.s
-    sse1 = residual_ss(q, _within_design(d))
+    sse1 = residual_ss(q, design.within_basis)
     q_bar = y / d.s
-    sse2 = residual_ss(q_bar, _uncentered_design(d).q_mat)
+    sse2 = residual_ss(q_bar, design.uncentered_basis)
     sse1, sigma2_v, sigma2_u = estimate_variances(d, sse1, sse2, ridge)
 
     normal, rhs = normal_equations(d, q_bar, cs.a * cs.y_bar, sigma2_u, sigma2_v)
@@ -126,7 +246,7 @@ def fit_model(
         sigma2_v=float(w.sigma2_v[0]),
         sse1=float(w.sse1[0]),
         sse2=float(w.sse2[0]),
-        k_constant=_uncentered_design(d).k,
+        k_constant=d.design.k,
     )
     fm = (
         FourthMoments(gamma_u=float(w.gamma_u[0]), gamma_v=float(w.gamma_v[0]))

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import streams
-from .model import Dataset, from_arrays, _summaries_design
+from .model import Dataset, from_arrays
 from .mspe import BootstrapConfig, mse_double, mse_single
 from .errors import RankDeficient
 from .pipeline import block_size, fit_model, refit_worlds
@@ -172,15 +172,14 @@ def make_design(scenario: Scenario, rng: np.random.Generator) -> Dataset:
     return from_arrays(labels, x, np.zeros(total), s)
 
 
-def _simulate_responses(design, scenario, model, rng):
+def _simulate_responses(d: Dataset, scenario, model, rng):
+    """Responses (N,) and true theta (n,) of one truth replicate on ``d``."""
     u = draw_error(model.u_law, scenario.sigma2_u, rng, scenario.n)
-    v = draw_error(model.v_law, scenario.sigma2_v, rng, design.total)
-    mean = scenario.mu + design.x @ np.asarray(scenario.beta)
-    y = mean + np.repeat(u, design.sizes) + design.s * v
-    theta = scenario.mu + _summaries_design(design)["x_under"] @ np.asarray(
-        scenario.beta
-    ) + u
-    return design.with_responses(y), theta
+    v = draw_error(model.v_law, scenario.sigma2_v, rng, d.total)
+    beta = np.asarray(scenario.beta)
+    y = scenario.mu + d.x @ beta + np.repeat(u, d.sizes) + d.s * v
+    theta = scenario.mu + d.design.x_under @ beta + u
+    return y, theta
 
 
 def run_truth(scenario: Scenario, model: ErrorModel, replicates: int, rng):
@@ -200,8 +199,7 @@ def run_truth(scenario: Scenario, model: ErrorModel, replicates: int, rng):
         y = np.empty((count, design.total))
         theta = np.empty((count, scenario.n))
         for k in range(count):
-            d_rep, theta[k] = _simulate_responses(design, scenario, model, rng)
-            y[k] = d_rep.y
+            y[k], theta[k] = _simulate_responses(design, scenario, model, rng)
         fits = refit_worlds(design, y)
         if not fits.ok.all():
             raise RankDeficient("a truth-simulation refit failed")
@@ -290,7 +288,8 @@ def _one_replicate(rep: int) -> np.ndarray:
     double = _WORKER["double"]
 
     rng = streams.substream(cfg.master_seed, streams.STUDY, rep)
-    d_rep, theta = _simulate_responses(design, scenario, model, rng)
+    y, theta = _simulate_responses(design, scenario, model, rng)
+    d_rep = design.with_responses(y)
     fit = fit_model(d_rep, cfg.ridge, with_fourth_moments=True)
     rec = np.empty((scenario.n, len(RECORD_COLUMNS)))
     rec[:, 0] = theta

@@ -2,11 +2,13 @@
 
 Everything here recomputes the estimators from their definitions with
 explicit loops and dense matrices: no block factorizations, no caching, no
-code shared with the library internals.  Tests compare the fast paths
-against these.
+code shared with the library internals (the world draw calls the public
+``sample`` and ``summarize``).  Tests compare the fast paths against these.
 """
 
 import numpy as np
+
+from nerboot import sample, summarize
 
 
 def summaries(d):
@@ -78,13 +80,39 @@ def k_constants_dense(d):
     return k1, k2
 
 
+def cluster_weights(d, sigma2_u, sigma2_v):
+    """Dense W_i = sigma_U^2 1 1' + sigma_V^2 diag(s_i^2), one per cluster."""
+    return [
+        np.full((c.size, c.size), sigma2_u) + np.diag(sigma2_v * c.s**2)
+        for c in d.clusters
+    ]
+
+
+def rank_one_inverse(s, sigma2_u, sigma2_v):
+    """W_i^-1 = D^-1 - sigma_U^2 / (1 + sigma_U^2 1'D^-1 1) D^-1 1 1' D^-1,
+    D = sigma_V^2 diag(s^2) (Sherman-Morrison)."""
+    d_inv = 1.0 / (sigma2_v * s**2)
+    denom = 1.0 + sigma2_u * float(np.sum(d_inv))
+    return np.diag(d_inv) - (sigma2_u / denom) * np.outer(d_inv, d_inv)
+
+
+def draw_world(d, fe, u_dist, v_dist, rng):
+    """One synthetic world on the design of ``d``, U drawn before V with
+    ``sample``: (dataset, true theta).  The looped reference for the block
+    draws of the bootstrap engines."""
+    u = sample(u_dist, rng, d.n)
+    v = sample(v_dist, rng, d.total)
+    y = fe.mu + d.x @ fe.beta + np.repeat(u, d.sizes) + d.s * v
+    theta = fe.mu + summarize(d).x_under @ fe.beta + u
+    return d.with_responses(y), theta
+
+
 def gls_dense(d, sigma2_u, sigma2_v):
     """Joint GLS with explicitly inverted dense W_i."""
     r = d.r
     g = np.zeros((r + 1, r + 1))
     rhs = np.zeros(r + 1)
-    for c in d.clusters:
-        w = sigma2_u * np.ones((c.size, c.size)) + np.diag(sigma2_v * c.s**2)
+    for c, w in zip(d.clusters, cluster_weights(d, sigma2_u, sigma2_v)):
         w_inv = np.linalg.inv(w)
         z = np.column_stack([np.ones(c.size), c.x])
         g += z.T @ w_inv @ z
@@ -95,11 +123,8 @@ def gls_dense(d, sigma2_u, sigma2_v):
 
 def gls_two_display(d, sigma2_u, sigma2_v):
     """The coupled textbook displays: global weighted means, then beta, then mu."""
-    w_invs, ones, zs = [], [], []
-    for c in d.clusters:
-        w = sigma2_u * np.ones((c.size, c.size)) + np.diag(sigma2_v * c.s**2)
-        w_invs.append(np.linalg.inv(w))
-        ones.append(np.ones(c.size))
+    w_invs = [np.linalg.inv(w) for w in cluster_weights(d, sigma2_u, sigma2_v)]
+    ones = [np.ones(c.size) for c in d.clusters]
     denom = sum(o @ wi @ o for o, wi in zip(ones, w_invs))
     xbar_g = (
         sum(c.x.T @ wi @ o for c, wi, o in zip(d.clusters, w_invs, ones)) / denom

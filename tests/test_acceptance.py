@@ -21,7 +21,6 @@ import nerboot.simulate as sim
 from nerboot.cli import main
 from nerboot.mspe import BootstrapConfig, robust_correction
 from nerboot.pipeline import fit_model
-from nerboot.transform import _uncentered_design
 
 import _brute
 from conftest import benchmark_dataset
@@ -72,7 +71,7 @@ def test_criterion_1_sse1_unbiased(sse_identity_run):
 
 def test_criterion_2_sse2_identity(sse_identity_run):
     design, _, sse2 = sse_identity_run
-    ud = _uncentered_design(design)
+    ud = design.design
     k1, k2 = _brute.k_constants_dense(design)
     assert ud.k == pytest.approx(k1 - k2, rel=1e-10)
     target = ud.k * 1.0 + (design.total - ud.r_aug) * 1.0

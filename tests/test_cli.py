@@ -124,6 +124,35 @@ def test_dist_infeasible_moments(capsys):
     assert main(["dist", "pearson", "1", "3", "--seed", "3"]) == 2
 
 
+@pytest.mark.parametrize(
+    "bad", [["--ridge-b1", "0"], ["--ridge-b2", "1.5"], ["--ridge-b1", "nan"], "config"]
+)
+def test_fit_invalid_ridge_is_usage_error(fixture_csv, tmp_path, capsys, bad):
+    if bad == "config":
+        conf = tmp_path / "ridge.conf"
+        conf.write_text("ridge_b2 = 1.5\n")
+        bad = ["--config", str(conf)]
+    assert main(["fit", str(fixture_csv), "--seed", "1", *bad]) == 2
+    err = capsys.readouterr().err
+    assert "B1 > 0 and B2 >= 2" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--model", "m1", "--replicates", "0", "--seed", "1"],
+        ["dist", "three-point", "1", "3", "--count", "-1", "--seed", "1"],
+        ["dist", "three-point", "1", "3", "--count", "0", "--seed", "1"],
+        ["dist", "student-t", "1", "6", "--count", "1", "--seed", "1"],
+    ],
+)
+def test_bad_counts_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "at least" in captured.err
+    assert "nan" not in captured.out
+
+
 def test_simulate_summary_fields(tmp_path, capsys):
     args = [
         "simulate", "--model", "m1", "--n", "8", "--ratio", "1",

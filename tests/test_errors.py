@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 import nerboot as nb
-from nerboot.errors import NonPositiveK, SingularWeight
-from nerboot.gls import fit_fixed_effects
+from nerboot.errors import NonPositiveK
 from nerboot.mspe import BootstrapConfig
+from nerboot.pipeline import ridge_floor
 from nerboot.streams import substream
-from nerboot.transform import _uncentered_design
-from nerboot.variance import VarianceComponents, ridge_floor
 
 
 def test_non_positive_k_detected():
@@ -18,20 +16,9 @@ def test_non_positive_k_detected():
     y = np.arange(6.0)
     d = nb.from_arrays(labels, x, y)
     with pytest.raises(NonPositiveK):
-        _uncentered_design(d)
-
-
-def test_singular_weight_rejected():
-    d = nb.from_arrays(
-        np.repeat([0, 1], 2), np.arange(4.0).reshape(-1, 1), np.arange(4.0)
-    )
-    bad = VarianceComponents(
-        sigma2_u=1.0, sigma2_v=0.0, sse1=0.0, sse2=0.0, k_constant=1.0
-    )
-    with pytest.raises(SingularWeight):
-        fit_fixed_effects(d, bad)
-    with pytest.raises(SingularWeight):
-        nb.cluster_weights(d, bad)
+        d.design
+    with pytest.raises(NonPositiveK):
+        nb.fit_model(d)
 
 
 def test_ridge_parameter_validation():

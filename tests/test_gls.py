@@ -2,23 +2,40 @@ import numpy as np
 import pytest
 
 import nerboot as nb
-from nerboot.gls import cluster_weights, fit_fixed_effects
-from nerboot.pipeline import fit_model
-from nerboot.variance import VarianceComponents
+from nerboot.pipeline import (
+    FixedEffects,
+    fit_model,
+    normal_equations,
+    solve_normal_equations,
+)
 
 import _brute
 from conftest import benchmark_dataset, random_ragged_dataset
 
 
-def _vc(sigma2_u, sigma2_v):
-    return VarianceComponents(
-        sigma2_u=sigma2_u, sigma2_v=sigma2_v, sse1=0.0, sse2=0.0, k_constant=1.0
+def _gls_system(d, sigma2_u, sigma2_v):
+    """The kernel's normal equations for the dataset's own responses, as
+    a block of one world with the given variance components."""
+    cs = nb.summarize(d)
+    return normal_equations(
+        d,
+        (d.y / d.s)[None],
+        (cs.a * cs.y_bar)[None],
+        np.array([sigma2_u]),
+        np.array([sigma2_v]),
     )
+
+
+def _gls(d, sigma2_u, sigma2_v):
+    """GLS (mu, beta) with given variance components, through the kernel."""
+    coef, ok = solve_normal_equations(*_gls_system(d, sigma2_u, sigma2_v))
+    assert ok[0]
+    return FixedEffects(mu=float(coef[0, 0]), beta=coef[0, 1:])
 
 
 def test_reduces_to_ols_when_no_cluster_effect():
     d = benchmark_dataset(n=20, m=3, seed=3)
-    fe = fit_fixed_effects(d, _vc(0.0, 1.0))
+    fe = _gls(d, 0.0, 1.0)
     z = np.column_stack([np.ones(d.total), d.x])
     coef, *_ = np.linalg.lstsq(z, d.y, rcond=None)
     assert fe.mu == pytest.approx(coef[0], rel=1e-10, abs=1e-12)
@@ -30,24 +47,32 @@ def test_cluster_weight_entries():
         [("a", [0.0], 0.0, 1.0), ("a", [1.0], 1.0, 1.0),
          ("b", [0.0], 0.0, 1.0), ("b", [1.0], 1.0, 1.0)]
     )
-    w = cluster_weights(d, _vc(1.0, 1.0))
-    np.testing.assert_allclose(w[0].matrix, [[2.0, 1.0], [1.0, 2.0]], rtol=1e-15)
-    w0 = cluster_weights(d, _vc(0.0, 2.0))[0].matrix
+    w = _brute.cluster_weights(d, 1.0, 1.0)
+    np.testing.assert_allclose(w[0], [[2.0, 1.0], [1.0, 2.0]], rtol=1e-15)
+    w0 = _brute.cluster_weights(d, 0.0, 2.0)[0]
     np.testing.assert_allclose(w0, 2.0 * np.eye(2), rtol=1e-15)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_rank_one_inverse_matches_dense_solve(seed):
+    # the rank-one form of W_i^-1 equals the dense inverse, and the kernel's
+    # normal matrix, assembled from it, equals sum_i Z_i' W_i^-1 Z_i
     d = random_ragged_dataset(seed)
-    for cw in cluster_weights(d, _vc(0.7, 1.3)):
-        dense = np.linalg.inv(cw.matrix)
-        np.testing.assert_allclose(cw.inverse(), dense, atol=1e-12, rtol=1e-12)
+    normal = np.zeros((d.r + 1, d.r + 1))
+    for c, w in zip(d.clusters, _brute.cluster_weights(d, 0.7, 1.3)):
+        dense = np.linalg.inv(w)
+        rank_one = _brute.rank_one_inverse(c.s, 0.7, 1.3)
+        np.testing.assert_allclose(rank_one, dense, atol=1e-12, rtol=1e-12)
+        z = np.column_stack([np.ones(c.size), c.x])
+        normal += z.T @ dense @ z
+    kernel, _ = _gls_system(d, 0.7, 1.3)
+    np.testing.assert_allclose(kernel[0], normal, rtol=1e-12)
 
 
 def test_matches_dense_gls_oracle():
     for seed in (2, 5):
         d = random_ragged_dataset(seed, r=2)
-        fe = fit_fixed_effects(d, _vc(0.8, 1.1))
+        fe = _gls(d, 0.8, 1.1)
         mu, beta = _brute.gls_dense(d, 0.8, 1.1)
         assert fe.mu == pytest.approx(mu, rel=1e-10)
         np.testing.assert_allclose(fe.beta, beta, rtol=1e-10)
@@ -57,7 +82,7 @@ def test_matches_two_display_form():
     # the coupled textbook displays agree with the joint solve
     for seed in (4, 6):
         d = random_ragged_dataset(seed)
-        fe = fit_fixed_effects(d, _vc(0.5, 2.0))
+        fe = _gls(d, 0.5, 2.0)
         mu, beta = _brute.gls_two_display(d, 0.5, 2.0)
         assert fe.mu == pytest.approx(mu, rel=1e-10)
         np.testing.assert_allclose(fe.beta, beta, rtol=1e-10)
@@ -67,26 +92,26 @@ def test_noiseless_interpolation():
     d = benchmark_dataset(n=10, m=3, seed=8)
     y = 1.5 + 0.5 * d.x[:, 0]
     d2 = d.with_responses(y)
-    fe = fit_fixed_effects(d2, _vc(1.0, 1.0))
+    fe = _gls(d2, 1.0, 1.0)
     assert fe.mu == pytest.approx(1.5, abs=1e-10)
     assert fe.beta[0] == pytest.approx(0.5, abs=1e-10)
 
 
 def test_equivariance_under_linear_shift():
     d = random_ragged_dataset(10, r=2)
-    vc = _vc(0.6, 0.9)
-    fe = fit_fixed_effects(d, vc)
+    vc = (0.6, 0.9)
+    fe = _gls(d, *vc)
     shift = np.array([1.5, -2.0])
     d2 = d.with_responses(d.y + 4.0 + d.x @ shift)
-    fe2 = fit_fixed_effects(d2, vc)
+    fe2 = _gls(d2, *vc)
     assert fe2.mu - fe.mu == pytest.approx(4.0, rel=1e-8)
     np.testing.assert_allclose(fe2.beta - fe.beta, shift, rtol=1e-8)
 
 
 def test_invariant_to_common_variance_scaling():
     d = random_ragged_dataset(12)
-    fe = fit_fixed_effects(d, _vc(0.6, 0.9))
-    fe2 = fit_fixed_effects(d, _vc(0.6 * 7.0, 0.9 * 7.0))
+    fe = _gls(d, 0.6, 0.9)
+    fe2 = _gls(d, 0.6 * 7.0, 0.9 * 7.0)
     assert fe.mu == pytest.approx(fe2.mu, rel=1e-8)
     np.testing.assert_allclose(fe.beta, fe2.beta, rtol=1e-8)
 

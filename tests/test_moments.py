@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import nerboot as nb
-from nerboot.moments import _moment_design, estimate_gamma_u, estimate_gamma_v
+from nerboot.moments import estimate_gamma_u, estimate_gamma_v
 from nerboot.pipeline import fit_model
 
 import _brute
@@ -26,7 +26,7 @@ def test_pair_contrast_matches_double_loop_oracle():
         d = random_ragged_dataset(seed)
         resid = d.y - 0.2 - d.x @ np.array([0.8])
         w4 = _brute.pair_moment_dense(d, 0.2, np.array([0.8]), 4, 1.0, -1.0)
-        design = _moment_design(d)
+        design = d.design
         sigma2_v = 0.3
         want = (w4 - 6.0 * design.c_pair * sigma2_v**2) / (2.0 * design.a4_pair)
         assert want > sigma2_v**2  # the untruncated branch

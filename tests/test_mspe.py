@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 import nerboot as nb
-import nerboot.gls
 import nerboot.mspe
+import nerboot.pipeline
 import nerboot.streams as streams
 from nerboot.errors import DivisionGuard, TooManyFailures
 from nerboot.mspe import (
     BootstrapConfig,
-    _draw_world,
     mse_double,
     mse_single,
     mspe_report,
@@ -18,6 +17,7 @@ from nerboot.mspe import (
 )
 from nerboot.pipeline import fit_model
 
+import _brute
 from conftest import benchmark_dataset
 
 
@@ -88,7 +88,7 @@ def test_world_moments_match_fit(fitted):
     n_worlds = 20_000
     u_all = np.empty((n_worlds, d.n))
     for k in range(n_worlds):
-        d_star, theta_star = _draw_world(d, fit.fixed_effects, *laws, rng)
+        d_star, theta_star = _brute.draw_world(d, fit.fixed_effects, *laws, rng)
         u_all[k] = theta_star - (
             fit.fixed_effects.mu + nb.summarize(d).x_under @ fit.fixed_effects.beta
         )
@@ -113,7 +113,7 @@ def test_world_point_mass_when_sigma_u_zero(fitted):
         k_constant=fit.variance.k_constant,
     )
     fm = nb.FourthMoments(gamma_u=0.0, gamma_v=fit.fourth_moments.gamma_v)
-    d_star, theta_star = _draw_world(
+    d_star, theta_star = _brute.draw_world(
         d, fit.fixed_effects, *_fit_laws(vc, fm), np.random.default_rng(0)
     )
     synthetic = fit.fixed_effects.mu + nb.summarize(d).x_under @ fit.fixed_effects.beta
@@ -123,8 +123,8 @@ def test_world_point_mass_when_sigma_u_zero(fitted):
 def test_world_determinism(fitted):
     d, fit = fitted
     args = (d, fit.fixed_effects, *_fit_laws(fit.variance, fit.fourth_moments))
-    d1, t1 = _draw_world(*args, np.random.default_rng(99))
-    d2, t2 = _draw_world(*args, np.random.default_rng(99))
+    d1, t1 = _brute.draw_world(*args, np.random.default_rng(99))
+    d2, t2 = _brute.draw_world(*args, np.random.default_rng(99))
     np.testing.assert_array_equal(d1.y, d2.y)
     np.testing.assert_array_equal(t1, t2)
 
@@ -143,7 +143,7 @@ def test_single_replicate_is_one_squared_deviation(fitted):
     u_dist = nb.make_distribution(fit.variance.sigma2_u, fit.fourth_moments.gamma_u)
     v_dist = nb.make_distribution(fit.variance.sigma2_v, fit.fourth_moments.gamma_v)
     rng = streams.substream(31, streams.SINGLE, 0)
-    d_star, theta_star = _draw_world(d, fit.fixed_effects, u_dist, v_dist, rng)
+    d_star, theta_star = _brute.draw_world(d, fit.fixed_effects, u_dist, v_dist, rng)
     refit = fit_model(d_star, with_fourth_moments=False)
     np.testing.assert_allclose(u_hat, (refit.theta_hat - theta_star) ** 2, rtol=1e-12)
 
@@ -189,7 +189,7 @@ def test_double_bootstrap_across_blocks_matches_looped_oracle(monkeypatch, fitte
     vacc = np.zeros(d.n)
     for b in range(cfg.b2):
         rng = streams.substream(cfg.master_seed, streams.OUTER, b)
-        d_star, _ = _draw_world(d, fit.fixed_effects, u_dist, v_dist, rng)
+        d_star, _ = _brute.draw_world(d, fit.fixed_effects, u_dist, v_dist, rng)
         outer = fit_model(d_star, with_fourth_moments=True)
         laws = (
             nb.make_distribution(outer.variance.sigma2_u, outer.fourth_moments.gamma_u),
@@ -197,7 +197,7 @@ def test_double_bootstrap_across_blocks_matches_looped_oracle(monkeypatch, fitte
         )
         for el in range(cfg.c):
             rng = streams.substream(cfg.master_seed, streams.INNER, b, el)
-            d_in, theta = _draw_world(d, outer.fixed_effects, *laws, rng)
+            d_in, theta = _brute.draw_world(d, outer.fixed_effects, *laws, rng)
             refit = fit_model(d_in, with_fourth_moments=False)
             vacc += (refit.theta_hat - theta) ** 2 / cfg.c
     np.testing.assert_allclose(res.mse_double, vacc / cfg.b2, rtol=1e-10)
@@ -217,7 +217,9 @@ def test_seed_stream_equivalence(fitted):
     per_world = np.empty((2000, d.n))
     for b in range(2000):
         rng = streams.substream(100, streams.SINGLE, b)
-        d_star, theta_star = _draw_world(d, fit.fixed_effects, u_dist, v_dist, rng)
+        d_star, theta_star = _brute.draw_world(
+            d, fit.fixed_effects, u_dist, v_dist, rng
+        )
         refit = fit_model(d_star, with_fourth_moments=False)
         per_world[b] = (refit.theta_hat - theta_star) ** 2
     np.testing.assert_allclose(per_world.mean(axis=0), u_a, rtol=1e-12)
@@ -237,14 +239,15 @@ def test_level_one_tracks_independent_truth_simulation():
     design = sim.make_design(scen, rng)
     acc = np.zeros(60)
     for _ in range(5000):
-        d_rep, theta = sim._simulate_responses(design, scen, model, rng)
-        fit = fit_model(d_rep, with_fourth_moments=False)
+        y, theta = sim._simulate_responses(design, scen, model, rng)
+        fit = fit_model(design.with_responses(y), with_fourth_moments=False)
         acc += (fit.theta_hat - theta) ** 2
     smse = acc / 5000
 
-    d_one, _ = sim._simulate_responses(
+    y_one, _ = sim._simulate_responses(
         design, scen, model, np.random.default_rng(3141)
     )
+    d_one = design.with_responses(y_one)
     fit_one = fit_model(d_one, with_fourth_moments=True)
     cfg = BootstrapConfig(b1=2000, b2=1, c=1, master_seed=8)
     u_hat, _ = mse_single(d_one, fit_one, cfg)
@@ -255,7 +258,7 @@ def test_too_many_failures(monkeypatch, fitted):
     # the kernel's failure test is the injection seam: every 10th world fails
     d, fit = fitted
     calls = {"k": 0}
-    real = nerboot.gls._positive_definite
+    real = nerboot.pipeline._positive_definite
 
     def flaky(normal):
         ok = real(normal)
@@ -265,7 +268,7 @@ def test_too_many_failures(monkeypatch, fitted):
                 ok[b] = False
         return ok
 
-    monkeypatch.setattr("nerboot.gls._positive_definite", flaky)
+    monkeypatch.setattr("nerboot.pipeline._positive_definite", flaky)
     cfg = BootstrapConfig(b1=50, b2=1, c=1, master_seed=1)
     with pytest.raises(TooManyFailures):
         mse_single(d, fit, cfg)
@@ -301,7 +304,9 @@ def test_failed_world_is_masked_and_excluded(monkeypatch, fitted):
         if b == bad:
             continue
         rng = streams.substream(4, streams.SINGLE, b)
-        d_star, theta_star = _draw_world(d, fit.fixed_effects, u_dist, v_dist, rng)
+        d_star, theta_star = _brute.draw_world(
+            d, fit.fixed_effects, u_dist, v_dist, rng
+        )
         refit = fit_model(d_star, with_fourth_moments=False)
         acc += (refit.theta_hat - theta_star) ** 2
     np.testing.assert_allclose(u_hat, acc / (cfg.b1 - 1), rtol=1e-12)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nerboot.pipeline import fit_model, refit_worlds
+import nerboot
+from nerboot.pipeline import block_size, fit_model, refit_worlds
 
 import _brute
 from conftest import random_ragged_dataset
@@ -53,3 +54,33 @@ def test_block_matches_single_world_fits():
         ]
         for got, want in pairs:
             np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_design_is_built_once_shared_and_read_only():
+    d = random_ragged_dataset(5, n=12)
+    fit_model(d)
+    design = d.design
+    step = block_size(d)
+    y = _response_block(d, 2 * step + 3, 9)
+    for lo in range(0, len(y), step):  # three refit blocks
+        assert refit_worlds(d, y[lo : lo + step], with_fourth_moments=True).ok.all()
+    copies = [d.with_responses(row) for row in y[:3]]
+    for copy in copies:
+        fit_model(copy)
+        assert copy._cache is d._cache and copy.design is design
+    assert list(d._cache) == ["design"]
+    arrays = {k: v for k, v in vars(design).items() if isinstance(v, np.ndarray)}
+    assert set(arrays) == {
+        "w", "a", "x_bar", "x_under", "p_bar_rows", "uncentered_basis", "gram",
+        "zmat", "within_basis",
+    }
+    for arr in arrays.values():
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flat[0] = 0.0
+
+
+def test_every_export_resolves():
+    missing = [name for name in nerboot.__all__ if not hasattr(nerboot, name)]
+    assert missing == []
+    assert len(set(nerboot.__all__)) == len(nerboot.__all__)

@@ -161,12 +161,10 @@ def test_pickled_design_gives_identical_replicates():
     design = make_design(scen, streams.substream(cfg.master_seed, streams.DESIGN))
     fit_model(design, cfg.ridge, with_fourth_moments=True)  # run_study's prebuild
     prebuilt = set(design._cache)
-    kernel_caches = {
-        "summaries_design", "within_design", "uncentered_design", "moment_design"
-    }
-    assert kernel_caches <= prebuilt
+    assert prebuilt == {"design"}
     clone = pickle.loads(pickle.dumps(design))
     assert set(clone._cache) == prebuilt
+    assert not clone.design.within_basis.flags.writeable
 
     records = []
     for d in (design, clone):

@@ -9,8 +9,9 @@ from nerboot.mmdist import (
     make_student_t,
     make_three_point,
 )
-from nerboot.mspe import _draw_world, _draw_worlds
+from nerboot.mspe import _draw_worlds
 
+import _brute
 from conftest import benchmark_dataset
 
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
@@ -68,6 +69,6 @@ def test_block_draws_equal_looped_oracle(case):
     states = streams.substream_states(2**40 + 9, streams.INNER, 3, tails=tails)
     y_star, theta_star = _draw_worlds(d, fe, *laws, states)
     for k, key in enumerate(keys):
-        d_star, theta = _draw_world(d, fe, *laws, streams.substream(*key))
+        d_star, theta = _brute.draw_world(d, fe, *laws, streams.substream(*key))
         np.testing.assert_array_equal(y_star[k], d_star.y)
         np.testing.assert_array_equal(theta_star[k], theta)

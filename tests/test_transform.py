@@ -4,7 +4,6 @@ import pytest
 import nerboot as nb
 from nerboot.errors import RankDeficient
 from nerboot.pipeline import fit_model
-from nerboot.transform import _uncentered_design
 
 import _brute
 from conftest import benchmark_dataset, random_ragged_dataset
@@ -95,7 +94,7 @@ def test_centered_rank_deficient_when_x_constant_within_clusters():
 def test_uncentered_system_entries_and_rank():
     d = random_ragged_dataset(5)
     p_bar, _ = _brute.uncentered_dense(d)
-    design = _uncentered_design(d)
+    design = d.design
     np.testing.assert_allclose(design.p_bar_rows.T, p_bar, rtol=1e-12)
     assert design.r_aug == d.r + 1
 
@@ -103,12 +102,12 @@ def test_uncentered_system_entries_and_rank():
     labels = np.repeat(np.arange(3), 3)
     d_const = nb.from_arrays(labels, np.full((9, 1), 2.0), np.arange(9.0))
     with pytest.raises(RankDeficient):
-        _uncentered_design(d_const)
+        d_const.design
 
 
 def test_unit_scale_uncentered_columns():
     d = benchmark_dataset(n=3, m=3)
-    p_bar_rows = _uncentered_design(d).p_bar_rows
+    p_bar_rows = d.design.p_bar_rows
     np.testing.assert_allclose(p_bar_rows[:, 0], np.ones(d.total), rtol=1e-15)
     np.testing.assert_allclose(p_bar_rows[:, 1], d.x[:, 0], rtol=1e-15)
 

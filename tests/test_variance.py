@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 import nerboot as nb
-from nerboot.pipeline import fit_model
-from nerboot.transform import _uncentered_design
-from nerboot.variance import ridge_floor
+from nerboot.pipeline import fit_model, ridge_floor
 
 import _brute
 from conftest import benchmark_dataset, random_ragged_dataset
@@ -50,7 +48,7 @@ def test_sse2_and_k_match_dense_oracle():
 
 def test_k1_equals_total_for_unit_scales(benchmark_fixture):
     d = benchmark_fixture
-    assert _uncentered_design(d).k1 == pytest.approx(d.total, rel=1e-12)
+    assert d.design.k1 == pytest.approx(d.total, rel=1e-12)
 
 
 def test_sigma2_u_truncates_to_zero():
