@@ -29,7 +29,6 @@ from .mmdist import (
     sample,
 )
 from .model import (
-    Cluster,
     ClusterSummaries,
     Dataset,
     build_dataset,
@@ -73,7 +72,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BootstrapConfig",
-    "Cluster",
     "ClusterSummaries",
     "DataError",
     "Dataset",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -26,6 +27,7 @@ from . import mmdist, simulate
 from .errors import DataError, NumericalError
 from .model import read_csv_dataset
 from .mspe import BootstrapConfig, MspeReport, mspe_report
+from .pipeline import DEFAULT_RIDGE
 from .streams import draw_master_seed
 
 EXIT_OK = 0
@@ -203,20 +205,26 @@ def _report_csv(report: MspeReport) -> str:
 
 
 def _bootstrap_config(args, config, seed, *, desk_defaults=False) -> BootstrapConfig:
-    d_b1, d_b2, d_c = (100, 50, 50) if desk_defaults else (400, 200, 100)
+    """BootstrapConfig from the options a flag or config key sets; the others
+    keep the defaults of ``BootstrapConfig`` (or of ``desk_scale``)."""
+    options = dict(
+        b1=merge_option(args, config, "b1", int, None),
+        b2=merge_option(args, config, "b2", int, None),
+        c=merge_option(args, config, "c", int, None),
+        family=merge_option(args, config, "family", str, None),
+        g_kind=merge_option(args, config, "g", str, None),
+        c_clip=merge_option(args, config, "c_clip", float, None),
+    )
+    ridge = tuple(
+        merge_option(args, config, name, float, default)
+        for name, default in zip(("ridge_b1", "ridge_b2"), DEFAULT_RIDGE)
+    )
+    make = BootstrapConfig.desk_scale if desk_defaults else BootstrapConfig
     try:
-        return BootstrapConfig(
-            b1=merge_option(args, config, "b1", int, d_b1),
-            b2=merge_option(args, config, "b2", int, d_b2),
-            c=merge_option(args, config, "c", int, d_c),
-            family=merge_option(args, config, "family", str, mmdist.THREE_POINT),
-            g_kind=merge_option(args, config, "g", str, "arctan"),
-            c_clip=merge_option(args, config, "c_clip", float, 1.0),
+        return make(
             master_seed=seed,
-            ridge=(
-                merge_option(args, config, "ridge_b1", float, 1e-6),
-                merge_option(args, config, "ridge_b2", float, 2.0),
-            ),
+            ridge=ridge,
+            **{name: value for name, value in options.items() if value is not None},
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -340,6 +348,8 @@ def cmd_simulate(args) -> int:
             raise UsageError("--sigma-u and --sigma-v must be given together")
         if ratio is not None:
             raise UsageError("give either --ratio or --sigma-u/--sigma-v, not both")
+        if not (0 <= sigma_u < math.inf and 0 <= sigma_v < math.inf):
+            raise UsageError("--sigma-u and --sigma-v must be finite and >= 0")
         scenario = simulate.Scenario(n=n, sigma2_u=sigma_u, sigma2_v=sigma_v)
     else:
         ratio = 1.0 if ratio is None else ratio

@@ -35,19 +35,6 @@ RANK_RTOL = 1e-10  # relative singular-value threshold for rank checks
 
 
 @dataclass(frozen=True)
-class Cluster:
-    """Observations of a single cluster: covariates, responses, scales."""
-
-    x: np.ndarray  # (n_i, r)
-    y: np.ndarray  # (n_i,)
-    s: np.ndarray  # (n_i,)
-
-    @property
-    def size(self) -> int:
-        return self.y.shape[0]
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Clustered dataset with contiguous per-cluster storage.
 
@@ -81,13 +68,6 @@ class Dataset:
     @property
     def sizes(self) -> np.ndarray:
         return np.diff(self.starts)
-
-    @property
-    def clusters(self) -> tuple[Cluster, ...]:
-        lo, hi = self.starts[:-1], self.starts[1:]
-        return tuple(
-            Cluster(self.x[a:b], self.y[a:b], self.s[a:b]) for a, b in zip(lo, hi)
-        )
 
     @property
     def design(self) -> "_Design":

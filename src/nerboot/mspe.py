@@ -25,11 +25,13 @@ worlds, and per refit block of outer worlds all their inner worlds,
 ordered (b, l), which bounds the states held at once by the block size
 times c.  Each world then reseeds one generator and draws U and then V
 (``mmdist.sample_worlds``), bit for bit what its own ``streams.substream``
-would give.  The worlds of a level are refitted together, in blocks of ``pipeline.block_size`` response rows, by
-the one refit kernel ``pipeline.refit_worlds``.  The block size depends
-only on the design.  Worlds whose refit fails numerically are masked,
-skipped and counted; more than 1% failures at any level aborts the run,
-since under the ridge safeguard failures signal a pathological input.
+would give.
+
+Every level runs on the level engine of ``pipeline``: the outer level
+reads the block fits of ``refit_level``, while level one and each inner
+level take ``squared_error``.  Worlds whose refit fails numerically are
+masked, skipped and counted; more than 1% failures at any level aborts the
+run, since under the ridge safeguard failures signal a pathological input.
 """
 
 from __future__ import annotations
@@ -40,16 +42,16 @@ import numpy as np
 
 from . import streams
 from .errors import DivisionGuard, TooManyFailures
-from .mmdist import THREE_POINT, MatchedDistribution, make_distribution, sample_worlds
+from .mmdist import THREE_POINT, make_distribution, sample_worlds
 from .model import Dataset
 from .pipeline import (
     DEFAULT_RIDGE,
     FixedEffects,
     ModelFit,
-    block_size,
     fit_model,
-    refit_worlds,
+    refit_level,
     ridge_floor,
+    squared_error,
 )
 
 FAILURE_TOLERANCE = 0.01  # max tolerated share of failed replicates per level
@@ -159,24 +161,24 @@ def robust_correction(
 # ---------------------------------------------------------------------------
 
 def _responses(d: Dataset, fe: FixedEffects, u_star, v_star):
-    """Response rows (B, N) and true theta (B, n) of worlds with cluster
-    effects ``u_star`` (B, n) and noise ``v_star`` (B, N)."""
-    y_star = fe.mu + d.x @ fe.beta + np.repeat(u_star, d.sizes, axis=1) + d.s * v_star
+    """Responses and true theta of worlds with cluster effects ``u_star``
+    (..., n) and noise ``v_star`` (..., N): one world or a (B, .) block."""
+    y_star = fe.mu + d.x @ fe.beta + np.repeat(u_star, d.sizes, axis=-1) + d.s * v_star
     theta_star = fe.mu + d.design.x_under @ fe.beta + u_star
     return y_star, theta_star
 
 
-def _draw_worlds(
-    d: Dataset,
-    fe: FixedEffects,
-    u_dist: MatchedDistribution,
-    v_dist: MatchedDistribution,
-    states: list,
-):
+def _draw_worlds(d: Dataset, fe: FixedEffects, laws: tuple, states: list):
     """Synthetic response rows (B, N) on the same design and the true theta
-    (B, n); world b draws U before V from the PCG64 state ``states[b]``."""
-    u_star, v_star = sample_worlds(u_dist, v_dist, states, d.n, d.total)
+    (B, n); world b draws U before V, from the matched ``laws`` (U, V), with
+    the PCG64 state ``states[b]``."""
+    u_star, v_star = sample_worlds(*laws, states, d.n, d.total)
     return _responses(d, fe, u_star, v_star)
+
+
+def _keyed_draw(d: Dataset, fe: FixedEffects, laws: tuple, states: list):
+    """The level engine's ``draw(lo, hi)`` for the worlds keyed by ``states``."""
+    return lambda lo, hi: _draw_worlds(d, fe, laws, states[lo:hi])
 
 
 def _matched(sigma2_u, gamma_u, sigma2_v, gamma_v, family: str):
@@ -188,20 +190,14 @@ def _matched(sigma2_u, gamma_u, sigma2_v, gamma_v, family: str):
 
 
 # ---------------------------------------------------------------------------
-# engines
+# levels
 # ---------------------------------------------------------------------------
 
 def _check_failures(failed: int, attempted: int, level: str) -> None:
-    if attempted and failed / attempted > FAILURE_TOLERANCE:
+    if failed / attempted > FAILURE_TOLERANCE:
         raise TooManyFailures(
             f"{failed}/{attempted} {level} bootstrap replicates failed to refit"
         )
-
-
-def _blocks(d: Dataset, worlds):
-    """Slices of ``worlds`` (a sequence or a range), one per refit block."""
-    step = block_size(d)
-    return (worlds[lo : lo + step] for lo in range(0, len(worlds), step))
 
 
 def _level_states(cfg: BootstrapConfig, level: int, key_prefix: tuple, *axes):
@@ -210,20 +206,6 @@ def _level_states(cfg: BootstrapConfig, level: int, key_prefix: tuple, *axes):
     grid = np.meshgrid(*[np.asarray(axis) for axis in axes], indexing="ij")
     index = np.stack(grid, axis=-1).reshape(-1, len(axes))
     return streams.substream_states(cfg.master_seed, level, *key_prefix, tails=index)
-
-
-def _mean_squared_error(d, fe, u_dist, v_dist, ridge, states: list):
-    """Per-cluster mean of (theta-hat - theta)^2 over the worlds drawn from
-    ``states`` that refit (None if none did), and the number that failed."""
-    acc = np.zeros(d.n)
-    failed = 0
-    for block in _blocks(d, states):
-        y_star, theta_star = _draw_worlds(d, fe, u_dist, v_dist, block)
-        fits = refit_worlds(d, y_star, ridge)
-        acc += np.sum((fits.theta_hat[fits.ok] - theta_star[fits.ok]) ** 2, axis=0)
-        failed += int(np.count_nonzero(~fits.ok))
-    done = len(states) - failed
-    return (acc / done if done else None), failed
 
 
 def _fit_laws(fit: ModelFit, family: str):
@@ -237,15 +219,11 @@ def mse_single(
     d: Dataset, fit: ModelFit, cfg: BootstrapConfig, key_prefix: tuple = ()
 ) -> tuple[np.ndarray, int]:
     """Level-one bootstrap estimate u-hat of MSE_i; returns (u_hat, failures)."""
-    u_dist, v_dist = _fit_laws(fit, cfg.family)
     states = _level_states(cfg, streams.SINGLE, key_prefix, range(cfg.b1))
-    u_hat, failed = _mean_squared_error(
-        d, fit.fixed_effects, u_dist, v_dist, cfg.ridge, states
-    )
+    draw = _keyed_draw(d, fit.fixed_effects, _fit_laws(fit, cfg.family), states)
+    acc, failed = squared_error(d, draw, cfg.b1, cfg.ridge)
     _check_failures(failed, cfg.b1, "level-one")
-    if u_hat is None:
-        raise TooManyFailures("every level-one bootstrap replicate failed")
-    return u_hat, failed
+    return acc / (cfg.b1 - failed), failed
 
 
 def mse_double(
@@ -256,46 +234,43 @@ def mse_double(
     u-hat uses its own ``b1`` level-one replicates, independent of the
     ``b2`` outer worlds.  Each outer world is refitted in full (fourth
     moments included); its ``c`` inner worlds only need the refitted
-    predictor.
+    predictor.  An outer world whose every inner world fails counts as a
+    failed outer world.
     """
     u_hat, fail1 = mse_single(d, fit, cfg, key_prefix)
-    u_dist, v_dist = _fit_laws(fit, cfg.family)
+    outer = _level_states(cfg, streams.OUTER, key_prefix, range(cfg.b2))
+    draw = _keyed_draw(d, fit.fixed_effects, _fit_laws(fit, cfg.family), outer)
 
     vacc = np.zeros(d.n)
-    outer_done = outer_failed = 0
-    inner_attempted = inner_failed = 0
-    outer = _level_states(cfg, streams.OUTER, key_prefix, range(cfg.b2))
-    for rows in _blocks(d, range(cfg.b2)):
+    outer_failed = inner_attempted = inner_failed = 0
+    for lo, _, fits in refit_level(
+        d, draw, cfg.b2, cfg.ridge, with_fourth_moments=True
+    ):
         # the inner worlds (b, l) of the block's k-th outer world b are
         # rows k * c to (k + 1) * c
+        rows = range(lo, lo + len(fits.ok))
         inner = _level_states(cfg, streams.INNER, key_prefix, rows, range(cfg.c))
-        block = outer[rows.start : rows.stop]
-        y_star, _ = _draw_worlds(d, fit.fixed_effects, u_dist, v_dist, block)
-        fits = refit_worlds(d, y_star, cfg.ridge, with_fourth_moments=True)
-        for k in range(len(rows)):
-            if not fits.ok[k]:
-                outer_failed += 1
-                continue
+        outer_failed += int(np.count_nonzero(~fits.ok))
+        for k in np.flatnonzero(fits.ok):
             laws = _matched(
                 fits.sigma2_u[k], fits.gamma_u[k], fits.sigma2_v[k], fits.gamma_v[k],
                 cfg.family,
             )
             fe_star = FixedEffects(mu=float(fits.mu[k]), beta=fits.beta[k])
             worlds = inner[k * cfg.c : (k + 1) * cfg.c]
-            v_b, failed = _mean_squared_error(d, fe_star, *laws, cfg.ridge, worlds)
+            acc, failed = squared_error(
+                d, _keyed_draw(d, fe_star, laws, worlds), cfg.c, cfg.ridge
+            )
             inner_attempted += cfg.c
             inner_failed += failed
-            if v_b is None:
+            if failed == cfg.c:
                 outer_failed += 1
-                continue
-            vacc += v_b
-            outer_done += 1
+            else:
+                vacc += acc / (cfg.c - failed)
     _check_failures(outer_failed, cfg.b2, "outer")
     _check_failures(inner_failed, inner_attempted, "inner")
-    if outer_done == 0:
-        raise TooManyFailures("every outer bootstrap replicate failed")
 
-    v_hat = vacc / outer_done
+    v_hat = vacc / (cfg.b2 - outer_failed)
     return DoubleBootstrapResult(
         mse_boot=u_hat,
         mse_double=v_hat,

@@ -32,6 +32,11 @@ A world fails when its GLS normal matrix is not positive-definite or its
 EBLUP is not finite.  The kernel masks such worlds in ``ok`` and never
 raises for them; ``fit_model``, the kernel on the dataset's own responses,
 raises RankDeficient when that one world fails.
+
+Every Monte Carlo level -- the truth simulation, level one, the outer and
+each inner level -- runs on the level engine ``refit_level``, which draws
+and refits a level's worlds one block at a time; ``squared_error`` sums
+(theta-hat - theta)^2 on top of it.  Levels differ only in their draws.
 """
 
 from __future__ import annotations
@@ -216,12 +221,38 @@ def refit_worlds(
     )
 
 
+def refit_level(
+    d: Dataset, draw, count: int, ridge=DEFAULT_RIDGE, *, with_fourth_moments=False
+):
+    """The level engine: draw and refit ``count`` worlds, one block of
+    ``block_size`` worlds at a time, yielding (lo, theta, fits) per block.
+
+    ``draw(lo, hi)`` returns the response rows (hi - lo, N) and the true
+    theta (hi - lo, n) of worlds lo to hi - 1.
+    """
+    step = block_size(d)
+    for lo in range(0, count, step):
+        y, theta = draw(lo, min(lo + step, count))
+        yield lo, theta, refit_worlds(
+            d, y, ridge, with_fourth_moments=with_fourth_moments
+        )
+
+
+def squared_error(d: Dataset, draw, count: int, ridge=DEFAULT_RIDGE):
+    """Per-cluster sum of (theta-hat - theta)^2 over the worlds of
+    ``refit_level`` that refit, and the number of worlds that failed."""
+    acc = np.zeros(d.n)
+    failed = 0
+    for _, theta, fits in refit_level(d, draw, count, ridge):
+        acc += np.sum((fits.theta_hat[fits.ok] - theta[fits.ok]) ** 2, axis=0)
+        failed += int(np.count_nonzero(~fits.ok))
+    return acc, failed
+
+
 @dataclass(frozen=True)
 class ModelFit:
     """Everything estimated from one dataset."""
 
-    dataset: Dataset
-    summaries: ClusterSummaries
     variance: VarianceComponents
     fixed_effects: FixedEffects
     prediction: Prediction
@@ -254,8 +285,6 @@ def fit_model(
         else None
     )
     return ModelFit(
-        dataset=d,
-        summaries=summarize(d),
         variance=vc,
         fixed_effects=FixedEffects(mu=float(w.mu[0]), beta=w.beta[0]),
         prediction=Prediction(

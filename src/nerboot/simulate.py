@@ -22,6 +22,7 @@ is bit-identical to serial.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -30,9 +31,9 @@ import numpy as np
 
 from . import streams
 from .model import Dataset, from_arrays
-from .mspe import BootstrapConfig, mse_double, mse_single
 from .errors import RankDeficient
-from .pipeline import block_size, fit_model, refit_worlds
+from .mspe import BootstrapConfig, _responses, mse_double, mse_single
+from .pipeline import FixedEffects, fit_model, squared_error
 
 # record-log columns, in file order
 RECORD_COLUMNS = (
@@ -176,10 +177,8 @@ def _simulate_responses(d: Dataset, scenario, model, rng):
     """Responses (N,) and true theta (n,) of one truth replicate on ``d``."""
     u = draw_error(model.u_law, scenario.sigma2_u, rng, scenario.n)
     v = draw_error(model.v_law, scenario.sigma2_v, rng, d.total)
-    beta = np.asarray(scenario.beta)
-    y = scenario.mu + d.x @ beta + np.repeat(u, d.sizes) + d.s * v
-    theta = scenario.mu + d.design.x_under @ beta + u
-    return y, theta
+    fe = FixedEffects(mu=scenario.mu, beta=np.asarray(scenario.beta))
+    return _responses(d, fe, u, v)
 
 
 def run_truth(scenario: Scenario, model: ErrorModel, replicates: int, rng):
@@ -187,23 +186,20 @@ def run_truth(scenario: Scenario, model: ErrorModel, replicates: int, rng):
 
     ``rng`` may be a Generator or an integer seed.  The covariate design is
     drawn once, then held fixed across replicates.  Replicates draw from
-    ``rng`` in order and are refitted in blocks by the refit kernel.
+    ``rng`` in order and are refitted by the level engine.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
+    rng = np.random.default_rng(rng)  # returns a Generator unchanged
     design = make_design(scenario, rng)
-    acc = np.zeros(scenario.n)
-    step = block_size(design)
-    for lo in range(0, replicates, step):
-        count = min(step, replicates - lo)
-        y = np.empty((count, design.total))
-        theta = np.empty((count, scenario.n))
-        for k in range(count):
-            y[k], theta[k] = _simulate_responses(design, scenario, model, rng)
-        fits = refit_worlds(design, y)
-        if not fits.ok.all():
-            raise RankDeficient("a truth-simulation refit failed")
-        acc += np.sum((fits.theta_hat - theta) ** 2, axis=0)
+
+    def draw(lo, hi):
+        y, theta = zip(
+            *[_simulate_responses(design, scenario, model, rng) for _ in range(lo, hi)]
+        )
+        return np.stack(y), np.stack(theta)
+
+    acc, failed = squared_error(design, draw, replicates)
+    if failed:
+        raise RankDeficient("a truth-simulation refit failed")
     return acc / replicates
 
 
@@ -275,18 +271,11 @@ _WORKER: dict = {}
 
 
 def _init_worker(design, scenario, model, cfg, double):
-    _WORKER.update(
-        design=design, scenario=scenario, model=model, cfg=cfg, double=double
-    )
+    _WORKER["state"] = (design, scenario, model, cfg, double)
 
 
 def _one_replicate(rep: int) -> np.ndarray:
-    design = _WORKER["design"]
-    scenario = _WORKER["scenario"]
-    model = _WORKER["model"]
-    cfg: BootstrapConfig = _WORKER["cfg"]
-    double = _WORKER["double"]
-
+    design, scenario, model, cfg, double = _WORKER["state"]
     rng = streams.substream(cfg.master_seed, streams.STUDY, rep)
     y, theta = _simulate_responses(design, scenario, model, rng)
     d_rep = design.with_responses(y)
@@ -331,28 +320,26 @@ def run_study(
     # with the design, whether they are forked or unpickle it
     fit_model(design, cfg.ridge, with_fourth_moments=True)
 
-    records = np.empty((replicates, scenario.n, len(RECORD_COLUMNS)))
+    state = (design, scenario, model, cfg, double)
     if jobs <= 1:
-        _init_worker(design, scenario, model, cfg, double)
-        for rep in range(replicates):
-            records[rep] = _one_replicate(rep)
+        _init_worker(*state)
+        executor = contextlib.nullcontext()
+    else:
+        executor = ProcessPoolExecutor(
+            max_workers=jobs, initializer=_init_worker, initargs=state
+        )
+    records = np.empty((replicates, scenario.n, len(RECORD_COLUMNS)))
+    with executor as pool:
+        reps = range(replicates)
+        recs = (
+            pool.map(_one_replicate, reps, chunksize=max(1, replicates // (jobs * 8)))
+            if jobs > 1
+            else map(_one_replicate, reps)
+        )
+        for rep, rec in enumerate(recs):
+            records[rep] = rec
             if progress is not None:
                 progress(rep + 1, replicates)
-    else:
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_init_worker,
-            initargs=(design, scenario, model, cfg, double),
-        ) as pool:
-            chunk = max(1, replicates // (jobs * 8))
-            done = 0
-            for rep, rec in enumerate(
-                pool.map(_one_replicate, range(replicates), chunksize=chunk)
-            ):
-                records[rep] = rec
-                done += 1
-                if progress is not None:
-                    progress(done, replicates)
 
     smse, metrics = metrics_from_records(records, double)
     return StudyResult(

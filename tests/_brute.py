@@ -6,14 +6,31 @@ code shared with the library internals (the world draw calls the public
 ``sample`` and ``summarize``).  Tests compare the fast paths against these.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from nerboot import sample, summarize
 
 
+class Cluster(NamedTuple):
+    """Observations of a single cluster: covariates, responses, scales."""
+
+    x: np.ndarray  # (n_i, r)
+    y: np.ndarray  # (n_i,)
+    s: np.ndarray  # (n_i,)
+    size: int
+
+
+def clusters(d):
+    """The clusters of ``d``, cut from its contiguous storage by ``starts``."""
+    bounds = zip(d.starts[:-1], d.starts[1:])
+    return [Cluster(d.x[a:b], d.y[a:b], d.s[a:b], int(b - a)) for a, b in bounds]
+
+
 def summaries(d):
     a, xbar, ybar, xunder = [], [], [], []
-    for c in d.clusters:
+    for c in clusters(d):
         w = c.s**-2.0
         a.append(np.sum(w))
         xbar.append(np.sum(c.x * w[:, None], axis=0) / np.sum(w))
@@ -26,7 +43,7 @@ def centered_dense(d, dropped=None):
     """(P (r x N-n), q, dense T) dropping the given per-cluster index."""
     a, xbar, ybar, _ = summaries(d)
     p_cols, q_vals, blocks = [], [], []
-    for i, c in enumerate(d.clusters):
+    for i, c in enumerate(clusters(d)):
         drop = c.size - 1 if dropped is None else dropped[i]
         keep = [j for j in range(c.size) if j != drop]
         for j in keep:
@@ -54,7 +71,7 @@ def sse1_dense(d, dropped=None):
 
 def uncentered_dense(d):
     p_cols, q_vals = [], []
-    for c in d.clusters:
+    for c in clusters(d):
         for j in range(c.size):
             p_cols.append(np.concatenate([[1.0], c.x[j]]) / c.s[j])
             q_vals.append(c.y[j] / c.s[j])
@@ -71,9 +88,9 @@ def sse2_dense(d):
 def k_constants_dense(d):
     p_bar, _ = uncentered_dense(d)
     gram = p_bar @ p_bar.T
-    k1 = sum(float(np.sum(c.s**-2.0)) for c in d.clusters)
+    k1 = sum(float(np.sum(c.s**-2.0)) for c in clusters(d))
     k2 = 0.0
-    for c in d.clusters:
+    for c in clusters(d):
         aug = np.column_stack([np.ones(c.size), c.x])
         z = np.sum((c.s**-2.0)[:, None] * aug, axis=0)
         k2 += float(z @ np.linalg.solve(gram, z))
@@ -84,7 +101,7 @@ def cluster_weights(d, sigma2_u, sigma2_v):
     """Dense W_i = sigma_U^2 1 1' + sigma_V^2 diag(s_i^2), one per cluster."""
     return [
         np.full((c.size, c.size), sigma2_u) + np.diag(sigma2_v * c.s**2)
-        for c in d.clusters
+        for c in clusters(d)
     ]
 
 
@@ -112,7 +129,7 @@ def gls_dense(d, sigma2_u, sigma2_v):
     r = d.r
     g = np.zeros((r + 1, r + 1))
     rhs = np.zeros(r + 1)
-    for c, w in zip(d.clusters, cluster_weights(d, sigma2_u, sigma2_v)):
+    for c, w in zip(clusters(d), cluster_weights(d, sigma2_u, sigma2_v)):
         w_inv = np.linalg.inv(w)
         z = np.column_stack([np.ones(c.size), c.x])
         g += z.T @ w_inv @ z
@@ -124,21 +141,21 @@ def gls_dense(d, sigma2_u, sigma2_v):
 def gls_two_display(d, sigma2_u, sigma2_v):
     """The coupled textbook displays: global weighted means, then beta, then mu."""
     w_invs = [np.linalg.inv(w) for w in cluster_weights(d, sigma2_u, sigma2_v)]
-    ones = [np.ones(c.size) for c in d.clusters]
+    ones = [np.ones(c.size) for c in clusters(d)]
     denom = sum(o @ wi @ o for o, wi in zip(ones, w_invs))
     xbar_g = (
-        sum(c.x.T @ wi @ o for c, wi, o in zip(d.clusters, w_invs, ones)) / denom
+        sum(c.x.T @ wi @ o for c, wi, o in zip(clusters(d), w_invs, ones)) / denom
     )
-    ybar_g = sum(c.y @ wi @ o for c, wi, o in zip(d.clusters, w_invs, ones)) / denom
+    ybar_g = sum(c.y @ wi @ o for c, wi, o in zip(clusters(d), w_invs, ones)) / denom
     num = np.zeros((d.r, d.r))
     rhs = np.zeros(d.r)
-    for c, wi, o in zip(d.clusters, w_invs, ones):
+    for c, wi, o in zip(clusters(d), w_invs, ones):
         xc = c.x - np.outer(o, xbar_g)
         num += xc.T @ wi @ xc
         rhs += xc.T @ wi @ (c.y - ybar_g * o)
     beta = np.linalg.solve(num, rhs)
     mu = (
-        sum(o @ wi @ (c.y - c.x @ beta) for c, wi, o in zip(d.clusters, w_invs, ones))
+        sum(o @ wi @ (c.y - c.x @ beta) for c, wi, o in zip(clusters(d), w_invs, ones))
         / denom
     )
     return float(mu), beta
@@ -147,7 +164,7 @@ def gls_two_display(d, sigma2_u, sigma2_v):
 def pair_moment_dense(d, mu, beta, k, s_coef, t_coef):
     total = 0.0
     count = 0
-    for c in d.clusters:
+    for c in clusters(d):
         res = c.y - mu - c.x @ beta
         for j1 in range(c.size):
             for j2 in range(c.size):
@@ -169,14 +186,14 @@ def full_pipeline_dense(d, ridge=(1e-6, 2.0)):
     s2u = max((sse2 - (total - (r + 1)) * s2v) / k, 0.0)
     mu, beta = gls_dense(d, s2u, s2v)
     w4 = pair_moment_dense(d, mu, beta, 4, 1.0, -1.0)
-    sizes = np.array([c.size for c in d.clusters])
-    s4sum = np.array([np.sum(c.s**4.0) for c in d.clusters])
-    s2sum = np.array([np.sum(c.s**2.0) for c in d.clusters])
+    sizes = np.array([c.size for c in clusters(d)])
+    s4sum = np.array([np.sum(c.s**4.0) for c in clusters(d)])
+    s2sum = np.array([np.sum(c.s**2.0) for c in clusters(d)])
     paircnt = float(np.sum(sizes * (sizes - 1)))
     a4 = float(np.sum((sizes - 1) * s4sum)) / paircnt
     cpair = float(np.sum(s2sum**2 - s4sum)) / paircnt
     gv = max((w4 - 6.0 * cpair * s2v**2) / (2.0 * a4), s2v**2)
-    res = np.concatenate([c.y - mu - c.x @ beta for c in d.clusters])
+    res = np.concatenate([c.y - mu - c.x @ beta for c in clusters(d)])
     gu = max(
         (np.sum(res**4) - 6.0 * s2u * s2v * np.sum(s2sum) - gv * np.sum(s4sum))
         / total,

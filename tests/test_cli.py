@@ -5,6 +5,8 @@ import pytest
 
 import nerboot.cli
 from nerboot.cli import main
+from nerboot.mspe import BootstrapConfig
+from nerboot.pipeline import DEFAULT_RIDGE
 
 from conftest import benchmark_dataset
 
@@ -151,6 +153,44 @@ def test_bad_counts_are_usage_errors(argv, capsys):
     captured = capsys.readouterr()
     assert "at least" in captured.err
     assert "nan" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "sigmas, config",
+    [
+        (["--sigma-u", "-1", "--sigma-v", "1"], ""),
+        (["--sigma-u", "1", "--sigma-v", "-0.5"], ""),
+        (["--sigma-u", "nan", "--sigma-v", "1"], ""),
+        ([], "sigma_u = 1\nsigma_v = -1\n"),
+    ],
+)
+def test_negative_variances_are_usage_errors(sigmas, config, tmp_path, capsys):
+    argv = [
+        "simulate", "--model", "m1", "--replicates", "2", "--n", "5",
+        "--b1", "2", "--b2", "1", "--c", "1", "--seed", "1", "--jobs", "1",
+        "--out", str(tmp_path / "run"), *sigmas,
+    ]
+    if config:
+        (tmp_path / "run.conf").write_text(config)
+        argv += ["--config", str(tmp_path / "run.conf")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "must be finite and >= 0" in err and "Traceback" not in err
+    assert "simulate:" not in err  # rejected before any model runs
+    assert not list(tmp_path.glob("run_*"))
+
+
+def test_bootstrap_defaults_come_from_bootstrap_config():
+    parser = nerboot.cli.build_parser()
+    fit_args = parser.parse_args(["fit", "data.csv"])
+    sim_args = parser.parse_args(["simulate"])
+    cfg = nerboot.cli._bootstrap_config(fit_args, {}, 5)
+    assert cfg == BootstrapConfig(master_seed=5)
+    cfg = nerboot.cli._bootstrap_config(sim_args, {}, 5, desk_defaults=True)
+    assert cfg == BootstrapConfig.desk_scale(5)
+    # an unset ridge component keeps its default
+    cfg = nerboot.cli._bootstrap_config(sim_args, {"ridge_b2": "3"}, 5)
+    assert cfg.ridge == (DEFAULT_RIDGE[0], 3.0)
 
 
 def test_simulate_summary_fields(tmp_path, capsys):

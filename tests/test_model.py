@@ -63,8 +63,8 @@ def test_interleaved_rows_grouped_in_first_appearance_order():
     y = np.array([10.0, 20.0, 30.0, 40.0])
     d = nb.from_arrays(labels, x, y)
     assert d.cluster_ids == ("b", "a")
-    np.testing.assert_array_equal(d.clusters[0].y, [10.0, 30.0])
-    np.testing.assert_array_equal(d.clusters[1].y, [20.0, 40.0])
+    np.testing.assert_array_equal(_brute.clusters(d)[0].y, [10.0, 30.0])
+    np.testing.assert_array_equal(_brute.clusters(d)[1].y, [20.0, 40.0])
 
 
 def test_summarize_unit_scales():
@@ -135,7 +135,7 @@ def test_csv_round_trip(tmp_path):
     )
     d = nb.read_csv_dataset(path)
     assert d.cluster_ids == ("a", "b")
-    np.testing.assert_allclose(d.clusters[0].s, [1.0, 2.0])
+    np.testing.assert_allclose(_brute.clusters(d)[0].s, [1.0, 2.0])
 
     # s column optional, defaults to 1
     path2 = tmp_path / "nos.csv"

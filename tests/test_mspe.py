@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -179,7 +180,7 @@ def test_double_bootstrap_across_blocks_matches_looped_oracle(monkeypatch, fitte
     # inner streams, and v-hat equals the per-world substream loop
     d, fit = fitted
     cfg = BootstrapConfig(b1=3, b2=5, c=3, master_seed=2**40 + 1)
-    monkeypatch.setattr("nerboot.mspe.block_size", lambda d: 2)
+    monkeypatch.setattr("nerboot.pipeline.block_size", lambda d: 2)
     res = mse_double(d, fit, cfg)
     monkeypatch.undo()
     assert res.failures == {"single": 0, "outer": 0, "inner": 0}
@@ -310,6 +311,74 @@ def test_failed_world_is_masked_and_excluded(monkeypatch, fitted):
         refit = fit_model(d_star, with_fourth_moments=False)
         acc += (refit.theta_hat - theta_star) ** 2
     np.testing.assert_allclose(u_hat, acc / (cfg.b1 - 1), rtol=1e-12)
+
+
+def _poison_draws(monkeypatch, rows_by_call):
+    """Give the worlds ``rows_by_call[j]`` of the j-th block draw a
+    non-finite response, so that they fail to refit."""
+    real = nerboot.mspe._draw_worlds
+    calls = itertools.count()
+
+    def poisoned(*args):
+        y_star, theta_star = real(*args)
+        y_star[rows_by_call.get(next(calls), []), 0] = np.nan
+        return y_star, theta_star
+
+    monkeypatch.setattr("nerboot.mspe._draw_worlds", poisoned)
+
+
+# at b1 = 2, b2 = 100, c = 2 on the fitted design (one refit block per
+# level) the block draws are level one (call 0), the outer worlds (call 1),
+# then the inner worlds of each outer world that refits, in order
+FIRST_INNER = 2
+
+
+def test_outer_world_whose_inner_worlds_all_fail_counts_once(monkeypatch, fitted):
+    d, fit = fitted
+    cfg = BootstrapConfig(b1=2, b2=100, c=2, master_seed=6)
+    _poison_draws(monkeypatch, {FIRST_INNER + 37: [0, 1]})
+    res = mse_double(d, fit, cfg)
+    monkeypatch.undo()
+    assert res.failures == {"single": 0, "outer": 1, "inner": 2}
+
+    u_dist = nb.make_distribution(fit.variance.sigma2_u, fit.fourth_moments.gamma_u)
+    v_dist = nb.make_distribution(fit.variance.sigma2_v, fit.fourth_moments.gamma_v)
+    vacc = np.zeros(d.n)
+    for b in range(cfg.b2):
+        if b == 37:
+            continue
+        rng = streams.substream(cfg.master_seed, streams.OUTER, b)
+        d_star, _ = _brute.draw_world(d, fit.fixed_effects, u_dist, v_dist, rng)
+        outer = fit_model(d_star, with_fourth_moments=True)
+        laws = (
+            nb.make_distribution(outer.variance.sigma2_u, outer.fourth_moments.gamma_u),
+            nb.make_distribution(outer.variance.sigma2_v, outer.fourth_moments.gamma_v),
+        )
+        for el in range(cfg.c):
+            rng = streams.substream(cfg.master_seed, streams.INNER, b, el)
+            d_in, theta = _brute.draw_world(d, outer.fixed_effects, *laws, rng)
+            refit = fit_model(d_in, with_fourth_moments=False)
+            vacc += (refit.theta_hat - theta) ** 2 / cfg.c
+    np.testing.assert_allclose(res.mse_double, vacc / (cfg.b2 - 1), rtol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "rows_by_call, message",
+    [
+        # outer world 5 fails to refit, and every inner world of another
+        ({1: [5], FIRST_INNER + 37: [0, 1]}, "2/100 outer"),
+        # one outer world loses both inner worlds, another loses one
+        ({FIRST_INNER + 37: [0, 1], FIRST_INNER + 50: [1]}, "3/200 inner"),
+    ],
+)
+def test_one_failure_over_the_tolerance_aborts(
+    monkeypatch, fitted, rows_by_call, message
+):
+    d, fit = fitted
+    cfg = BootstrapConfig(b1=2, b2=100, c=2, master_seed=6)
+    _poison_draws(monkeypatch, rows_by_call)
+    with pytest.raises(TooManyFailures, match=message):
+        mse_double(d, fit, cfg)
 
 
 def test_mspe_report_consistency(fitted):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import nerboot.pipeline
+from nerboot.errors import RankDeficient
 from nerboot.mspe import BootstrapConfig
 from nerboot.simulate import (
     LAWS,
@@ -105,6 +107,19 @@ def test_oracle_estimator_has_zero_rb_cv():
     m = _estimator_metrics(values, smse)
     np.testing.assert_allclose(m.rb, 0.0, atol=1e-13)
     np.testing.assert_allclose(m.cv, 0.0, atol=1e-13)
+
+
+def test_run_truth_refit_failure_is_rank_deficient(monkeypatch):
+    real = nerboot.pipeline._positive_definite
+
+    def last_world_fails(normal):
+        ok = real(normal)
+        ok[-1] = False
+        return ok
+
+    monkeypatch.setattr("nerboot.pipeline._positive_definite", last_world_fails)
+    with pytest.raises(RankDeficient):
+        run_truth(Scenario.from_ratio(n=8, ratio=1.0), error_model("m1"), 5, 3)
 
 
 def test_run_study_records_and_metric_identity():

@@ -67,7 +67,7 @@ def test_block_draws_equal_looped_oracle(case):
     keys = [(2**40 + 9, streams.INNER, 3, b, el) for b in range(3) for el in range(4)]
     tails = np.array([key[3:] for key in keys])
     states = streams.substream_states(2**40 + 9, streams.INNER, 3, tails=tails)
-    y_star, theta_star = _draw_worlds(d, fe, *laws, states)
+    y_star, theta_star = _draw_worlds(d, fe, laws, states)
     for k, key in enumerate(keys):
         d_star, theta = _brute.draw_world(d, fe, *laws, streams.substream(*key))
         np.testing.assert_array_equal(y_star[k], d_star.y)

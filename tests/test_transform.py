@@ -77,7 +77,7 @@ def test_t_matrix_block_diagonal_zeros():
         mask[e - k : e, e - k : e] = True
     assert np.all(t[~mask] == 0.0)
     a, *_ = _brute.summaries(d)
-    for i, (blk, c) in enumerate(zip(_blocks(t, d.sizes), d.clusters)):
+    for i, (blk, c) in enumerate(zip(_blocks(t, d.sizes), _brute.clusters(d))):
         smallest = np.linalg.eigvalsh(blk)[0]
         assert smallest == pytest.approx(c.s[-1] ** -2.0 / a[i], rel=1e-10)
 
