@@ -36,25 +36,16 @@ from .model import (
     read_csv_dataset,
     summarize,
 )
-from .moments import FourthMoments, estimate_gamma_u, estimate_gamma_v
+from .moments import estimate_gamma_u, estimate_gamma_v
 from .mspe import (
     BootstrapConfig,
     DoubleBootstrapResult,
-    MspeReport,
     mse_double,
     mse_single,
     mspe_report,
     robust_correction,
 )
-from .pipeline import (
-    FixedEffects,
-    ModelFit,
-    Prediction,
-    VarianceComponents,
-    WorldFits,
-    fit_model,
-    refit_worlds,
-)
+from .pipeline import WorldFits, fit_model, refit_worlds
 from .simulate import (
     ErrorModel,
     EstimatorMetrics,
@@ -81,24 +72,18 @@ __all__ = [
     "EmptyCluster",
     "ErrorModel",
     "EstimatorMetrics",
-    "FixedEffects",
-    "FourthMoments",
     "InsufficientDegreesOfFreedom",
     "KurtosisNotHeavy",
     "MatchedDistribution",
-    "ModelFit",
     "MomentInfeasible",
-    "MspeReport",
     "NerbootError",
     "NonPositiveK",
     "NonPositiveScale",
     "NumericalError",
-    "Prediction",
     "RankDeficient",
     "Scenario",
     "StudyResult",
     "TooManyFailures",
-    "VarianceComponents",
     "WorldFits",
     "build_dataset",
     "draw_error",

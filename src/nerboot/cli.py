@@ -25,9 +25,9 @@ import numpy as np
 
 from . import mmdist, simulate
 from .errors import DataError, NumericalError
-from .model import read_csv_dataset
-from .mspe import BootstrapConfig, MspeReport, mspe_report
-from .pipeline import DEFAULT_RIDGE
+from .model import Dataset, read_csv_dataset
+from .mspe import BootstrapConfig, DoubleBootstrapResult, mspe_report
+from .pipeline import DEFAULT_RIDGE, WorldFits
 from .streams import draw_master_seed
 
 EXIT_OK = 0
@@ -62,6 +62,17 @@ def read_config_file(path: str) -> dict:
         key, value = line.split("=", 1)
         out[key.strip().replace("-", "_")] = value.strip()
     return out
+
+
+def _read_config(args) -> dict:
+    """The ``--config`` file of a subcommand; every key must name one of its
+    options."""
+    config = read_config_file(args.config) if args.config else {}
+    unknown = sorted(config.keys() - (vars(args).keys() - {"command", "func"}))
+    if unknown:
+        keys = ", ".join(unknown)
+        raise UsageError(f"unknown config key for {args.command}: {keys}")
+    return config
 
 
 def merge_option(args, config: dict, name: str, cast, default):
@@ -137,33 +148,27 @@ def _progress(stream):
 # fit
 # ---------------------------------------------------------------------------
 
-def _report_json(report: MspeReport, cfg: BootstrapConfig, seed: int) -> dict:
-    clusters = []
-    for i, cid in enumerate(report.cluster_ids):
-        clusters.append(
-            {
-                "cluster": str(cid),
-                "n_i": int(report.sizes[i]),
-                "eblup": report.eblup[i],
-                "rho": report.rho[i],
-                "naive": report.naive[i],
-                "mse_boot": report.mse_boot[i],
-                "mse_double": report.mse_double[i],
-                "bias": report.bias_boot[i],
-                "mse_bc_simple": report.mse_bc_simple[i],
-                "mse_bc_robust": report.mse_bc_robust[i],
-            }
-        )
+def _cluster_table(d: Dataset, fit: WorldFits, res: DoubleBootstrapResult) -> dict:
+    """The per-cluster report columns in file order, for JSON and CSV alike."""
     return {
-        "global": {
-            "mu": report.mu,
-            "beta": list(report.beta),
-            "sigma2_u": report.sigma2_u,
-            "sigma2_v": report.sigma2_v,
-            "gamma_u": report.gamma_u,
-            "gamma_v": report.gamma_v,
-        },
-        "failures": report.failures,
+        "cluster": [str(cid) for cid in d.cluster_ids],
+        "n_i": [int(size) for size in d.sizes],
+        "eblup": fit.theta_hat,
+        "rho": fit.rho,
+        "naive": fit.naive_mse,
+        "mse_boot": res.mse_boot,
+        "mse_double": res.mse_double,
+        "bias": res.bias,
+        "mse_bc_simple": res.corrected_simple,
+        "mse_bc_robust": res.corrected_robust,
+    }
+
+
+def _report_json(table: dict, fit, res, cfg: BootstrapConfig, seed: int) -> dict:
+    fitted = ("mu", "sigma2_u", "sigma2_v", "gamma_u", "gamma_v")
+    return {
+        "global": {"beta": list(fit.beta), **{k: getattr(fit, k) for k in fitted}},
+        "failures": res.failures,
         "config": {
             "b1": cfg.b1,
             "b2": cfg.b2,
@@ -173,34 +178,14 @@ def _report_json(report: MspeReport, cfg: BootstrapConfig, seed: int) -> dict:
             "c_clip": cfg.c_clip,
             "seed": seed,
         },
-        "clusters": clusters,
+        "clusters": [dict(zip(table, row)) for row in zip(*table.values())],
     }
 
 
-def _report_csv(report: MspeReport) -> str:
-    lines = [
-        "cluster,n_i,eblup,rho,naive,mse_boot,mse_double,bias,"
-        "mse_bc_simple,mse_bc_robust"
-    ]
-    for i, cid in enumerate(report.cluster_ids):
-        lines.append(
-            ",".join(
-                [str(cid), str(int(report.sizes[i]))]
-                + [
-                    _fmt(v[i])
-                    for v in (
-                        report.eblup,
-                        report.rho,
-                        report.naive,
-                        report.mse_boot,
-                        report.mse_double,
-                        report.bias_boot,
-                        report.mse_bc_simple,
-                        report.mse_bc_robust,
-                    )
-                ]
-            )
-        )
+def _report_csv(table: dict) -> str:
+    lines = [",".join(table)]
+    for cluster, n_i, *values in zip(*table.values()):
+        lines.append(",".join([cluster, str(n_i), *map(_fmt, values)]))
     return "\n".join(lines) + "\n"
 
 
@@ -231,7 +216,7 @@ def _bootstrap_config(args, config, seed, *, desk_defaults=False) -> BootstrapCo
 
 
 def cmd_fit(args) -> int:
-    config = read_config_file(args.config) if args.config else {}
+    config = _read_config(args)
     seed = resolve_seed(merge_option(args, config, "seed", int, None))
     cfg = _bootstrap_config(args, config, seed)
     dataset = read_csv_dataset(args.input)
@@ -239,9 +224,10 @@ def cmd_fit(args) -> int:
         f"fit: {dataset.n} clusters, {dataset.total} observations, r={dataset.r}",
         file=sys.stderr,
     )
-    report = mspe_report(dataset, cfg)
-    payload = _json_dump(_report_json(report, cfg, seed))
-    csv_text = _report_csv(report)
+    fit, res = mspe_report(dataset, cfg)
+    table = _cluster_table(dataset, fit, res)
+    payload = _json_dump(_report_json(table, fit, res, cfg, seed))
+    csv_text = _report_csv(table)
     if args.out:
         _write_text(Path(args.out + ".json"), payload)
         _write_text(Path(args.out + ".csv"), csv_text)
@@ -319,7 +305,7 @@ def _render_table(summaries: list[dict]) -> str:
 
 
 def cmd_simulate(args) -> int:
-    config = read_config_file(args.config) if args.config else {}
+    config = _read_config(args)
     seed = resolve_seed(merge_option(args, config, "seed", int, None))
     cfg = _bootstrap_config(args, config, seed, desk_defaults=True)
 

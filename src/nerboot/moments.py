@@ -18,17 +18,9 @@ feasible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import Dataset
-
-
-@dataclass(frozen=True)
-class FourthMoments:
-    gamma_u: float  # >= sigma2_u^2
-    gamma_v: float  # >= sigma2_v^2
 
 
 def _square(sigma2):

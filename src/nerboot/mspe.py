@@ -27,27 +27,33 @@ times c.  Each world then reseeds one generator and draws U and then V
 (``mmdist.sample_worlds``), bit for bit what its own ``streams.substream``
 would give.
 
-Every level runs on the level engine of ``pipeline``: the outer level
-reads the block fits of ``refit_level``, while level one and each inner
-level take ``squared_error``.  Worlds whose refit fails numerically are
-masked, skipped and counted; more than 1% failures at any level aborts the
-run, since under the ridge safeguard failures signal a pathological input.
+Every fit is a ``pipeline.WorldFits``, and every level draws around one
+the same way (``_keyed_draw``): its (mu, beta), the laws matched to its
+second and fourth moments, then the keyed block draw.  Level one and the
+outer level draw around the original fit; the inner level of outer world k
+draws around ``fits.world(k)``.  Every level runs on the level engine of
+``pipeline``: the outer level reads the block fits of ``refit_level``,
+while level one and each inner level take ``squared_error``.
+Worlds whose refit fails numerically are masked, skipped and counted; more
+than 1% failures at any level aborts the run, since under the ridge
+safeguard failures signal a pathological input.  ``mspe_report`` returns
+the original fit and its ``DoubleBootstrapResult``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import streams
 from .errors import DivisionGuard, TooManyFailures
-from .mmdist import THREE_POINT, make_distribution, sample_worlds
+from .mmdist import FAMILIES, THREE_POINT, make_distribution, sample_worlds
 from .model import Dataset
 from .pipeline import (
     DEFAULT_RIDGE,
-    FixedEffects,
-    ModelFit,
+    WorldFits,
     fit_model,
     refit_level,
     ridge_floor,
@@ -82,8 +88,10 @@ class BootstrapConfig:
             raise ValueError("replicate counts b1, b2, c must all be >= 1")
         if self.g_kind not in (G_ARCTAN, G_CLIPPED):
             raise ValueError(f"g_kind must be '{G_ARCTAN}' or '{G_CLIPPED}'")
-        if self.g_kind == G_CLIPPED and self.c_clip <= 0:
-            raise ValueError("c_clip must be positive for the clipped g")
+        if self.family not in FAMILIES:
+            raise ValueError(f"family must be one of {', '.join(FAMILIES)}")
+        if self.g_kind == G_CLIPPED and not 0 < self.c_clip < math.inf:
+            raise ValueError("c_clip must be finite and positive for the clipped g")
         if not 0 <= self.master_seed <= streams.MAX_SEED:
             raise ValueError("master_seed must fit in 64 bits")
         ridge_floor(2, self.ridge)  # raises ValueError for an invalid ridge
@@ -104,29 +112,6 @@ class DoubleBootstrapResult:
     corrected_simple: np.ndarray  # 2 u-hat - v-hat
     corrected_robust: np.ndarray  # positivity-preserving correction
     failures: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class MspeReport:
-    """Per-cluster MSPE estimates plus the global fit behind them."""
-
-    cluster_ids: tuple
-    sizes: np.ndarray
-    eblup: np.ndarray
-    rho: np.ndarray
-    naive: np.ndarray
-    mse_boot: np.ndarray
-    mse_double: np.ndarray
-    bias_boot: np.ndarray
-    mse_bc_simple: np.ndarray
-    mse_bc_robust: np.ndarray
-    mu: float
-    beta: np.ndarray
-    sigma2_u: float
-    sigma2_v: float
-    gamma_u: float
-    gamma_v: float
-    failures: dict
 
 
 # ---------------------------------------------------------------------------
@@ -160,33 +145,34 @@ def robust_correction(
 # world generation
 # ---------------------------------------------------------------------------
 
-def _responses(d: Dataset, fe: FixedEffects, u_star, v_star):
-    """Responses and true theta of worlds with cluster effects ``u_star``
-    (..., n) and noise ``v_star`` (..., N): one world or a (B, .) block."""
-    y_star = fe.mu + d.x @ fe.beta + np.repeat(u_star, d.sizes, axis=-1) + d.s * v_star
-    theta_star = fe.mu + d.design.x_under @ fe.beta + u_star
+def _responses(d: Dataset, mu, beta, u_star, v_star):
+    """Responses and true theta of worlds with fixed effects (mu, beta),
+    cluster effects ``u_star`` (..., n) and noise ``v_star`` (..., N): one
+    world or a (B, .) block."""
+    y_star = mu + d.x @ beta + np.repeat(u_star, d.sizes, axis=-1) + d.s * v_star
+    theta_star = mu + d.design.x_under @ beta + u_star
     return y_star, theta_star
 
 
-def _draw_worlds(d: Dataset, fe: FixedEffects, laws: tuple, states: list):
+def _draw_worlds(d: Dataset, mu, beta, laws: tuple, states: list):
     """Synthetic response rows (B, N) on the same design and the true theta
     (B, n); world b draws U before V, from the matched ``laws`` (U, V), with
     the PCG64 state ``states[b]``."""
     u_star, v_star = sample_worlds(*laws, states, d.n, d.total)
-    return _responses(d, fe, u_star, v_star)
+    return _responses(d, mu, beta, u_star, v_star)
 
 
-def _keyed_draw(d: Dataset, fe: FixedEffects, laws: tuple, states: list):
-    """The level engine's ``draw(lo, hi)`` for the worlds keyed by ``states``."""
-    return lambda lo, hi: _draw_worlds(d, fe, laws, states[lo:hi])
-
-
-def _matched(sigma2_u, gamma_u, sigma2_v, gamma_v, family: str):
-    """Matched laws of the cluster effect and the noise, U first."""
-    return (
-        make_distribution(float(sigma2_u), float(gamma_u), family),
-        make_distribution(float(sigma2_v), float(gamma_v), family),
+def _keyed_draw(d: Dataset, fit: WorldFits, family: str, states: list):
+    """The level engine's ``draw(lo, hi)`` for the worlds keyed by ``states``
+    around one fit: its (mu, beta) and the laws matched to its second and
+    fourth moments, U first."""
+    if fit.gamma_u is None:
+        raise ValueError("the bootstrap needs a fit with fourth moments")
+    laws = (
+        make_distribution(float(fit.sigma2_u), float(fit.gamma_u), family),
+        make_distribution(float(fit.sigma2_v), float(fit.gamma_v), family),
     )
+    return lambda lo, hi: _draw_worlds(d, fit.mu, fit.beta, laws, states[lo:hi])
 
 
 # ---------------------------------------------------------------------------
@@ -208,26 +194,19 @@ def _level_states(cfg: BootstrapConfig, level: int, key_prefix: tuple, *axes):
     return streams.substream_states(cfg.master_seed, level, *key_prefix, tails=index)
 
 
-def _fit_laws(fit: ModelFit, family: str):
-    if fit.fourth_moments is None:
-        raise ValueError("the bootstrap needs a fit with fourth moments")
-    vc, fm = fit.variance, fit.fourth_moments
-    return _matched(vc.sigma2_u, fm.gamma_u, vc.sigma2_v, fm.gamma_v, family)
-
-
 def mse_single(
-    d: Dataset, fit: ModelFit, cfg: BootstrapConfig, key_prefix: tuple = ()
+    d: Dataset, fit: WorldFits, cfg: BootstrapConfig, key_prefix: tuple = ()
 ) -> tuple[np.ndarray, int]:
     """Level-one bootstrap estimate u-hat of MSE_i; returns (u_hat, failures)."""
     states = _level_states(cfg, streams.SINGLE, key_prefix, range(cfg.b1))
-    draw = _keyed_draw(d, fit.fixed_effects, _fit_laws(fit, cfg.family), states)
+    draw = _keyed_draw(d, fit, cfg.family, states)
     acc, failed = squared_error(d, draw, cfg.b1, cfg.ridge)
     _check_failures(failed, cfg.b1, "level-one")
     return acc / (cfg.b1 - failed), failed
 
 
 def mse_double(
-    d: Dataset, fit: ModelFit, cfg: BootstrapConfig, key_prefix: tuple = ()
+    d: Dataset, fit: WorldFits, cfg: BootstrapConfig, key_prefix: tuple = ()
 ) -> DoubleBootstrapResult:
     """u-hat, v-hat and the bias-corrected estimators.
 
@@ -239,7 +218,7 @@ def mse_double(
     """
     u_hat, fail1 = mse_single(d, fit, cfg, key_prefix)
     outer = _level_states(cfg, streams.OUTER, key_prefix, range(cfg.b2))
-    draw = _keyed_draw(d, fit.fixed_effects, _fit_laws(fit, cfg.family), outer)
+    draw = _keyed_draw(d, fit, cfg.family, outer)
 
     vacc = np.zeros(d.n)
     outer_failed = inner_attempted = inner_failed = 0
@@ -252,14 +231,9 @@ def mse_double(
         inner = _level_states(cfg, streams.INNER, key_prefix, rows, range(cfg.c))
         outer_failed += int(np.count_nonzero(~fits.ok))
         for k in np.flatnonzero(fits.ok):
-            laws = _matched(
-                fits.sigma2_u[k], fits.gamma_u[k], fits.sigma2_v[k], fits.gamma_v[k],
-                cfg.family,
-            )
-            fe_star = FixedEffects(mu=float(fits.mu[k]), beta=fits.beta[k])
             worlds = inner[k * cfg.c : (k + 1) * cfg.c]
             acc, failed = squared_error(
-                d, _keyed_draw(d, fe_star, laws, worlds), cfg.c, cfg.ridge
+                d, _keyed_draw(d, fits.world(k), cfg.family, worlds), cfg.c, cfg.ridge
             )
             inner_attempted += cfg.c
             inner_failed += failed
@@ -285,26 +259,7 @@ def mse_double(
     )
 
 
-def mspe_report(d: Dataset, cfg: BootstrapConfig) -> MspeReport:
-    """Fit a dataset and assemble the full per-cluster MSPE report."""
+def mspe_report(d: Dataset, cfg: BootstrapConfig) -> tuple:
+    """Fit a dataset and run its double bootstrap: (fit, DoubleBootstrapResult)."""
     fit = fit_model(d, cfg.ridge, with_fourth_moments=True)
-    res = mse_double(d, fit, cfg)
-    return MspeReport(
-        cluster_ids=d.cluster_ids,
-        sizes=d.sizes,
-        eblup=fit.prediction.theta_hat,
-        rho=fit.prediction.rho,
-        naive=fit.prediction.naive_mse,
-        mse_boot=res.mse_boot,
-        mse_double=res.mse_double,
-        bias_boot=res.bias,
-        mse_bc_simple=res.corrected_simple,
-        mse_bc_robust=res.corrected_robust,
-        mu=fit.fixed_effects.mu,
-        beta=fit.fixed_effects.beta,
-        sigma2_u=fit.variance.sigma2_u,
-        sigma2_v=fit.variance.sigma2_v,
-        gamma_u=fit.fourth_moments.gamma_u,
-        gamma_v=fit.fourth_moments.gamma_v,
-        failures=res.failures,
-    )
+    return fit, mse_double(d, fit, cfg)

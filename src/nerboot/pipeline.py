@@ -3,9 +3,11 @@
 Every estimate nerboot reports -- the original fit, the truth simulation,
 level one, the outer and the inner bootstrap worlds -- comes from
 ``refit_worlds``: a fixed design ``d`` and a (B, N) block of response rows
-in, per-world arrays out.  Each stage is a few quadratic forms in the
-responses plus one small solve per world; everything that depends only on
-the design is built once in ``d.design`` (``model._Design``).  In order:
+in, one ``WorldFits`` out, every field with a leading world axis.  It is
+the only fit type: ``fits.world(b)`` is the fit of world b alone.  Each
+stage is a few quadratic forms in the responses plus one small solve per
+world; everything that depends only on the design is built once in
+``d.design`` (``model._Design``).  In order:
 
 1. Cluster summaries and the residual sums of squares SSE1 (within
    regression) and SSE2 (uncentered regression), by ``residual_ss``.
@@ -30,8 +32,8 @@ the design is built once in ``d.design`` (``model._Design``).  In order:
 
 A world fails when its GLS normal matrix is not positive-definite or its
 EBLUP is not finite.  The kernel masks such worlds in ``ok`` and never
-raises for them; ``fit_model``, the kernel on the dataset's own responses,
-raises RankDeficient when that one world fails.
+raises for them; ``fit_model``, the kernel's ``world(0)`` on the dataset's
+own responses, raises RankDeficient when that one world fails.
 
 Every Monte Carlo level -- the truth simulation, level one, the outer and
 each inner level -- runs on the level engine ``refit_level``, which draws
@@ -48,7 +50,7 @@ import numpy as np
 
 from .errors import RankDeficient
 from .model import ClusterSummaries, Dataset, summarize
-from .moments import FourthMoments, estimate_gamma_u, estimate_gamma_v
+from .moments import estimate_gamma_u, estimate_gamma_v
 
 DEFAULT_RIDGE = (1e-6, 2.0)  # (B1, B2); B1 > 0, B2 >= 2
 
@@ -69,15 +71,6 @@ def residual_ss(q: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return np.maximum(np.sum(q * q, axis=1) - np.sum(z * z, axis=1), 0.0)
 
 
-@dataclass(frozen=True)
-class VarianceComponents:
-    sigma2_u: float  # >= 0 by truncation
-    sigma2_v: float  # > 0 by ridge floor
-    sse1: float
-    sse2: float
-    k_constant: float
-
-
 def ridge_floor(n: int, ridge=DEFAULT_RIDGE) -> float:
     """B1 n^-B2; raises ValueError unless B1 > 0 and B2 >= 2, both finite."""
     b1, b2 = ridge
@@ -94,12 +87,6 @@ def estimate_variances(d: Dataset, sse1, sse2, ridge=DEFAULT_RIDGE):
     design = d.design
     sigma2_u = np.maximum((sse2 - (d.total - design.r_aug) * sigma2_v) / design.k, 0.0)
     return sse1, sigma2_v, sigma2_u
-
-
-@dataclass(frozen=True)
-class FixedEffects:
-    mu: float
-    beta: np.ndarray  # (r,)
 
 
 def normal_equations(d: Dataset, q_bar, zy, sigma2_u, sigma2_v):
@@ -142,18 +129,11 @@ def solve_normal_equations(normal: np.ndarray, rhs: np.ndarray):
     return np.linalg.solve(safe, rhs[:, :, None])[:, :, 0], ok
 
 
-@dataclass(frozen=True)
-class Prediction:
-    theta_hat: np.ndarray  # (n,) EBLUP per cluster
-    rho: np.ndarray        # (n,) shrinkage weights in [0, 1]
-    naive_mse: np.ndarray  # (n,) psi_0 with estimated components
-
-
-def predict(cs: ClusterSummaries, mu, beta, sigma2_u, sigma2_v) -> Prediction:
-    """EBLUP, shrinkage factor and naive MSE per cluster.
+def predict(cs: ClusterSummaries, mu, beta, sigma2_u, sigma2_v):
+    """(EBLUP, shrinkage factor, naive MSE) per cluster.
 
     Broadcasts over a leading world axis: with mu, sigma2_u and sigma2_v of
-    shape (B, 1), beta (B, r) and cs.y_bar (B, n), every field is (B, n).
+    shape (B, 1), beta (B, r) and cs.y_bar (B, n), each is (B, n).
     """
     within = sigma2_v / cs.a  # a_i^-1 sigma_V^2 > 0 under the ridge
     rho = sigma2_u / (sigma2_u + within)
@@ -161,25 +141,32 @@ def predict(cs: ClusterSummaries, mu, beta, sigma2_u, sigma2_v) -> Prediction:
     direct_gap = cs.y_bar - mu - beta @ cs.x_bar.T
     theta = synthetic + rho * direct_gap
     naive = sigma2_u * within / (sigma2_u + within)
-    return Prediction(theta_hat=theta, rho=rho, naive_mse=naive)
+    return theta, rho, naive
 
 
 @dataclass(frozen=True)
 class WorldFits:
-    """Per-world estimates from one refit block; row b is world b."""
+    """Every estimate of a refit: each field has a leading world axis of
+    length B (row b is world b), which ``world(b)`` drops."""
 
-    sigma2_u: np.ndarray   # (B,)
-    sigma2_v: np.ndarray   # (B,)
-    sse1: np.ndarray       # (B,)
+    sigma2_u: np.ndarray   # (B,) >= 0 by truncation
+    sigma2_v: np.ndarray   # (B,) > 0 by the ridge floor
+    sse1: np.ndarray       # (B,) floored at the ridge
     sse2: np.ndarray       # (B,)
     mu: np.ndarray         # (B,)
     beta: np.ndarray       # (B, r)
-    theta_hat: np.ndarray  # (B, n)
-    rho: np.ndarray        # (B, n)
-    naive_mse: np.ndarray  # (B, n)
+    theta_hat: np.ndarray  # (B, n) EBLUP per cluster
+    rho: np.ndarray        # (B, n) shrinkage weights in [0, 1]
+    naive_mse: np.ndarray  # (B, n) psi_0 with estimated components
     ok: np.ndarray         # (B,) False where the refit failed
     gamma_u: np.ndarray | None = None  # (B,), with fourth moments only
     gamma_v: np.ndarray | None = None
+
+    def world(self, b: int) -> "WorldFits":
+        """The fit of world b alone: every field without the world axis."""
+        return WorldFits(
+            **{k: None if v is None else v[b] for k, v in vars(self).items()}
+        )
 
 
 def refit_worlds(
@@ -197,8 +184,10 @@ def refit_worlds(
     normal, rhs = normal_equations(d, q_bar, cs.a * cs.y_bar, sigma2_u, sigma2_v)
     coef, ok = solve_normal_equations(normal, rhs)
     mu, beta = coef[:, 0], coef[:, 1:]
-    pred = predict(cs, mu[:, None], beta, sigma2_u[:, None], sigma2_v[:, None])
-    ok &= np.isfinite(pred.theta_hat).all(axis=1)
+    theta, rho, naive = predict(
+        cs, mu[:, None], beta, sigma2_u[:, None], sigma2_v[:, None]
+    )
+    ok &= np.isfinite(theta).all(axis=1)
 
     gamma_u = gamma_v = None
     if with_fourth_moments:
@@ -212,9 +201,9 @@ def refit_worlds(
         sse2=sse2,
         mu=mu,
         beta=beta,
-        theta_hat=pred.theta_hat,
-        rho=pred.rho,
-        naive_mse=pred.naive_mse,
+        theta_hat=theta,
+        rho=rho,
+        naive_mse=naive,
         ok=ok,
         gamma_u=gamma_u,
         gamma_v=gamma_v,
@@ -249,46 +238,14 @@ def squared_error(d: Dataset, draw, count: int, ridge=DEFAULT_RIDGE):
     return acc, failed
 
 
-@dataclass(frozen=True)
-class ModelFit:
-    """Everything estimated from one dataset."""
-
-    variance: VarianceComponents
-    fixed_effects: FixedEffects
-    prediction: Prediction
-    fourth_moments: FourthMoments | None = None
-
-    @property
-    def theta_hat(self) -> np.ndarray:
-        return self.prediction.theta_hat
-
-
 def fit_model(
     d: Dataset, ridge=DEFAULT_RIDGE, *, with_fourth_moments: bool = True
-) -> ModelFit:
-    """Fit variance components, fixed effects and EBLUPs on a dataset."""
-    w = refit_worlds(d, d.y[None, :], ridge, with_fourth_moments=with_fourth_moments)
-    if not w.ok[0]:
+) -> WorldFits:
+    """Fit variance components, fixed effects and EBLUPs on a dataset: the
+    kernel's fit of the dataset's own responses, as one world."""
+    fit = refit_worlds(d, d.y[None, :], ridge, with_fourth_moments=with_fourth_moments)
+    if not fit.ok[0]:
         raise RankDeficient(
             "GLS normal equations are singular or the fit is not finite"
         )
-    vc = VarianceComponents(
-        sigma2_u=float(w.sigma2_u[0]),
-        sigma2_v=float(w.sigma2_v[0]),
-        sse1=float(w.sse1[0]),
-        sse2=float(w.sse2[0]),
-        k_constant=d.design.k,
-    )
-    fm = (
-        FourthMoments(gamma_u=float(w.gamma_u[0]), gamma_v=float(w.gamma_v[0]))
-        if with_fourth_moments
-        else None
-    )
-    return ModelFit(
-        variance=vc,
-        fixed_effects=FixedEffects(mu=float(w.mu[0]), beta=w.beta[0]),
-        prediction=Prediction(
-            theta_hat=w.theta_hat[0], rho=w.rho[0], naive_mse=w.naive_mse[0]
-        ),
-        fourth_moments=fm,
-    )
+    return fit.world(0)

@@ -33,7 +33,7 @@ from . import streams
 from .model import Dataset, from_arrays
 from .errors import RankDeficient
 from .mspe import BootstrapConfig, _responses, mse_double, mse_single
-from .pipeline import FixedEffects, fit_model, squared_error
+from .pipeline import fit_model, squared_error
 
 # record-log columns, in file order
 RECORD_COLUMNS = (
@@ -177,8 +177,7 @@ def _simulate_responses(d: Dataset, scenario, model, rng):
     """Responses (N,) and true theta (n,) of one truth replicate on ``d``."""
     u = draw_error(model.u_law, scenario.sigma2_u, rng, scenario.n)
     v = draw_error(model.v_law, scenario.sigma2_v, rng, d.total)
-    fe = FixedEffects(mu=scenario.mu, beta=np.asarray(scenario.beta))
-    return _responses(d, fe, u, v)
+    return _responses(d, scenario.mu, np.asarray(scenario.beta), u, v)
 
 
 def run_truth(scenario: Scenario, model: ErrorModel, replicates: int, rng):
@@ -283,7 +282,7 @@ def _one_replicate(rep: int) -> np.ndarray:
     rec = np.empty((scenario.n, len(RECORD_COLUMNS)))
     rec[:, 0] = theta
     rec[:, 1] = fit.theta_hat
-    rec[:, 2] = fit.prediction.naive_mse
+    rec[:, 2] = fit.naive_mse
     if double:
         res = mse_double(d_rep, fit, cfg, key_prefix=(rep,))
         rec[:, 3] = res.mse_boot

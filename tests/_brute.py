@@ -113,14 +113,15 @@ def rank_one_inverse(s, sigma2_u, sigma2_v):
     return np.diag(d_inv) - (sigma2_u / denom) * np.outer(d_inv, d_inv)
 
 
-def draw_world(d, fe, u_dist, v_dist, rng):
-    """One synthetic world on the design of ``d``, U drawn before V with
+def draw_world(d, mu, beta, u_dist, v_dist, rng):
+    """One synthetic world with fixed effects (mu, beta) on the design of
+    ``d``, U drawn before V with
     ``sample``: (dataset, true theta).  The looped reference for the block
     draws of the bootstrap engines."""
     u = sample(u_dist, rng, d.n)
     v = sample(v_dist, rng, d.total)
-    y = fe.mu + d.x @ fe.beta + np.repeat(u, d.sizes) + d.s * v
-    theta = fe.mu + summarize(d).x_under @ fe.beta + u
+    y = mu + d.x @ beta + np.repeat(u, d.sizes) + d.s * v
+    theta = mu + summarize(d).x_under @ beta + u
     return d.with_responses(y), theta
 
 

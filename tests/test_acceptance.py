@@ -52,8 +52,8 @@ def sse_identity_run():
         v = rng.standard_normal(n * m)
         y = design.x[:, 0] + np.repeat(u, m) + v
         fit = fit_model(design.with_responses(y), with_fourth_moments=False)
-        s2v[k] = fit.variance.sigma2_v
-        sse2[k] = fit.variance.sse2
+        s2v[k] = fit.sigma2_v
+        sse2[k] = fit.sse2
     return design, s2v, sse2
 
 
@@ -241,15 +241,15 @@ def test_criterion_9_oracle_equivalence():
     want = _brute.full_pipeline_dense(d)
 
     checks = {
-        "sigma2_v": (fit.variance.sigma2_v, want["sigma2_v"]),
-        "sigma2_u": (fit.variance.sigma2_u, want["sigma2_u"]),
-        "mu": (fit.fixed_effects.mu, want["mu"]),
-        "beta": (fit.fixed_effects.beta, want["beta"]),
-        "gamma_v": (fit.fourth_moments.gamma_v, want["gamma_v"]),
-        "gamma_u": (fit.fourth_moments.gamma_u, want["gamma_u"]),
-        "rho": (fit.prediction.rho, want["rho"]),
-        "theta": (fit.prediction.theta_hat, want["theta"]),
-        "psi0": (fit.prediction.naive_mse, want["psi0"]),
+        "sigma2_v": (fit.sigma2_v, want["sigma2_v"]),
+        "sigma2_u": (fit.sigma2_u, want["sigma2_u"]),
+        "mu": (fit.mu, want["mu"]),
+        "beta": (fit.beta, want["beta"]),
+        "gamma_v": (fit.gamma_v, want["gamma_v"]),
+        "gamma_u": (fit.gamma_u, want["gamma_u"]),
+        "rho": (fit.rho, want["rho"]),
+        "theta": (fit.theta_hat, want["theta"]),
+        "psi0": (fit.naive_mse, want["psi0"]),
     }
     worst = 0.0
     for got, expected in checks.values():

@@ -1,4 +1,6 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +67,47 @@ def test_fit_deterministic_across_runs_and_jobs(fixture_csv, tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+SNAPSHOTS = Path(__file__).parent / "data"
+
+
+def _assert_same_tree(got, want, where="$"):
+    """Same JSON structure and keys; numbers equal to rtol 1e-12."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            _assert_same_tree(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for k, (g, w) in enumerate(zip(got, want)):
+            _assert_same_tree(g, w, f"{where}[{k}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float) and math.isclose(got, want, rel_tol=1e-12), where
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
+@pytest.mark.parametrize("family", ["three_point", "student_t"])
+def test_fit_report_matches_stored_snapshot(fixture_csv, tmp_path, family):
+    # tests/data/fit_report_<family>.{json,csv}: the `fit` report of the
+    # fixture dataset at these sizes and seed, stored when it was last
+    # verified; a refactor must reproduce it
+    out = tmp_path / "report"
+    assert main(_fit_args(fixture_csv, out, seed="7") + ["--family", family]) == 0
+    stored = SNAPSHOTS / f"fit_report_{family}"
+    _assert_same_tree(
+        json.loads((tmp_path / "report.json").read_text()),
+        json.loads(stored.with_suffix(".json").read_text()),
+    )
+    got = (tmp_path / "report.csv").read_text().splitlines()
+    want = stored.with_suffix(".csv").read_text().splitlines()
+    assert got[0] == want[0] and len(got) == len(want)
+    for got_row, want_row in zip(got[1:], want[1:]):
+        g, w = got_row.split(","), want_row.split(",")
+        assert g[:2] == w[:2] and len(g) == len(w)
+        for gv, wv in zip(g[2:], w[2:]):
+            assert math.isclose(float(gv), float(wv), rel_tol=1e-12), (g[0], wv)
+
+
 def test_fit_missing_file_exit_code(capsys):
     assert main(["fit", "no_such_file.csv", "--seed", "1"]) == 3
     assert "no_such_file.csv" in capsys.readouterr().err
@@ -85,9 +128,9 @@ def test_fit_non_finite_estimate_is_numerical_failure(
     real = nerboot.cli.mspe_report
 
     def with_nan(d, cfg):
-        report = real(d, cfg)
-        report.mse_boot[3] = np.nan
-        return report
+        fit, res = real(d, cfg)
+        res.mse_boot[3] = np.nan
+        return fit, res
 
     monkeypatch.setattr("nerboot.cli.mspe_report", with_nan)
     out = tmp_path / "report"
@@ -178,6 +221,46 @@ def test_negative_variances_are_usage_errors(sigmas, config, tmp_path, capsys):
     assert "must be finite and >= 0" in err and "Traceback" not in err
     assert "simulate:" not in err  # rejected before any model runs
     assert not list(tmp_path.glob("run_*"))
+
+
+@pytest.mark.parametrize(
+    "flags, config, message",
+    [
+        ([], "family = bogus\n", "family must be one of three_point, student_t"),
+        (["--g", "clipped", "--c-clip", "nan"], "", "c_clip must be finite"),
+    ],
+)
+def test_bad_family_or_c_clip_is_usage_error(
+    fixture_csv, tmp_path, capsys, flags, config, message
+):
+    argv = _fit_args(fixture_csv, tmp_path / "report", b=("2", "1", "1")) + flags
+    if config:
+        (tmp_path / "opts.conf").write_text(config)
+        argv += ["--config", str(tmp_path / "opts.conf")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["fit", "DATA"], "b_1"),
+        (["fit", "DATA"], "model"),  # an option of simulate only
+        (["simulate", "--model", "m1", "--n", "5"], "input"),  # of fit only
+    ],
+)
+def test_unknown_config_key_is_usage_error(fixture_csv, tmp_path, capsys, argv, key):
+    (tmp_path / "opts.conf").write_text(f"{key} = 3\n")
+    argv = [str(fixture_csv) if a == "DATA" else a for a in argv] + [
+        "--b1", "2", "--b2", "1", "--c", "1", "--seed", "1",
+        "--out", str(tmp_path / "run"), "--config", str(tmp_path / "opts.conf"),
+    ]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"unknown config key for {argv[0]}: {key}" in err
+    assert not list(tmp_path.glob("run*"))
 
 
 def test_bootstrap_defaults_come_from_bootstrap_config():

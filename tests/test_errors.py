@@ -36,6 +36,11 @@ def test_bootstrap_config_validation():
         BootstrapConfig(g_kind="tanh")
     with pytest.raises(ValueError):
         BootstrapConfig(g_kind="clipped", c_clip=0.0)
+    for c_clip in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            BootstrapConfig(g_kind="clipped", c_clip=c_clip)
+    with pytest.raises(ValueError):
+        BootstrapConfig(family="bogus")
     with pytest.raises(ValueError):
         BootstrapConfig(master_seed=-1)
     desk = BootstrapConfig.desk_scale(master_seed=3)

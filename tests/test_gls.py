@@ -1,9 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import nerboot as nb
 from nerboot.pipeline import (
-    FixedEffects,
     fit_model,
     normal_equations,
     solve_normal_equations,
@@ -30,7 +31,7 @@ def _gls(d, sigma2_u, sigma2_v):
     """GLS (mu, beta) with given variance components, through the kernel."""
     coef, ok = solve_normal_equations(*_gls_system(d, sigma2_u, sigma2_v))
     assert ok[0]
-    return FixedEffects(mu=float(coef[0, 0]), beta=coef[0, 1:])
+    return SimpleNamespace(mu=float(coef[0, 0]), beta=coef[0, 1:])
 
 
 def test_reduces_to_ols_when_no_cluster_effect():
@@ -128,8 +129,8 @@ def test_unbiased_on_benchmark_design():
         v = rng.standard_normal(300)
         y = design.x[:, 0] + np.repeat(u, 3) + v
         fit = fit_model(design.with_responses(y), with_fourth_moments=False)
-        mus[k] = fit.fixed_effects.mu
-        betas[k] = fit.fixed_effects.beta[0]
+        mus[k] = fit.mu
+        betas[k] = fit.beta[0]
     assert abs(betas.mean() - 1.0) < 3 * betas.std(ddof=1) / np.sqrt(reps)
     assert abs(mus.mean()) < 3 * mus.std(ddof=1) / np.sqrt(reps)
 
@@ -146,6 +147,6 @@ def test_beta_consistency_with_growing_n():
             v = rng.standard_normal(3 * n)
             y = design.x[:, 0] + np.repeat(u, 3) + v
             fit = fit_model(design.with_responses(y), with_fourth_moments=False)
-            errs.append((fit.fixed_effects.beta[0] - 1.0) ** 2)
+            errs.append((fit.beta[0] - 1.0) ** 2)
         rmse.append(np.sqrt(np.mean(errs)))
     assert rmse[0] > rmse[1] > rmse[2]

@@ -11,7 +11,7 @@ from conftest import benchmark_dataset, random_ragged_dataset
 
 def test_first_power_vanishes_for_balanced_fit(benchmark_fixture):
     d = benchmark_fixture
-    fe = fit_model(d).fixed_effects
+    fe = fit_model(d)
     scale = float(np.mean(np.abs(d.y)))
     # balanced design, unit scales: GLS residuals sum to zero exactly
     for s_coef, t_coef in ((1.0, 1.0), (2.0, -0.5)):
@@ -51,7 +51,7 @@ def test_contrast_of_exact_errors_estimates_twice_sigma2_v():
 
 def test_gamma_v_truncation_branch():
     d = benchmark_dataset(n=5, m=3, seed=2)
-    fe = fit_model(d).fixed_effects
+    fe = fit_model(d)
     # huge sigma2_v forces the raw expression negative
     val = estimate_gamma_v(d, d.y - fe.mu - d.x @ fe.beta, sigma2_v=100.0)
     assert val == 100.0**2
@@ -75,17 +75,16 @@ def test_gamma_u_truncation_with_zero_sigma_u():
     y = 2.0 * x[:, 0] + 1e-9 * np.sin(np.arange(9.0))  # nearly exact fit
     d = nb.from_arrays(labels, x, y)
     fit = fit_model(d)
-    assert fit.variance.sigma2_u == 0.0
-    assert fit.fourth_moments.gamma_u == 0.0
+    assert fit.sigma2_u == 0.0
+    assert fit.gamma_u == 0.0
 
 
 def test_moment_conditions_always_hold():
     for seed in range(6):
         d = random_ragged_dataset(seed)
         fit = fit_model(d)
-        vc, fm = fit.variance, fit.fourth_moments
-        assert fm.gamma_v >= vc.sigma2_v**2
-        assert fm.gamma_u >= vc.sigma2_u**2
+        assert fit.gamma_v >= fit.sigma2_v**2
+        assert fit.gamma_u >= fit.sigma2_u**2
 
 
 def _gamma_estimates(n, seed, reps=200):
@@ -97,8 +96,8 @@ def _gamma_estimates(n, seed, reps=200):
         v = rng.standard_normal(3 * n)
         y = design.x[:, 0] + np.repeat(u, 3) + v
         fit = fit_model(design.with_responses(y))
-        gus.append(fit.fourth_moments.gamma_u)
-        gvs.append(fit.fourth_moments.gamma_v)
+        gus.append(fit.gamma_u)
+        gvs.append(fit.gamma_v)
     return np.array(gus), np.array(gvs)
 
 
@@ -120,7 +119,7 @@ def test_gamma_concentrates_for_three_point_noise():
         v = nb.sample(dist, rng, n * m)
         y = design.x[:, 0] + np.repeat(u, m) + v
         fit = fit_model(design.with_responses(y))
-        vals.append(fit.fourth_moments.gamma_v)
+        vals.append(fit.gamma_v)
     assert abs(np.mean(vals) - 3.0) < 0.2
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -75,29 +76,29 @@ def test_correction_division_guard():
 # world generation
 # ---------------------------------------------------------------------------
 
-def _fit_laws(vc, fm):
+def _fit_laws(fit):
     return (
-        nb.make_distribution(vc.sigma2_u, fm.gamma_u),
-        nb.make_distribution(vc.sigma2_v, fm.gamma_v),
+        nb.make_distribution(fit.sigma2_u, fit.gamma_u),
+        nb.make_distribution(fit.sigma2_v, fit.gamma_v),
     )
 
 
 def test_world_moments_match_fit(fitted):
     d, fit = fitted
     rng = np.random.default_rng(2)
-    laws = _fit_laws(fit.variance, fit.fourth_moments)
+    laws = _fit_laws(fit)
     n_worlds = 20_000
     u_all = np.empty((n_worlds, d.n))
     for k in range(n_worlds):
-        d_star, theta_star = _brute.draw_world(d, fit.fixed_effects, *laws, rng)
+        d_star, theta_star = _brute.draw_world(d, fit.mu, fit.beta, *laws, rng)
         u_all[k] = theta_star - (
-            fit.fixed_effects.mu + nb.summarize(d).x_under @ fit.fixed_effects.beta
+            fit.mu + nb.summarize(d).x_under @ fit.beta
         )
     flat = u_all.ravel()
     for power, target in (
         (1, 0.0),
-        (2, fit.variance.sigma2_u),
-        (4, fit.fourth_moments.gamma_u),
+        (2, fit.sigma2_u),
+        (4, fit.gamma_u),
     ):
         vals = flat**power
         se = vals.std(ddof=1) / math.sqrt(len(vals))
@@ -106,24 +107,17 @@ def test_world_moments_match_fit(fitted):
 
 def test_world_point_mass_when_sigma_u_zero(fitted):
     d, fit = fitted
-    vc = nb.VarianceComponents(
-        sigma2_u=0.0,
-        sigma2_v=fit.variance.sigma2_v,
-        sse1=fit.variance.sse1,
-        sse2=fit.variance.sse2,
-        k_constant=fit.variance.k_constant,
-    )
-    fm = nb.FourthMoments(gamma_u=0.0, gamma_v=fit.fourth_moments.gamma_v)
+    point_mass = dataclasses.replace(fit, sigma2_u=0.0, gamma_u=0.0)
     d_star, theta_star = _brute.draw_world(
-        d, fit.fixed_effects, *_fit_laws(vc, fm), np.random.default_rng(0)
+        d, fit.mu, fit.beta, *_fit_laws(point_mass), np.random.default_rng(0)
     )
-    synthetic = fit.fixed_effects.mu + nb.summarize(d).x_under @ fit.fixed_effects.beta
+    synthetic = fit.mu + nb.summarize(d).x_under @ fit.beta
     np.testing.assert_allclose(theta_star, synthetic, rtol=1e-12)
 
 
 def test_world_determinism(fitted):
     d, fit = fitted
-    args = (d, fit.fixed_effects, *_fit_laws(fit.variance, fit.fourth_moments))
+    args = (d, fit.mu, fit.beta, *_fit_laws(fit))
     d1, t1 = _brute.draw_world(*args, np.random.default_rng(99))
     d2, t2 = _brute.draw_world(*args, np.random.default_rng(99))
     np.testing.assert_array_equal(d1.y, d2.y)
@@ -141,10 +135,10 @@ def test_single_replicate_is_one_squared_deviation(fitted):
     assert failures == 0
 
     # replay the engine's substream for world b = 0
-    u_dist = nb.make_distribution(fit.variance.sigma2_u, fit.fourth_moments.gamma_u)
-    v_dist = nb.make_distribution(fit.variance.sigma2_v, fit.fourth_moments.gamma_v)
+    u_dist = nb.make_distribution(fit.sigma2_u, fit.gamma_u)
+    v_dist = nb.make_distribution(fit.sigma2_v, fit.gamma_v)
     rng = streams.substream(31, streams.SINGLE, 0)
-    d_star, theta_star = _brute.draw_world(d, fit.fixed_effects, u_dist, v_dist, rng)
+    d_star, theta_star = _brute.draw_world(d, fit.mu, fit.beta, u_dist, v_dist, rng)
     refit = fit_model(d_star, with_fourth_moments=False)
     np.testing.assert_allclose(u_hat, (refit.theta_hat - theta_star) ** 2, rtol=1e-12)
 
@@ -185,20 +179,20 @@ def test_double_bootstrap_across_blocks_matches_looped_oracle(monkeypatch, fitte
     monkeypatch.undo()
     assert res.failures == {"single": 0, "outer": 0, "inner": 0}
 
-    u_dist = nb.make_distribution(fit.variance.sigma2_u, fit.fourth_moments.gamma_u)
-    v_dist = nb.make_distribution(fit.variance.sigma2_v, fit.fourth_moments.gamma_v)
+    u_dist = nb.make_distribution(fit.sigma2_u, fit.gamma_u)
+    v_dist = nb.make_distribution(fit.sigma2_v, fit.gamma_v)
     vacc = np.zeros(d.n)
     for b in range(cfg.b2):
         rng = streams.substream(cfg.master_seed, streams.OUTER, b)
-        d_star, _ = _brute.draw_world(d, fit.fixed_effects, u_dist, v_dist, rng)
+        d_star, _ = _brute.draw_world(d, fit.mu, fit.beta, u_dist, v_dist, rng)
         outer = fit_model(d_star, with_fourth_moments=True)
         laws = (
-            nb.make_distribution(outer.variance.sigma2_u, outer.fourth_moments.gamma_u),
-            nb.make_distribution(outer.variance.sigma2_v, outer.fourth_moments.gamma_v),
+            nb.make_distribution(outer.sigma2_u, outer.gamma_u),
+            nb.make_distribution(outer.sigma2_v, outer.gamma_v),
         )
         for el in range(cfg.c):
             rng = streams.substream(cfg.master_seed, streams.INNER, b, el)
-            d_in, theta = _brute.draw_world(d, outer.fixed_effects, *laws, rng)
+            d_in, theta = _brute.draw_world(d, outer.mu, outer.beta, *laws, rng)
             refit = fit_model(d_in, with_fourth_moments=False)
             vacc += (refit.theta_hat - theta) ** 2 / cfg.c
     np.testing.assert_allclose(res.mse_double, vacc / cfg.b2, rtol=1e-10)
@@ -213,13 +207,13 @@ def test_seed_stream_equivalence(fitted):
     u_b, _ = mse_single(d, fit, cfg_b)
 
     # oracle SE: per-world squared deviations collected manually on stream a
-    u_dist = nb.make_distribution(fit.variance.sigma2_u, fit.fourth_moments.gamma_u)
-    v_dist = nb.make_distribution(fit.variance.sigma2_v, fit.fourth_moments.gamma_v)
+    u_dist = nb.make_distribution(fit.sigma2_u, fit.gamma_u)
+    v_dist = nb.make_distribution(fit.sigma2_v, fit.gamma_v)
     per_world = np.empty((2000, d.n))
     for b in range(2000):
         rng = streams.substream(100, streams.SINGLE, b)
         d_star, theta_star = _brute.draw_world(
-            d, fit.fixed_effects, u_dist, v_dist, rng
+            d, fit.mu, fit.beta, u_dist, v_dist, rng
         )
         refit = fit_model(d_star, with_fourth_moments=False)
         per_world[b] = (refit.theta_hat - theta_star) ** 2
@@ -298,15 +292,15 @@ def test_failed_world_is_masked_and_excluded(monkeypatch, fitted):
     monkeypatch.undo()
     assert failures == 1
 
-    u_dist = nb.make_distribution(fit.variance.sigma2_u, fit.fourth_moments.gamma_u)
-    v_dist = nb.make_distribution(fit.variance.sigma2_v, fit.fourth_moments.gamma_v)
+    u_dist = nb.make_distribution(fit.sigma2_u, fit.gamma_u)
+    v_dist = nb.make_distribution(fit.sigma2_v, fit.gamma_v)
     acc = np.zeros(d.n)
     for b in range(cfg.b1):
         if b == bad:
             continue
         rng = streams.substream(4, streams.SINGLE, b)
         d_star, theta_star = _brute.draw_world(
-            d, fit.fixed_effects, u_dist, v_dist, rng
+            d, fit.mu, fit.beta, u_dist, v_dist, rng
         )
         refit = fit_model(d_star, with_fourth_moments=False)
         acc += (refit.theta_hat - theta_star) ** 2
@@ -341,22 +335,22 @@ def test_outer_world_whose_inner_worlds_all_fail_counts_once(monkeypatch, fitted
     monkeypatch.undo()
     assert res.failures == {"single": 0, "outer": 1, "inner": 2}
 
-    u_dist = nb.make_distribution(fit.variance.sigma2_u, fit.fourth_moments.gamma_u)
-    v_dist = nb.make_distribution(fit.variance.sigma2_v, fit.fourth_moments.gamma_v)
+    u_dist = nb.make_distribution(fit.sigma2_u, fit.gamma_u)
+    v_dist = nb.make_distribution(fit.sigma2_v, fit.gamma_v)
     vacc = np.zeros(d.n)
     for b in range(cfg.b2):
         if b == 37:
             continue
         rng = streams.substream(cfg.master_seed, streams.OUTER, b)
-        d_star, _ = _brute.draw_world(d, fit.fixed_effects, u_dist, v_dist, rng)
+        d_star, _ = _brute.draw_world(d, fit.mu, fit.beta, u_dist, v_dist, rng)
         outer = fit_model(d_star, with_fourth_moments=True)
         laws = (
-            nb.make_distribution(outer.variance.sigma2_u, outer.fourth_moments.gamma_u),
-            nb.make_distribution(outer.variance.sigma2_v, outer.fourth_moments.gamma_v),
+            nb.make_distribution(outer.sigma2_u, outer.gamma_u),
+            nb.make_distribution(outer.sigma2_v, outer.gamma_v),
         )
         for el in range(cfg.c):
             rng = streams.substream(cfg.master_seed, streams.INNER, b, el)
-            d_in, theta = _brute.draw_world(d, outer.fixed_effects, *laws, rng)
+            d_in, theta = _brute.draw_world(d, outer.mu, outer.beta, *laws, rng)
             refit = fit_model(d_in, with_fourth_moments=False)
             vacc += (refit.theta_hat - theta) ** 2 / cfg.c
     np.testing.assert_allclose(res.mse_double, vacc / (cfg.b2 - 1), rtol=1e-10)
@@ -384,12 +378,10 @@ def test_one_failure_over_the_tolerance_aborts(
 def test_mspe_report_consistency(fitted):
     d, _ = fitted
     cfg = BootstrapConfig(b1=6, b2=3, c=3, master_seed=12)
-    report = mspe_report(d, cfg)
-    assert report.cluster_ids == d.cluster_ids
-    np.testing.assert_array_equal(
-        report.bias_boot, report.mse_double - report.mse_boot
-    )
-    assert np.all(report.mse_bc_robust > 0.0)
-    assert report.failures == {"single": 0, "outer": 0, "inner": 0}
-    assert report.sigma2_v > 0.0
-    assert report.gamma_v >= report.sigma2_v**2
+    fit, res = mspe_report(d, cfg)
+    assert fit.theta_hat.shape == res.mse_boot.shape == (len(d.cluster_ids),)
+    np.testing.assert_array_equal(res.bias, res.mse_double - res.mse_boot)
+    assert np.all(res.corrected_robust > 0.0)
+    assert res.failures == {"single": 0, "outer": 0, "inner": 0}
+    assert fit.sigma2_v > 0.0
+    assert fit.gamma_v >= fit.sigma2_v**2

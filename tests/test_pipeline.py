@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import nerboot
-from nerboot.pipeline import block_size, fit_model, refit_worlds
+from nerboot.pipeline import WorldFits, block_size, fit_model, refit_worlds
 
 import _brute
 from conftest import random_ragged_dataset
@@ -40,20 +42,13 @@ def test_block_matches_single_world_fits():
     np.testing.assert_array_equal(fits.ok, [True, True, False, True, True])
     for b in np.flatnonzero(fits.ok):
         one = fit_model(d.with_responses(y[b]))
-        pairs = [
-            (fits.sigma2_u[b], one.variance.sigma2_u),
-            (fits.sigma2_v[b], one.variance.sigma2_v),
-            (fits.sse2[b], one.variance.sse2),
-            (fits.mu[b], one.fixed_effects.mu),
-            (fits.beta[b], one.fixed_effects.beta),
-            (fits.theta_hat[b], one.theta_hat),
-            (fits.rho[b], one.prediction.rho),
-            (fits.naive_mse[b], one.prediction.naive_mse),
-            (fits.gamma_u[b], one.fourth_moments.gamma_u),
-            (fits.gamma_v[b], one.fourth_moments.gamma_v),
-        ]
-        for got, want in pairs:
-            np.testing.assert_allclose(got, want, rtol=1e-12)
+        world = fits.world(b)
+        for f in dataclasses.fields(WorldFits):
+            got, want = getattr(world, f.name), getattr(one, f.name)
+            assert np.shape(got) == np.shape(want), f.name
+            np.testing.assert_allclose(
+                np.asarray(got, float), np.asarray(want, float), rtol=1e-12
+            )
 
 
 def test_design_is_built_once_shared_and_read_only():

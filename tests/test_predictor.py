@@ -1,12 +1,15 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import nerboot as nb
-from nerboot.pipeline import FixedEffects, predict, ridge_floor
+from nerboot.pipeline import predict, ridge_floor
 
 
 def eblup(cs, fe, sigma2_u, sigma2_v):
-    return predict(cs, fe.mu, fe.beta, sigma2_u, sigma2_v)
+    theta_hat, rho, naive_mse = predict(cs, fe.mu, fe.beta, sigma2_u, sigma2_v)
+    return SimpleNamespace(theta_hat=theta_hat, rho=rho, naive_mse=naive_mse)
 
 
 def naive_mse(sigma2_u, sigma2_v, a):
@@ -14,13 +17,13 @@ def naive_mse(sigma2_u, sigma2_v, a):
     a = np.asarray(a, dtype=float)
     zeros = np.zeros((a.size, 1))
     cs = nb.ClusterSummaries(a=a, x_bar=zeros, y_bar=zeros[:, 0], x_under=zeros)
-    return predict(cs, 0.0, np.zeros(1), sigma2_u, sigma2_v).naive_mse
+    return predict(cs, 0.0, np.zeros(1), sigma2_u, sigma2_v)[2]
 
 
 def test_shrinkage_factor_values(benchmark_fixture):
     d = benchmark_fixture
     cs = nb.summarize(d)
-    fe = FixedEffects(mu=0.0, beta=np.array([1.0]))
+    fe = SimpleNamespace(mu=0.0, beta=np.array([1.0]))
     pred = eblup(cs, fe, 1.0, 1.0)
     np.testing.assert_allclose(pred.rho, 0.75, rtol=1e-12)  # a_i = 3
     np.testing.assert_allclose(pred.naive_mse, 0.25, rtol=1e-12)
@@ -29,7 +32,7 @@ def test_shrinkage_factor_values(benchmark_fixture):
 def test_zero_cluster_variance_gives_synthetic_predictor(benchmark_fixture):
     d = benchmark_fixture
     cs = nb.summarize(d)
-    fe = FixedEffects(mu=0.3, beta=np.array([0.7]))
+    fe = SimpleNamespace(mu=0.3, beta=np.array([0.7]))
     pred = eblup(cs, fe, 0.0, 1.0)
     assert np.all(pred.rho == 0.0)
     assert np.all(pred.naive_mse == 0.0)
@@ -41,7 +44,7 @@ def test_zero_cluster_variance_gives_synthetic_predictor(benchmark_fixture):
 def test_ridge_floor_keeps_rho_near_one(benchmark_fixture):
     d = benchmark_fixture
     cs = nb.summarize(d)
-    fe = FixedEffects(mu=0.0, beta=np.array([1.0]))
+    fe = SimpleNamespace(mu=0.0, beta=np.array([1.0]))
     floor_v = ridge_floor(60) / (180 - 60 - 1)
     pred = eblup(cs, fe, 1.0, floor_v)
     assert np.all(pred.rho > 0.999)
@@ -65,7 +68,7 @@ def test_naive_mse_harmonic_bound_and_monotonicity():
 def test_endpoint_interpolation(benchmark_fixture):
     d = benchmark_fixture
     cs = nb.summarize(d)
-    fe = FixedEffects(mu=0.1, beta=np.array([0.9]))
+    fe = SimpleNamespace(mu=0.1, beta=np.array([0.9]))
     synthetic = fe.mu + cs.x_under @ fe.beta
     direct_gap = cs.y_bar - fe.mu - cs.x_bar @ fe.beta
 

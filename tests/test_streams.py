@@ -50,7 +50,7 @@ def test_batched_states_reject_what_default_rng_rejects():
 )
 def test_block_draws_equal_looped_oracle(case):
     d = benchmark_dataset(n=12, m=3, seed=4)
-    fe = nb.FixedEffects(mu=0.3, beta=np.array([1.2]))
+    mu, beta = 0.3, np.array([1.2])
     heavy_t = make_student_t(0.7, 0.7**2 * 6.0)
     laws = {
         # kurtosis 2 < 3: student_t falls back to three-point for U only
@@ -67,8 +67,8 @@ def test_block_draws_equal_looped_oracle(case):
     keys = [(2**40 + 9, streams.INNER, 3, b, el) for b in range(3) for el in range(4)]
     tails = np.array([key[3:] for key in keys])
     states = streams.substream_states(2**40 + 9, streams.INNER, 3, tails=tails)
-    y_star, theta_star = _draw_worlds(d, fe, laws, states)
+    y_star, theta_star = _draw_worlds(d, mu, beta, laws, states)
     for k, key in enumerate(keys):
-        d_star, theta = _brute.draw_world(d, fe, *laws, streams.substream(*key))
+        d_star, theta = _brute.draw_world(d, mu, beta, *laws, streams.substream(*key))
         np.testing.assert_array_equal(y_star[k], d_star.y)
         np.testing.assert_array_equal(theta_star[k], theta)

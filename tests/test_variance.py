@@ -9,7 +9,7 @@ from conftest import benchmark_dataset, random_ragged_dataset
 
 
 def _variances(d):
-    return fit_model(d, with_fourth_moments=False).variance
+    return fit_model(d, with_fourth_moments=False)
 
 
 def test_noise_free_data_hits_ridge_floor():
@@ -42,7 +42,7 @@ def test_sse2_and_k_match_dense_oracle():
         vc = _variances(d)
         assert vc.sse2 == pytest.approx(_brute.sse2_dense(d), rel=1e-10)
         k1, k2 = _brute.k_constants_dense(d)
-        assert vc.k_constant == pytest.approx(k1 - k2, rel=1e-10)
+        assert d.design.k == pytest.approx(k1 - k2, rel=1e-10)
         assert vc.sigma2_u >= 0.0
 
 
@@ -82,7 +82,7 @@ def test_unbiasedness_smoke_monte_carlo():
         v = rng.standard_normal(90)
         y = design.x[:, 0] + np.repeat(u, 3) + v
         fit = fit_model(design.with_responses(y), with_fourth_moments=False)
-        vals[k] = fit.variance.sigma2_v
+        vals[k] = fit.sigma2_v
     se = vals.std(ddof=1) / np.sqrt(reps)
     assert abs(vals.mean() - 1.0) < 3 * se
 
@@ -100,7 +100,7 @@ def test_consistency_sweep_rmse_nonincreasing():
             y = design.x[:, 0] + np.repeat(u, 3) + v
             fit = fit_model(design.with_responses(y), with_fourth_moments=False)
             errs.append(
-                (fit.variance.sigma2_u - 1.0) ** 2 + (fit.variance.sigma2_v - 1.0) ** 2
+                (fit.sigma2_u - 1.0) ** 2 + (fit.sigma2_v - 1.0) ** 2
             )
         rmse.append(np.sqrt(np.mean(errs)))
     assert rmse[0] >= rmse[1] >= rmse[2]
