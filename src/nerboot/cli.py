@@ -7,9 +7,9 @@ diagnostics go to stderr.  Exit codes: 0 success, 2 usage/validation,
 3 data error, 4 numerical failure.
 
 All randomness flows from ``--seed``; when omitted, a seed is drawn from
-system entropy and printed so the run can be reproduced.  Flags may also be
-given in a flat ``key = value`` config file (``--config``); explicit flags
-win over the file.
+system entropy and printed so the run can be reproduced.  Every option of
+``fit`` and ``simulate`` may also be set in a flat ``key = value`` config
+file (``--config``); its values become the options' defaults, so flags win.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from . import mmdist, simulate
 from .errors import DataError, NumericalError
 from .model import Dataset, read_csv_dataset
 from .mspe import BootstrapConfig, DoubleBootstrapResult, mspe_report
-from .pipeline import DEFAULT_RIDGE, WorldFits
+from .pipeline import WorldFits
 from .streams import draw_master_seed
 
 EXIT_OK = 0
@@ -36,6 +37,7 @@ EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
 STANDARD_RATIOS = (0.5, 1.0, 2.0)
+_DEFAULT = " (default %(default)s)"  # help suffix
 
 
 class UsageError(Exception):
@@ -43,7 +45,7 @@ class UsageError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# config file + flag merging
+# config file
 # ---------------------------------------------------------------------------
 
 def read_config_file(path: str) -> dict:
@@ -64,30 +66,6 @@ def read_config_file(path: str) -> dict:
     return out
 
 
-def _read_config(args) -> dict:
-    """The ``--config`` file of a subcommand; every key must name one of its
-    options."""
-    config = read_config_file(args.config) if args.config else {}
-    unknown = sorted(config.keys() - (vars(args).keys() - {"command", "func"}))
-    if unknown:
-        keys = ", ".join(unknown)
-        raise UsageError(f"unknown config key for {args.command}: {keys}")
-    return config
-
-
-def merge_option(args, config: dict, name: str, cast, default):
-    """flag > config file > default."""
-    flag_val = getattr(args, name)
-    if flag_val is not None:
-        return flag_val
-    if name in config:
-        try:
-            return cast(config[name])
-        except ValueError as exc:
-            raise UsageError(f"config key {name}: {exc}") from None
-    return default
-
-
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -95,6 +73,26 @@ def _parse_bool(text: str) -> bool:
     if low in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"expected a boolean, got {text!r}")
+
+
+def _config_defaults(sub: argparse.ArgumentParser, args) -> dict:
+    """The keys of the ``--config`` file, each cast as its flag casts its
+    argument; a switch (a flag that takes none) reads a boolean."""
+    options = {action.dest: action for action in sub._actions if action.option_strings}
+    config = read_config_file(args.config)
+    unknown = sorted(config.keys() - (options.keys() - {"help", "config"}))
+    if unknown:
+        keys = ", ".join(unknown)
+        raise UsageError(f"unknown config key for {args.command}: {keys}")
+    values = {}
+    for key, text in config.items():
+        action = options[key]
+        cast = _parse_bool if action.nargs == 0 else action.type or str
+        try:
+            values[key] = cast(text)
+        except ValueError as exc:
+            raise UsageError(f"config key {key}: {exc}") from None
+    return values
 
 
 def resolve_seed(seed) -> int:
@@ -127,9 +125,8 @@ def _json_dump(obj) -> str:
     try:
         return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
-        raise NumericalError(
-            f"cannot write non-finite values as JSON ({exc})"
-        ) from None
+        msg = f"cannot write non-finite values as JSON ({exc})"
+        raise NumericalError(msg) from None
 
 
 def _progress(stream):
@@ -189,36 +186,19 @@ def _report_csv(table: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _bootstrap_config(args, config, seed, *, desk_defaults=False) -> BootstrapConfig:
-    """BootstrapConfig from the options a flag or config key sets; the others
-    keep the defaults of ``BootstrapConfig`` (or of ``desk_scale``)."""
-    options = dict(
-        b1=merge_option(args, config, "b1", int, None),
-        b2=merge_option(args, config, "b2", int, None),
-        c=merge_option(args, config, "c", int, None),
-        family=merge_option(args, config, "family", str, None),
-        g_kind=merge_option(args, config, "g", str, None),
-        c_clip=merge_option(args, config, "c_clip", float, None),
-    )
-    ridge = tuple(
-        merge_option(args, config, name, float, default)
-        for name, default in zip(("ridge_b1", "ridge_b2"), DEFAULT_RIDGE)
-    )
-    make = BootstrapConfig.desk_scale if desk_defaults else BootstrapConfig
+def _bootstrap_config(args, seed: int) -> BootstrapConfig:
     try:
-        return make(
-            master_seed=seed,
-            ridge=ridge,
-            **{name: value for name, value in options.items() if value is not None},
+        return BootstrapConfig(
+            b1=args.b1, b2=args.b2, c=args.c, family=args.family, g_kind=args.g,
+            c_clip=args.c_clip, master_seed=seed, ridge=(args.ridge_b1, args.ridge_b2),
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
 def cmd_fit(args) -> int:
-    config = _read_config(args)
-    seed = resolve_seed(merge_option(args, config, "seed", int, None))
-    cfg = _bootstrap_config(args, config, seed)
+    seed = resolve_seed(args.seed)
+    cfg = _bootstrap_config(args, seed)
     dataset = read_csv_dataset(args.input)
     print(
         f"fit: {dataset.n} clusters, {dataset.total} observations, r={dataset.r}",
@@ -246,89 +226,71 @@ def _records_csv(result: simulate.StudyResult) -> str:
     reps, n, _ = result.records.shape
     for rep in range(reps):
         for i in range(n):
-            row = result.records[rep, i]
-            lines.append(
-                f"{rep + 1},{i + 1}," + ",".join(_fmt(v) for v in row)
-            )
+            row = ",".join(map(_fmt, result.records[rep, i]))
+            lines.append(f"{rep + 1},{i + 1},{row}")
     return "\n".join(lines) + "\n"
 
 
+def _headline(est: dict) -> dict:
+    """The estimator a summary leads with: robust, or boot when single-only."""
+    return est["robust" if "robust" in est else "boot"]
+
+
 def _summary_dict(result: simulate.StudyResult) -> dict:
+    scalars = [
+        f.name for f in fields(simulate.EstimatorMetrics) if f.name not in ("rb", "cv")
+    ]
     est = {
-        name: {
-            "rb_median": m.rb_median,
-            "rb_mean": m.rb_mean,
-            "rb_abs_median": m.rb_abs_median,
-            "rb_abs_mean": m.rb_abs_mean,
-            "cv_median": m.cv_median,
-            "cv_mean": m.cv_mean,
-            "underestimation_pct": m.underestimation_pct,
-        }
+        name: {key: getattr(m, key) for key in scalars}
         for name, m in result.metrics.items()
     }
-    top = {
+    return {
         "model": result.model.kind,
         "family": result.family,
         "n": result.scenario.n,
-        "n_i": result.scenario.n_i,
+        "n_i": simulate.N_I,
         "sigma2_u": result.scenario.sigma2_u,
         "sigma2_v": result.scenario.sigma2_v,
         "replicates": result.replicates,
         "double_bootstrap": result.double,
         "smse_mean": float(np.mean(result.smse)),
+        "rb_median": _headline(est)["rb_median"],
+        "cv_median": _headline(est)["cv_median"],
         "rbn_median": est["naive"]["rb_median"],
         "estimators": est,
     }
-    key = "robust" if "robust" in est else "boot"
-    top["rb_median"] = est[key]["rb_median"]
-    top["cv_median"] = est[key]["cv_median"]
-    return top
 
 
 def _render_table(summaries: list[dict]) -> str:
-    lines = [
-        "model    RB       CV       RBN",
-        "-" * 34,
-    ]
+    lines = ["model    RB       CV       RBN", "-" * 34]
     for s in summaries:
-        est = s["estimators"]
-        key = "robust" if "robust" in est else "boot"
+        head, naive = _headline(s["estimators"]), s["estimators"]["naive"]
         lines.append(
-            f"{s['model']:<6}  {est[key]['rb_median']:7.3f}  "
-            f"{est[key]['cv_median']:7.3f}  {est['naive']['rb_median']:7.3f}"
+            f"{s['model']:<6}  {s['rb_median']:7.3f}  "
+            f"{s['cv_median']:7.3f}  {s['rbn_median']:7.3f}"
         )
         lines.append(
-            f"{'':<6}  {est[key]['rb_mean']:7.3f}  "
-            f"{est[key]['cv_mean']:7.3f}  {est['naive']['rb_mean']:7.3f}"
+            f"{'':<6}  {head['rb_mean']:7.3f}  "
+            f"{head['cv_mean']:7.3f}  {naive['rb_mean']:7.3f}"
         )
     return "\n".join(lines) + "\n"
 
 
 def cmd_simulate(args) -> int:
-    config = _read_config(args)
-    seed = resolve_seed(merge_option(args, config, "seed", int, None))
-    cfg = _bootstrap_config(args, config, seed, desk_defaults=True)
-
-    all_models = merge_option(args, config, "all_models", _parse_bool, False)
-    model_name = merge_option(args, config, "model", str, None)
-    if all_models:
+    seed = resolve_seed(args.seed)
+    cfg = _bootstrap_config(args, seed)
+    if args.all_models:
         model_names = list(simulate.MODEL_NAMES)
-    elif model_name:
-        model_names = [model_name]
+    elif args.model:
+        model_names = [args.model]
     else:
         raise UsageError("choose an error model with --model m1..m8 or --all-models")
 
-    n = merge_option(args, config, "n", int, 60)
-    ratio = merge_option(args, config, "ratio", float, None)
-    sigma_u = merge_option(args, config, "sigma_u", float, None)
-    sigma_v = merge_option(args, config, "sigma_v", float, None)
-    replicates = merge_option(args, config, "replicates", int, 200)
-    if replicates < 1:
-        raise UsageError(f"replicates must be at least 1 (got {replicates})")
-    jobs = merge_option(args, config, "jobs", int, os.cpu_count() or 1)
-    double = not merge_option(args, config, "single_only", _parse_bool, False)
-    table = merge_option(args, config, "table", _parse_bool, False)
+    if args.replicates < 1:
+        raise UsageError(f"replicates must be at least 1 (got {args.replicates})")
+    double = not args.single_only
 
+    sigma_u, sigma_v, ratio = args.sigma_u, args.sigma_v, args.ratio
     if sigma_u is not None or sigma_v is not None:
         if sigma_u is None or sigma_v is None:
             raise UsageError("--sigma-u and --sigma-v must be given together")
@@ -336,7 +298,7 @@ def cmd_simulate(args) -> int:
             raise UsageError("give either --ratio or --sigma-u/--sigma-v, not both")
         if not (0 <= sigma_u < math.inf and 0 <= sigma_v < math.inf):
             raise UsageError("--sigma-u and --sigma-v must be finite and >= 0")
-        scenario = simulate.Scenario(n=n, sigma2_u=sigma_u, sigma2_v=sigma_v)
+        scenario = simulate.Scenario(n=args.n, sigma2_u=sigma_u, sigma2_v=sigma_v)
     else:
         ratio = 1.0 if ratio is None else ratio
         if ratio not in STANDARD_RATIOS:
@@ -344,7 +306,7 @@ def cmd_simulate(args) -> int:
                 f"ratio must be one of {{0.5, 1, 2}} (got {ratio:g}); "
                 "custom ratios need --sigma-u/--sigma-v"
             )
-        scenario = simulate.Scenario.from_ratio(n=n, ratio=ratio)
+        scenario = simulate.Scenario.from_ratio(n=args.n, ratio=ratio)
 
     summaries, records = [], {}
     for name in model_names:
@@ -353,35 +315,30 @@ def cmd_simulate(args) -> int:
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         print(
-            f"simulate: model={model.kind} n={n} "
+            f"simulate: model={model.kind} n={args.n} "
             f"sigma2_u={scenario.sigma2_u:g} sigma2_v={scenario.sigma2_v:g} "
-            f"replicates={replicates} family={cfg.family} "
-            f"b1={cfg.b1} b2={cfg.b2} c={cfg.c} double={double} jobs={jobs}",
+            f"replicates={args.replicates} family={cfg.family} "
+            f"b1={cfg.b1} b2={cfg.b2} c={cfg.c} double={double} jobs={args.jobs}",
             file=sys.stderr,
         )
         result = simulate.run_study(
-            scenario,
-            model,
-            cfg,
-            replicates,
-            double=double,
-            jobs=jobs,
-            progress=_progress(sys.stderr),
+            scenario, model, cfg, args.replicates,
+            double=double, jobs=args.jobs, progress=_progress(sys.stderr),
         )
         summaries.append(_summary_dict(result))
         if args.out:
-            suffix = f"_{model.kind}" if all_models else ""
+            suffix = f"_{model.kind}" if args.all_models else ""
             records[Path(f"{args.out}{suffix}_records.csv")] = _records_csv(result)
 
-    payload = summaries[0] if not all_models else {s["model"]: s for s in summaries}
+    payload = {s["model"]: s for s in summaries} if args.all_models else summaries[0]
     # serialise first: a non-finite summary must leave no file behind
-    summary_json = _json_dump(payload) if args.out or not table else None
+    summary_json = _json_dump(payload) if args.out or not args.table else None
     if args.out:
         for path, text in records.items():
             _write_text(path, text)
         _write_text(Path(args.out + "_summary.json"), summary_json)
         print(f"wrote {args.out}_summary.json", file=sys.stderr)
-    if table:
+    if args.table:
         sys.stdout.write(_render_table(summaries))
     elif not args.out:
         sys.stdout.write(summary_json)
@@ -436,19 +393,25 @@ def cmd_dist(args) -> int:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-def _add_common_bootstrap_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--b1", type=int, help="level-one bootstrap replicates")
-    p.add_argument("--b2", type=int, help="double-bootstrap outer replicates")
-    p.add_argument("--c", type=int, help="inner replicates per outer world")
+def _add_common_bootstrap_flags(p, defaults: BootstrapConfig) -> None:
+    """The bootstrap flags; their defaults are the settings of ``defaults``."""
+    for flag, kind, default, text in (
+        ("--b1", int, defaults.b1, "level-one bootstrap replicates"),
+        ("--b2", int, defaults.b2, "double-bootstrap outer replicates"),
+        ("--c", int, defaults.c, "inner replicates per outer world"),
+        ("--c-clip", float, defaults.c_clip, "clip constant for g"),
+        ("--ridge-b1", float, defaults.ridge[0], "ridge B1, > 0"),
+        ("--ridge-b2", float, defaults.ridge[1], "ridge B2, >= 2"),
+    ):
+        p.add_argument(flag, type=kind, default=default, help=text + _DEFAULT)
     p.add_argument(
-        "--family",
-        choices=list(mmdist.FAMILIES),
-        help="moment-matching family (default three_point)",
+        "--family", choices=mmdist.FAMILIES, default=defaults.family,
+        help="moment-matching family" + _DEFAULT,
     )
-    p.add_argument("--g", choices=["arctan", "clipped"], help="robust-correction g")
-    p.add_argument("--c-clip", dest="c_clip", type=float, help="clip constant for g")
-    p.add_argument("--ridge-b1", dest="ridge_b1", type=float, help="ridge B1 (> 0)")
-    p.add_argument("--ridge-b2", dest="ridge_b2", type=float, help="ridge B2 (>= 2)")
+    p.add_argument(
+        "--g", choices=["arctan", "clipped"], default=defaults.g_kind,
+        help="robust-correction g" + _DEFAULT,
+    )
     p.add_argument("--seed", type=int, help="master seed (64-bit unsigned)")
     p.add_argument("--config", help="flat key = value config file; flags override")
 
@@ -467,43 +430,36 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("input", help="CSV with header cluster,y[,s],x1,...,xr")
     p_fit.add_argument("--out", help="output path prefix (writes .json and .csv)")
     p_fit.add_argument(
-        "--jobs",
-        type=int,
+        "--jobs", type=int,
         help="accepted for interface symmetry; the fit pipeline is single-process",
     )
-    _add_common_bootstrap_flags(p_fit)
+    _add_common_bootstrap_flags(p_fit, BootstrapConfig())
     p_fit.set_defaults(func=cmd_fit)
 
     p_sim = sub.add_parser("simulate", help="run the Monte Carlo study harness")
     p_sim.add_argument("--model", help="error model m1..m8")
-    p_sim.add_argument(
-        "--all-models",
-        dest="all_models",
-        action="store_const",
-        const=True,
-        help="run every model m1..m8",
-    )
-    p_sim.add_argument("--n", type=int, help="number of clusters (default 60)")
+    p_sim.add_argument("--all-models", action="store_true", help="run every model")
+    p_sim.add_argument("--n", type=int, default=60, help="cluster count" + _DEFAULT)
     p_sim.add_argument("--ratio", type=float, help="sigma_U^2/sigma_V^2, in {0.5,1,2}")
-    p_sim.add_argument("--sigma-u", dest="sigma_u", type=float, help="sigma_U^2")
-    p_sim.add_argument("--sigma-v", dest="sigma_v", type=float, help="sigma_V^2")
-    p_sim.add_argument("--replicates", type=int, help="study replicates (default 200)")
-    p_sim.add_argument("--jobs", type=int, help="parallel workers (default: cores)")
+    p_sim.add_argument("--sigma-u", type=float, help="sigma_U^2")
+    p_sim.add_argument("--sigma-v", type=float, help="sigma_V^2")
     p_sim.add_argument(
-        "--single-only",
-        dest="single_only",
-        action="store_const",
-        const=True,
+        "--replicates", type=int, default=200, help="study replicates" + _DEFAULT
+    )
+    p_sim.add_argument(
+        "--jobs", type=int, default=os.cpu_count() or 1,
+        help="parallel workers (default %(default)s, the core count)",
+    )
+    p_sim.add_argument(
+        "--single-only", action="store_true",
         help="skip the double bootstrap (naive + level-one estimates only)",
     )
     p_sim.add_argument("--out", help="output path prefix for records/summary files")
     p_sim.add_argument(
-        "--table",
-        action="store_const",
-        const=True,
+        "--table", action="store_true",
         help="print a text table (median line, mean line per model)",
     )
-    _add_common_bootstrap_flags(p_sim)
+    _add_common_bootstrap_flags(p_sim, BootstrapConfig.desk_scale())
     p_sim.set_defaults(func=cmd_simulate)
 
     p_dist = sub.add_parser("dist", help="inspect a moment-matching distribution")
@@ -517,10 +473,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse ``argv``.  The values of a ``--config`` file become the defaults
+    of the subcommand's options and ``argv`` is parsed again, so an explicit
+    flag wins over the file."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        (commands,) = (
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        sub = commands.choices[args.command]
+        sub.set_defaults(**_config_defaults(sub, args))
+        args = parser.parse_args(argv)
+    return args
+
+
+def main(argv=None) -> int:
     try:
+        args = parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -132,52 +132,47 @@ def draw_error(law: str, variance: float, rng: np.random.Generator, count: int):
     return LAWS[law](rng, count) * math.sqrt(variance)
 
 
+# the fixed design of the study: clusters of N_I, one covariate from
+# Uniform[X_LOW, X_HIGH], mean MU, slope BETA and unit scale S
+N_I = 3
+MU = 0.0
+BETA = (1.0,)
+S = 1.0
+X_LOW = 0.5
+X_HIGH = 1.0
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """Simulation design constants."""
+    """One cell of the study grid: the number of clusters and the variance
+    pair; the rest of the design is fixed."""
 
-    n: int = 60
-    n_i: int = 3
-    mu: float = 0.0
-    beta: tuple = (1.0,)
-    s: float = 1.0
-    sigma2_u: float = 1.0
-    sigma2_v: float = 1.0
-    x_low: float = 0.5
-    x_high: float = 1.0
-    replicates: int = 500
+    n: int
+    sigma2_u: float
+    sigma2_v: float
 
     @classmethod
-    def from_ratio(cls, n: int, ratio: float, **kw) -> "Scenario":
+    def from_ratio(cls, n: int, ratio: float) -> "Scenario":
         """Variance pair from the ratio sigma_U^2/sigma_V^2, normalized so
         max(sigma_U^2, sigma_V^2) = 1."""
         if ratio <= 0:
             raise ValueError("ratio must be positive")
-        return cls(n=n, sigma2_u=min(1.0, ratio), sigma2_v=min(1.0, 1.0 / ratio), **kw)
-
-    @property
-    def r(self) -> int:
-        return len(self.beta)
-
-    @property
-    def total(self) -> int:
-        return self.n * self.n_i
+        return cls(n=n, sigma2_u=min(1.0, ratio), sigma2_v=min(1.0, 1.0 / ratio))
 
 
 def make_design(scenario: Scenario, rng: np.random.Generator) -> Dataset:
     """Draw the covariate design once and freeze it (responses start at 0)."""
-    total = scenario.total
-    x = rng.uniform(scenario.x_low, scenario.x_high, size=(total, scenario.r))
-    labels = np.repeat(np.arange(scenario.n), scenario.n_i)
-    s = np.full(total, scenario.s)
-    return from_arrays(labels, x, np.zeros(total), s)
+    total = scenario.n * N_I
+    x = rng.uniform(X_LOW, X_HIGH, size=(total, len(BETA)))
+    labels = np.repeat(np.arange(scenario.n), N_I)
+    return from_arrays(labels, x, np.zeros(total), np.full(total, S))
 
 
 def _simulate_responses(d: Dataset, scenario, model, rng):
     """Responses (N,) and true theta (n,) of one truth replicate on ``d``."""
     u = draw_error(model.u_law, scenario.sigma2_u, rng, scenario.n)
     v = draw_error(model.v_law, scenario.sigma2_v, rng, d.total)
-    return _responses(d, scenario.mu, np.asarray(scenario.beta), u, v)
+    return _responses(d, MU, np.asarray(BETA), u, v)
 
 
 def run_truth(scenario: Scenario, model: ErrorModel, replicates: int, rng):
@@ -299,7 +294,7 @@ def run_study(
     scenario: Scenario,
     model: ErrorModel,
     cfg: BootstrapConfig,
-    replicates: int | None = None,
+    replicates: int,
     *,
     double: bool = True,
     jobs: int = 1,
@@ -311,7 +306,6 @@ def run_study(
     bit-identical for any ``jobs`` value.  ``progress`` may be a callable
     taking (done, total), invoked as replicates complete.
     """
-    replicates = scenario.replicates if replicates is None else int(replicates)
     if replicates < 1:
         raise ValueError("need at least one replicate")
     design = make_design(scenario, streams.substream(cfg.master_seed, streams.DESIGN))

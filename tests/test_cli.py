@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 from pathlib import Path
@@ -267,12 +268,13 @@ def test_bootstrap_defaults_come_from_bootstrap_config():
     parser = nerboot.cli.build_parser()
     fit_args = parser.parse_args(["fit", "data.csv"])
     sim_args = parser.parse_args(["simulate"])
-    cfg = nerboot.cli._bootstrap_config(fit_args, {}, 5)
+    cfg = nerboot.cli._bootstrap_config(fit_args, 5)
     assert cfg == BootstrapConfig(master_seed=5)
-    cfg = nerboot.cli._bootstrap_config(sim_args, {}, 5, desk_defaults=True)
+    cfg = nerboot.cli._bootstrap_config(sim_args, 5)
     assert cfg == BootstrapConfig.desk_scale(5)
     # an unset ridge component keeps its default
-    cfg = nerboot.cli._bootstrap_config(sim_args, {"ridge_b2": "3"}, 5)
+    ridge_args = parser.parse_args(["simulate", "--ridge-b2", "3"])
+    cfg = nerboot.cli._bootstrap_config(ridge_args, 5)
     assert cfg.ridge == (DEFAULT_RIDGE[0], 3.0)
 
 
@@ -387,3 +389,80 @@ def test_config_file_merging(fixture_csv, tmp_path, capsys):
     ]) == 0
     payload2 = json.loads((tmp_path / "flagwins.json").read_text())
     assert payload2["config"]["b1"] == 3
+
+
+def test_out_in_config_file_writes_the_files(fixture_csv, tmp_path, capsys):
+    runs = {
+        "fit": (["fit", str(fixture_csv)], ["fit.json", "fit.csv"]),
+        "sim": (
+            ["simulate", "--model", "m1", "--n", "5", "--replicates", "2",
+             "--jobs", "1"],
+            ["sim_records.csv", "sim_summary.json"],
+        ),
+    }
+    for name, (argv, files) in runs.items():
+        conf = tmp_path / f"{name}.conf"
+        conf.write_text(f"out = {tmp_path / name}\nb1 = 2\nb2 = 1\nc = 1\nseed = 3\n")
+        assert main([*argv, "--config", str(conf)]) == 0
+        assert capsys.readouterr().out == ""
+        for file in files:
+            assert (tmp_path / file).stat().st_size > 0
+
+
+# sample argument text for every option of fit and simulate: a value for the
+# flag and a different one for the config file; None marks a switch
+OPTION_SAMPLES = {
+    "out": ("flagout", "fileout"),
+    "jobs": ("3", "4"),
+    "b1": ("7", "8"),
+    "b2": ("5", "6"),
+    "c": ("3", "2"),
+    "family": ("student_t", "three_point"),
+    "g": ("clipped", "arctan"),
+    "c_clip": ("0.5", "2.5"),
+    "ridge_b1": ("0.25", "0.5"),
+    "ridge_b2": ("3", "4.5"),
+    "seed": ("11", "12"),
+    "model": ("m3", "m5"),
+    "all_models": None,
+    "n": ("9", "10"),
+    "ratio": ("0.5", "2"),
+    "sigma_u": ("0.3", "0.7"),
+    "sigma_v": ("1.5", "0.2"),
+    "replicates": ("5", "6"),
+    "single_only": None,
+    "table": None,
+}
+BASE_ARGV = {"fit": ["fit", "data.csv"], "simulate": ["simulate"]}
+
+
+@pytest.mark.parametrize("command", list(BASE_ARGV))
+def test_every_option_reads_from_the_config_file(tmp_path, command):
+    parser = nerboot.cli.build_parser()
+    (commands,) = (
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    options = [
+        (action.dest, action.option_strings[-1])
+        for action in commands.choices[command]._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    ]
+    # a new option without a sample fails here
+    assert {dest for dest, _ in options} <= OPTION_SAMPLES.keys()
+    conf = tmp_path / "opts.conf"
+
+    def parsed(dest, argv, file_text=None):
+        if file_text is not None:
+            conf.write_text(f"{dest} = {file_text}\n")
+            argv = [*argv, "--config", str(conf)]
+        return getattr(nerboot.cli.parse_args([*BASE_ARGV[command], *argv]), dest)
+
+    for dest, flag in options:
+        flag_text, file_text = OPTION_SAMPLES[dest] or (None, "false")
+        flag_argv = [flag] if flag_text is None else [flag, flag_text]
+        from_flag = parsed(dest, flag_argv)
+        from_file = parsed(dest, [], flag_text or "true")
+        assert from_file == from_flag and type(from_file) is type(from_flag), dest
+        # an explicit flag wins over the file
+        from_both = parsed(dest, flag_argv, file_text)
+        assert from_both == from_flag != parsed(dest, [], file_text), dest

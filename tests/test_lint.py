@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports, and every private name it defines at
+module level, is used in that module."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,48 @@ def test_no_unused_imports(path):
 def test_unused_import_is_reported():
     source = "import os\nimport sys\nfrom math import pi, tau\nprint(sys.argv, pi)\n"
     assert _unused_imports(source) == ["line 1: os", "line 3: tau"]
+
+
+def _unused_private_names(source: str) -> list:
+    """Module-level ``_x`` names (not dunders) that the module never reads."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            bound = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [
+                n.id for t in bound for n in ast.walk(t) if isinstance(n, ast.Name)
+            ]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, node.lineno)
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        f"line {line}: {name}" for name, line in defined.items() if name not in read
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_unused_private_names(path):
+    assert _unused_private_names(path.read_text()) == []
+
+
+def test_unused_private_name_is_reported():
+    source = (
+        "_A = 1\n_B: int = 2\n__all__ = []\n"
+        "def _used():\n    return _A\n"
+        "def _stale():\n    pass\n"
+        "class _Old:\n    pass\n"
+        "print(_used())\n"
+    )
+    assert _unused_private_names(source) == [
+        "line 2: _B", "line 6: _stale", "line 8: _Old"
+    ]
