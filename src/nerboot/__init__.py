@@ -3,7 +3,8 @@
 Empirical BLUPs of cluster means, method-of-moments variance components,
 and moment-matching single/double bootstrap estimation of mean-squared
 prediction error with positivity-preserving bias correction, plus a Monte
-Carlo study harness.
+Carlo study harness (``nerboot.simulate``).  The package exports the
+library surface; everything else stays in its submodule.
 """
 
 from .errors import (
@@ -21,22 +22,8 @@ from .errors import (
     RankDeficient,
     TooManyFailures,
 )
-from .mmdist import (
-    MatchedDistribution,
-    make_distribution,
-    make_student_t,
-    make_three_point,
-    sample,
-)
-from .model import (
-    ClusterSummaries,
-    Dataset,
-    build_dataset,
-    from_arrays,
-    read_csv_dataset,
-    summarize,
-)
-from .moments import estimate_gamma_u, estimate_gamma_v
+from .mmdist import make_distribution
+from .model import Dataset, from_arrays, read_csv_dataset
 from .mspe import (
     BootstrapConfig,
     DoubleBootstrapResult,
@@ -45,66 +32,34 @@ from .mspe import (
     mspe_report,
     robust_correction,
 )
-from .pipeline import WorldFits, fit_model, refit_worlds
-from .simulate import (
-    ErrorModel,
-    EstimatorMetrics,
-    Scenario,
-    StudyResult,
-    draw_error,
-    error_model,
-    make_design,
-    metrics_from_records,
-    run_study,
-    run_truth,
-)
+from .pipeline import WorldFits, fit_model
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BootstrapConfig",
-    "ClusterSummaries",
     "DataError",
     "Dataset",
     "DimensionMismatch",
     "DivisionGuard",
     "DoubleBootstrapResult",
     "EmptyCluster",
-    "ErrorModel",
-    "EstimatorMetrics",
     "InsufficientDegreesOfFreedom",
     "KurtosisNotHeavy",
-    "MatchedDistribution",
     "MomentInfeasible",
     "NerbootError",
     "NonPositiveK",
     "NonPositiveScale",
     "NumericalError",
     "RankDeficient",
-    "Scenario",
-    "StudyResult",
     "TooManyFailures",
     "WorldFits",
-    "build_dataset",
-    "draw_error",
-    "error_model",
-    "estimate_gamma_u",
-    "estimate_gamma_v",
     "fit_model",
     "from_arrays",
-    "make_design",
     "make_distribution",
-    "make_student_t",
-    "make_three_point",
-    "metrics_from_records",
     "mse_double",
     "mse_single",
     "mspe_report",
     "read_csv_dataset",
-    "refit_worlds",
     "robust_correction",
-    "run_study",
-    "run_truth",
-    "sample",
-    "summarize",
 ]

@@ -29,7 +29,7 @@ from .errors import DataError, NumericalError
 from .model import Dataset, read_csv_dataset
 from .mspe import BootstrapConfig, DoubleBootstrapResult, mspe_report
 from .pipeline import WorldFits
-from .streams import draw_master_seed
+from .streams import MAX_SEED, draw_master_seed
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -97,7 +97,9 @@ def _config_defaults(sub: argparse.ArgumentParser, args) -> dict:
 
 def resolve_seed(seed) -> int:
     if seed is not None:
-        return int(seed)
+        if not 0 <= seed <= MAX_SEED:
+            raise UsageError(f"seed must be in [0, 2^64) (got {seed})")
+        return seed
     drawn = draw_master_seed()
     print(f"seed: {drawn}", file=sys.stderr)
     return drawn
@@ -286,8 +288,10 @@ def cmd_simulate(args) -> int:
     else:
         raise UsageError("choose an error model with --model m1..m8 or --all-models")
 
-    if args.replicates < 1:
-        raise UsageError(f"replicates must be at least 1 (got {args.replicates})")
+    for name, least in (("replicates", 1), ("n", 2), ("jobs", 1)):
+        value = getattr(args, name)
+        if value < least:
+            raise UsageError(f"{name} must be at least {least} (got {value})")
     double = not args.single_only
 
     sigma_u, sigma_v, ratio = args.sigma_u, args.sigma_v, args.ratio

@@ -43,6 +43,8 @@ class MatchedDistribution:
 
 
 def _check_feasible(z2: float, z4: float) -> None:
+    if not (math.isfinite(z2) and math.isfinite(z4)):
+        raise MomentInfeasible(f"moments must be finite, got z2={z2}, z4={z4}")
     if z2 < 0:
         raise MomentInfeasible(f"variance z2 must be >= 0, got {z2}")
     if z4 < z2**2:
@@ -108,8 +110,9 @@ def make_distribution(
 
 
 def _three_point_values(dist: MatchedDistribution, u):
+    # one table lookup: index 0 (atom) below p/2, 1 (-atom) below p, 2 (0) from p on
     p, atom = dist.params["p"], dist.params["atom"]
-    return np.where(u < 0.5 * p, atom, np.where(u < p, -atom, 0.0))
+    return np.array([atom, -atom, 0.0])[np.add(u >= 0.5 * p, u >= p, dtype=np.intp)]
 
 
 def _student_t_values(dist: MatchedDistribution, z, chi2):
@@ -117,23 +120,14 @@ def _student_t_values(dist: MatchedDistribution, z, chi2):
     return dist.params["scale"] * z / np.sqrt(chi2 / dist.params["df"])
 
 
-def sample(dist: MatchedDistribution, rng: np.random.Generator, count: int):
-    """``count`` i.i.d. draws; deterministic given the generator state."""
-    if dist.family == THREE_POINT:
-        return _three_point_values(dist, rng.random(count))
-    z = rng.standard_normal(count)
-    chi2 = rng.gamma(shape=dist.params["df"] / 2.0, scale=2.0, size=count)
-    return _student_t_values(dist, z, chi2)
-
-
 def _raw_block(dist: MatchedDistribution, worlds: int, count: int) -> list:
-    """Buffers for the generator output behind ``sample``, one row per world."""
+    """Buffers for the generator output of ``count`` draws, one row per world."""
     calls = 1 if dist.family == THREE_POINT else 2
     return [np.empty((worlds, count)) for _ in range(calls)]
 
 
 def _draw_raw(dist: MatchedDistribution, rng, raw: list, b: int) -> None:
-    """World b's generator calls of ``sample(dist, rng, count)``, in order."""
+    """World b's generator calls, in order: the family's only sampling code."""
     if dist.family == THREE_POINT:
         rng.random(out=raw[0][b])
         return
@@ -146,6 +140,14 @@ def _values(dist: MatchedDistribution, raw: list):
     if dist.family == THREE_POINT:
         return _three_point_values(dist, *raw)
     return _student_t_values(dist, *raw)
+
+
+def sample(dist: MatchedDistribution, rng: np.random.Generator, count: int):
+    """``count`` i.i.d. draws; deterministic given the generator state.  The
+    one-world case of the block draw of ``sample_worlds``."""
+    raw = _raw_block(dist, 1, count)
+    _draw_raw(dist, rng, raw, 0)
+    return _values(dist, raw)[0]
 
 
 def sample_worlds(

@@ -87,20 +87,6 @@ class Dataset:
         return Dataset(y, self.x, self.s, self.starts, self.cluster_ids, self._cache)
 
 
-@dataclass(frozen=True)
-class ClusterSummaries:
-    """Per-cluster precision-weighted means and a_i = sum_j s_ij^-2.
-
-    ``x_under`` is the unweighted covariate mean; with s_ij = 1 it equals
-    the weighted mean ``x_bar`` and a_i = n_i.
-    """
-
-    a: np.ndarray        # (n,)
-    x_bar: np.ndarray    # (n, r)  weighted by s^-2
-    y_bar: np.ndarray    # (n,)
-    x_under: np.ndarray  # (n, r)  unweighted
-
-
 def _validate(d: Dataset) -> Dataset:
     if d.n < 2:
         raise DataError(f"need at least 2 clusters, got {d.n}")
@@ -157,28 +143,6 @@ def from_arrays(cluster_labels, x, y, s=None) -> Dataset:
         cluster_ids=tuple(order_of.keys()),
     )
     return _validate(d)
-
-
-def build_dataset(raw) -> Dataset:
-    """Build a dataset from records ``(cluster_id, x_vector, y, s)``.
-
-    ``x_vector`` may be a scalar (r = 1) or a sequence of covariates; the
-    dimension must be consistent across records.
-    """
-    labels, xs, ys, ss = [], [], [], []
-    for rec in raw:
-        cid, xv, yv, sv = rec
-        labels.append(cid)
-        xv = np.atleast_1d(np.asarray(xv, dtype=np.float64))
-        xs.append(xv)
-        ys.append(float(yv))
-        ss.append(float(sv))
-    if not labels:
-        raise DataError("no records supplied")
-    r = xs[0].shape[0]
-    if any(v.shape != (r,) for v in xs):
-        raise DimensionMismatch("covariate vectors of inconsistent dimension")
-    return from_arrays(labels, np.vstack(xs), ys, ss)
 
 
 def _orthonormal_basis(mat: np.ndarray, message: str) -> np.ndarray:
@@ -265,16 +229,11 @@ class _Design:
                 value.flags.writeable = False
 
 
-def summarize(d: Dataset, y=None) -> ClusterSummaries:
-    """Per-cluster a_i, weighted means (x_bar, y_bar) and unweighted x_under.
-
-    ``y`` defaults to the dataset's responses; a (B, N) block of response
-    rows on the same design gives y_bar of shape (B, n).
-    """
+def summarize(d: Dataset, y: np.ndarray) -> np.ndarray:
+    """Per-cluster precision-weighted response means y_bar: shape (n,) for
+    responses (N,), (B, n) for a (B, N) block of response rows on ``d``."""
     des = d.design
-    y = d.y if y is None else y
-    y_bar = np.add.reduceat(des.w * y, d.starts[:-1], axis=-1) / des.a
-    return ClusterSummaries(a=des.a, x_bar=des.x_bar, y_bar=y_bar, x_under=des.x_under)
+    return np.add.reduceat(des.w * y, d.starts[:-1], axis=-1) / des.a
 
 
 # CSV ingestion: header ``cluster,y,s,x1,...,xr`` (s column optional, default 1);

@@ -261,5 +261,5 @@ def mse_double(
 
 def mspe_report(d: Dataset, cfg: BootstrapConfig) -> tuple:
     """Fit a dataset and run its double bootstrap: (fit, DoubleBootstrapResult)."""
-    fit = fit_model(d, cfg.ridge, with_fourth_moments=True)
+    fit = fit_model(d, cfg.ridge)
     return fit, mse_double(d, fit, cfg)

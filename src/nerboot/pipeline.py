@@ -9,8 +9,9 @@ stage is a few quadratic forms in the responses plus one small solve per
 world; everything that depends only on the design is built once in
 ``d.design`` (``model._Design``).  In order:
 
-1. Cluster summaries and the residual sums of squares SSE1 (within
-   regression) and SSE2 (uncentered regression), by ``residual_ss``.
+1. The weighted cluster means y_bar (``summarize``) and the residual sums
+   of squares SSE1 (within regression) and SSE2 (uncentered regression), by
+   ``residual_ss``.
 2. Method-of-moments variance components (``estimate_variances``):
        sigma_V^2-hat = max(SSE1, B1 n^-B2) / (N - n - r)
        sigma_U^2-hat = max(K^-1 {SSE2 - (N - r_aug) sigma_V^2-hat}, 0)
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficient
-from .model import ClusterSummaries, Dataset, summarize
+from .model import Dataset, summarize
 from .moments import estimate_gamma_u, estimate_gamma_v
 
 DEFAULT_RIDGE = (1e-6, 2.0)  # (B1, B2); B1 > 0, B2 >= 2
@@ -129,16 +130,17 @@ def solve_normal_equations(normal: np.ndarray, rhs: np.ndarray):
     return np.linalg.solve(safe, rhs[:, :, None])[:, :, 0], ok
 
 
-def predict(cs: ClusterSummaries, mu, beta, sigma2_u, sigma2_v):
-    """(EBLUP, shrinkage factor, naive MSE) per cluster.
+def predict(d: Dataset, y_bar, mu, beta, sigma2_u, sigma2_v):
+    """(EBLUP, shrinkage factor, naive MSE) per cluster of ``d``.
 
     Broadcasts over a leading world axis: with mu, sigma2_u and sigma2_v of
-    shape (B, 1), beta (B, r) and cs.y_bar (B, n), each is (B, n).
+    shape (B, 1), beta (B, r) and y_bar (B, n), each is (B, n).
     """
-    within = sigma2_v / cs.a  # a_i^-1 sigma_V^2 > 0 under the ridge
+    design = d.design
+    within = sigma2_v / design.a  # a_i^-1 sigma_V^2 > 0 under the ridge
     rho = sigma2_u / (sigma2_u + within)
-    synthetic = mu + beta @ cs.x_under.T
-    direct_gap = cs.y_bar - mu - beta @ cs.x_bar.T
+    synthetic = mu + beta @ design.x_under.T
+    direct_gap = y_bar - mu - beta @ design.x_bar.T
     theta = synthetic + rho * direct_gap
     naive = sigma2_u * within / (sigma2_u + within)
     return theta, rho, naive
@@ -173,19 +175,19 @@ def refit_worlds(
     d: Dataset, y: np.ndarray, ridge=DEFAULT_RIDGE, *, with_fourth_moments: bool = False
 ) -> WorldFits:
     """Fit every response row of ``y`` (B, N) on the design of ``d``."""
-    cs = summarize(d, y)
+    y_bar = summarize(d, y)
     design = d.design
-    q = (y - np.repeat(cs.y_bar, d.sizes, axis=1)) / d.s
+    q = (y - np.repeat(y_bar, d.sizes, axis=1)) / d.s
     sse1 = residual_ss(q, design.within_basis)
     q_bar = y / d.s
     sse2 = residual_ss(q_bar, design.uncentered_basis)
     sse1, sigma2_v, sigma2_u = estimate_variances(d, sse1, sse2, ridge)
 
-    normal, rhs = normal_equations(d, q_bar, cs.a * cs.y_bar, sigma2_u, sigma2_v)
+    normal, rhs = normal_equations(d, q_bar, design.a * y_bar, sigma2_u, sigma2_v)
     coef, ok = solve_normal_equations(normal, rhs)
     mu, beta = coef[:, 0], coef[:, 1:]
     theta, rho, naive = predict(
-        cs, mu[:, None], beta, sigma2_u[:, None], sigma2_v[:, None]
+        d, y_bar, mu[:, None], beta, sigma2_u[:, None], sigma2_v[:, None]
     )
     ok &= np.isfinite(theta).all(axis=1)
 
@@ -238,12 +240,10 @@ def squared_error(d: Dataset, draw, count: int, ridge=DEFAULT_RIDGE):
     return acc, failed
 
 
-def fit_model(
-    d: Dataset, ridge=DEFAULT_RIDGE, *, with_fourth_moments: bool = True
-) -> WorldFits:
-    """Fit variance components, fixed effects and EBLUPs on a dataset: the
-    kernel's fit of the dataset's own responses, as one world."""
-    fit = refit_worlds(d, d.y[None, :], ridge, with_fourth_moments=with_fourth_moments)
+def fit_model(d: Dataset, ridge=DEFAULT_RIDGE) -> WorldFits:
+    """Fit variance components, fixed effects, EBLUPs and fourth moments on
+    a dataset: the kernel's fit of the dataset's own responses, as one world."""
+    fit = refit_worlds(d, d.y[None, :], ridge, with_fourth_moments=True)
     if not fit.ok[0]:
         raise RankDeficient(
             "GLS normal equations are singular or the fit is not finite"

@@ -273,7 +273,7 @@ def _one_replicate(rep: int) -> np.ndarray:
     rng = streams.substream(cfg.master_seed, streams.STUDY, rep)
     y, theta = _simulate_responses(design, scenario, model, rng)
     d_rep = design.with_responses(y)
-    fit = fit_model(d_rep, cfg.ridge, with_fourth_moments=True)
+    fit = fit_model(d_rep, cfg.ridge)
     rec = np.empty((scenario.n, len(RECORD_COLUMNS)))
     rec[:, 0] = theta
     rec[:, 1] = fit.theta_hat
@@ -308,13 +308,15 @@ def run_study(
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
+    if jobs < 1:
+        raise ValueError(f"need at least one job, got {jobs}")
     design = make_design(scenario, streams.substream(cfg.master_seed, streams.DESIGN))
-    # prebuild every design cache the refit kernel uses; workers receive them
+    # build the design arrays of the refit kernel once; workers receive them
     # with the design, whether they are forked or unpickle it
-    fit_model(design, cfg.ridge, with_fourth_moments=True)
+    design.design
 
     state = (design, scenario, model, cfg, double)
-    if jobs <= 1:
+    if jobs == 1:
         _init_worker(*state)
         executor = contextlib.nullcontext()
     else:

@@ -2,15 +2,16 @@
 
 Everything here recomputes the estimators from their definitions with
 explicit loops and dense matrices: no block factorizations, no caching, no
-code shared with the library internals (the world draw calls the public
-``sample`` and ``summarize``).  Tests compare the fast paths against these.
+code shared with the library internals (the world draw calls
+``mmdist.sample`` and reads ``d.design.x_under``).  Tests compare the fast
+paths against these.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from nerboot import sample, summarize
+from nerboot.mmdist import sample
 
 
 class Cluster(NamedTuple):
@@ -121,7 +122,7 @@ def draw_world(d, mu, beta, u_dist, v_dist, rng):
     u = sample(u_dist, rng, d.n)
     v = sample(v_dist, rng, d.total)
     y = mu + d.x @ beta + np.repeat(u, d.sizes) + d.s * v
-    theta = mu + summarize(d).x_under @ beta + u
+    theta = mu + d.design.x_under @ beta + u
     return d.with_responses(y), theta
 
 

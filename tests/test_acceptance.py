@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import nerboot as nb
+from nerboot import mmdist
 import nerboot.simulate as sim
 from nerboot.cli import main
 from nerboot.mspe import BootstrapConfig, robust_correction
@@ -42,7 +43,7 @@ def _criterion(num, desc, ok, detail):
 def sse_identity_run():
     n, m = 30, 3
     design = benchmark_dataset(n=n, m=m, seed=7)
-    fit_model(design, with_fourth_moments=False)
+    fit_model(design)
     rng = np.random.default_rng(MASTER_SEED)
     reps = 2000
     s2v = np.empty(reps)
@@ -51,7 +52,7 @@ def sse_identity_run():
         u = rng.standard_normal(n)
         v = rng.standard_normal(n * m)
         y = design.x[:, 0] + np.repeat(u, m) + v
-        fit = fit_model(design.with_responses(y), with_fourth_moments=False)
+        fit = fit_model(design.with_responses(y))
         s2v[k] = fit.sigma2_v
         sse2[k] = fit.sse2
     return design, s2v, sse2
@@ -95,7 +96,7 @@ def test_criterion_3_three_point_exactness():
     for _ in range(100):
         z2 = rng.uniform(0.01, 5.0)
         z4 = z2**2 * rng.uniform(1.0, 12.0)
-        dist = nb.make_three_point(z2, z4)
+        dist = mmdist.make_three_point(z2, z4)
         p, atom = dist.params["p"], dist.params["atom"]
         probs = np.array([1.0 - p, p / 2.0, p / 2.0])
         atoms = np.array([0.0, atom, -atom])
@@ -108,7 +109,8 @@ def test_criterion_3_three_point_exactness():
         worst = max(worst, max(errs))
     analytic_ok = worst < 1e-12
 
-    draws = nb.sample(nb.make_three_point(1.0, 3.0), np.random.default_rng(34), 10**6)
+    dist = mmdist.make_three_point(1.0, 3.0)
+    draws = mmdist.sample(dist, np.random.default_rng(34), 10**6)
     emp_ok = True
     details = []
     for power, target in ((1, 0.0), (2, 1.0), (4, 3.0)):
@@ -129,8 +131,8 @@ def test_criterion_4_student_t_matching():
     details = []
     for idx, kurt in enumerate((4.0, 6.0, 10.0)):
         z2, z4 = 1.0, kurt
-        dist = nb.make_student_t(z2, z4)
-        draws = nb.sample(dist, np.random.default_rng(400 + idx), 10**6)
+        dist = mmdist.make_student_t(z2, z4)
+        draws = mmdist.sample(dist, np.random.default_rng(400 + idx), 10**6)
         for power, target in ((2, z2), (4, z4)):
             vals = draws**power
             se = vals.std(ddof=1) / 1000.0

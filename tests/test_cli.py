@@ -168,6 +168,10 @@ def test_dist_infeasible_moments(capsys):
     assert main(["dist", "three-point", "1", "0.5", "--seed", "3"]) == 2
     assert main(["dist", "student-t", "1", "3", "--seed", "3"]) == 2
     assert main(["dist", "pearson", "1", "3", "--seed", "3"]) == 2
+    assert main(["dist", "three-point", "nan", "3", "--seed", "3"]) == 2
+    assert main(["dist", "student-t", "1", "inf", "--seed", "3"]) == 2
+    captured = capsys.readouterr()
+    assert "must be finite" in captured.err and "nan" not in captured.out
 
 
 @pytest.mark.parametrize(
@@ -190,13 +194,41 @@ def test_fit_invalid_ridge_is_usage_error(fixture_csv, tmp_path, capsys, bad):
         ["dist", "three-point", "1", "3", "--count", "-1", "--seed", "1"],
         ["dist", "three-point", "1", "3", "--count", "0", "--seed", "1"],
         ["dist", "student-t", "1", "6", "--count", "1", "--seed", "1"],
+        ["simulate", "--model", "m1", "--n", "0", "--seed", "1"],
+        ["simulate", "--model", "m1", "--n", "1", "--seed", "1"],
+        ["simulate", "--model", "m1", "--jobs", "0", "--seed", "1"],
+        ["simulate", "--model", "m1", "--jobs", "-2", "--seed", "1"],
     ],
 )
 def test_bad_counts_are_usage_errors(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert "at least" in captured.err
+    assert "simulate: model" not in captured.err  # rejected before the banner
     assert "nan" not in captured.out
+
+
+def test_bad_jobs_from_config_is_usage_error(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("jobs = 0\n")
+    argv = ["simulate", "--model", "m1", "--seed", "1", "--config", str(conf)]
+    assert main(argv) == 2
+    assert "jobs must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dist", "three-point", "1", "3", "--count", "5"],
+        ["simulate", "--model", "m1", "--replicates", "1"],
+        ["fit", "no_such_file.csv"],
+    ],
+)
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_out_of_range_seed_is_usage_error(argv, seed, capsys):
+    assert main([*argv, "--seed", seed]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be in [0, 2^64)" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import nerboot as nb
+from nerboot.model import summarize
 from nerboot.pipeline import (
     fit_model,
     normal_equations,
@@ -17,11 +18,10 @@ from conftest import benchmark_dataset, random_ragged_dataset
 def _gls_system(d, sigma2_u, sigma2_v):
     """The kernel's normal equations for the dataset's own responses, as
     a block of one world with the given variance components."""
-    cs = nb.summarize(d)
     return normal_equations(
         d,
         (d.y / d.s)[None],
-        (cs.a * cs.y_bar)[None],
+        (d.design.a * summarize(d, d.y))[None],
         np.array([sigma2_u]),
         np.array([sigma2_v]),
     )
@@ -44,10 +44,7 @@ def test_reduces_to_ols_when_no_cluster_effect():
 
 
 def test_cluster_weight_entries():
-    d = nb.build_dataset(
-        [("a", [0.0], 0.0, 1.0), ("a", [1.0], 1.0, 1.0),
-         ("b", [0.0], 0.0, 1.0), ("b", [1.0], 1.0, 1.0)]
-    )
+    d = nb.from_arrays(list("aabb"), [0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0])
     w = _brute.cluster_weights(d, 1.0, 1.0)
     np.testing.assert_allclose(w[0], [[2.0, 1.0], [1.0, 2.0]], rtol=1e-15)
     w0 = _brute.cluster_weights(d, 0.0, 2.0)[0]
@@ -128,7 +125,7 @@ def test_unbiased_on_benchmark_design():
         u = rng.standard_normal(100)
         v = rng.standard_normal(300)
         y = design.x[:, 0] + np.repeat(u, 3) + v
-        fit = fit_model(design.with_responses(y), with_fourth_moments=False)
+        fit = fit_model(design.with_responses(y))
         mus[k] = fit.mu
         betas[k] = fit.beta[0]
     assert abs(betas.mean() - 1.0) < 3 * betas.std(ddof=1) / np.sqrt(reps)
@@ -146,7 +143,7 @@ def test_beta_consistency_with_growing_n():
             u = rng.standard_normal(n)
             v = rng.standard_normal(3 * n)
             y = design.x[:, 0] + np.repeat(u, 3) + v
-            fit = fit_model(design.with_responses(y), with_fourth_moments=False)
+            fit = fit_model(design.with_responses(y))
             errs.append((fit.beta[0] - 1.0) ** 2)
         rmse.append(np.sqrt(np.mean(errs)))
     assert rmse[0] > rmse[1] > rmse[2]

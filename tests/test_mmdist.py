@@ -68,6 +68,34 @@ def test_infeasible_moments_rejected():
         make_student_t(2.0, 1.0)
 
 
+@pytest.mark.parametrize("make", [make_three_point, make_student_t])
+@pytest.mark.parametrize(
+    "z2, z4", [(math.nan, 3.0), (1.0, math.nan), (math.inf, math.inf), (1.0, math.inf)]
+)
+def test_non_finite_moments_rejected(make, z2, z4):
+    with pytest.raises(MomentInfeasible, match="finite"):
+        make(z2, z4)
+
+
+@pytest.mark.parametrize("count", [1, 9, 1000])
+def test_sample_replays_the_generator_calls(count):
+    """Bit for bit the family's draws written out by hand: three-point maps
+    one uniform per draw, Student-t takes all normals and then all gammas."""
+    tp = make_three_point(1.3, 4.0)
+    p, atom = tp.params["p"], tp.params["atom"]
+    u = np.random.default_rng(count).random(count)
+    expected = np.where(u < p / 2, atom, np.where(u < p, -atom, 0.0))
+    np.testing.assert_array_equal(sample(tp, np.random.default_rng(count), count), expected)
+
+    t = make_student_t(1.0, 7.0)
+    df, scale = t.params["df"], t.params["scale"]
+    rng = np.random.default_rng(count)
+    z = rng.standard_normal(count)
+    chi2 = rng.gamma(df / 2.0, 2.0, count)
+    expected = scale * z / np.sqrt(chi2 / df)
+    np.testing.assert_array_equal(sample(t, np.random.default_rng(count), count), expected)
+
+
 def test_student_t_parameter_solve():
     dist = make_student_t(1.0, 6.0)
     assert dist.params["df"] == pytest.approx(6.0, rel=1e-12)

@@ -9,14 +9,14 @@ from nerboot.errors import (
     InsufficientDegreesOfFreedom,
     NonPositiveScale,
 )
+from nerboot.model import summarize
 
 import _brute
 from conftest import benchmark_dataset
 
 
 def test_build_dataset_basic_counts():
-    raw = [(c, [float(j)], 1.0 + j, 1.0) for c in "abc" for j in range(2)]
-    d = nb.build_dataset(raw)
+    d = nb.from_arrays(list("aabbcc"), [0.0, 1.0] * 3, [1.0, 2.0] * 3)
     assert d.n == 3
     assert d.total == 6
     assert d.r == 1
@@ -25,9 +25,8 @@ def test_build_dataset_basic_counts():
 
 
 def test_build_dataset_singleton_cluster_rejected():
-    raw = [("a", [0.0], 1.0, 1.0), ("a", [1.0], 2.0, 1.0), ("b", [0.5], 1.5, 1.0)]
     with pytest.raises(EmptyCluster):
-        nb.build_dataset(raw)
+        nb.from_arrays(["a", "a", "b"], [0.0, 1.0, 0.5], [1.0, 2.0, 1.5])
 
 
 def test_benchmark_design_dimensions():
@@ -39,22 +38,18 @@ def test_benchmark_design_dimensions():
 
 
 def test_build_dataset_validation_errors():
-    ok = [("a", [0.0], 1.0, 1.0), ("a", [1.0], 2.0, 1.0)]
+    labels = ["a", "a", "b", "b"]
+    x, y = [0.0, 1.0, 0.0, 1.0], [1.0, 2.0, 1.0, 1.0]
     with pytest.raises(DataError):
-        nb.build_dataset(ok)  # only one cluster
+        nb.from_arrays(labels[:2], x[:2], y[:2])  # only one cluster
     with pytest.raises(DimensionMismatch):
-        nb.build_dataset(ok + [("b", [0.0, 1.0], 1.0, 1.0), ("b", [1.0], 1.0, 1.0)])
+        nb.from_arrays(labels, x[:3], y)
     with pytest.raises(NonPositiveScale):
-        nb.build_dataset(ok + [("b", [0.0], 1.0, 0.0), ("b", [1.0], 1.0, 1.0)])
+        nb.from_arrays(labels, x, y, [1.0, 1.0, 0.0, 1.0])
     # 2 clusters x 2 obs with r = 2: N - n = 2 <= r
-    rows = [
-        ("a", [0.0, 1.0], 1.0, 1.0),
-        ("a", [1.0, 0.0], 2.0, 1.0),
-        ("b", [0.5, 0.5], 1.5, 1.0),
-        ("b", [0.2, 0.8], 1.2, 1.0),
-    ]
+    x2 = [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5], [0.2, 0.8]]
     with pytest.raises(InsufficientDegreesOfFreedom):
-        nb.build_dataset(rows)
+        nb.from_arrays(labels, x2, [1.0, 2.0, 1.5, 1.2])
 
 
 def test_interleaved_rows_grouped_in_first_appearance_order():
@@ -68,23 +63,18 @@ def test_interleaved_rows_grouped_in_first_appearance_order():
 
 
 def test_summarize_unit_scales():
-    d = nb.build_dataset([("a", [float(j)], float(j), 1.0) for j in range(3)] +
-                         [("b", [1.0], 1.0, 1.0), ("b", [2.0], 2.0, 1.0)])
-    cs = nb.summarize(d)
-    np.testing.assert_allclose(cs.a, [3.0, 2.0])
-    np.testing.assert_allclose(cs.x_bar, cs.x_under, atol=1e-12)
+    d = nb.from_arrays(list("aaabb"), [0.0, 1.0, 2.0, 1.0, 2.0], [0.0, 1.0, 2.0, 1.0, 2.0])
+    np.testing.assert_allclose(d.design.a, [3.0, 2.0])
+    np.testing.assert_allclose(d.design.x_bar, d.design.x_under, atol=1e-12)
 
 
 def test_summarize_hand_example():
     # n_i = 2, s = (1, 2), x = (1, 3): a = 1.25, weighted mean = 1.4
-    d = nb.build_dataset(
-        [("a", [1.0], 0.0, 1.0), ("a", [3.0], 0.0, 2.0),
-         ("b", [0.0], 0.0, 1.0), ("b", [1.0], 1.0, 1.0)]
-    )
-    cs = nb.summarize(d)
-    assert cs.a[0] == pytest.approx(1.25)
-    assert cs.x_bar[0, 0] == pytest.approx((1.0 * 1.0 + 0.25 * 3.0) / 1.25)
-    assert cs.x_bar[0, 0] == pytest.approx(1.4)
+    d = nb.from_arrays(list("aabb"), [1.0, 3.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0],
+                       [1.0, 2.0, 1.0, 1.0])
+    assert d.design.a[0] == pytest.approx(1.25)
+    assert d.design.x_bar[0, 0] == pytest.approx((1.0 * 1.0 + 0.25 * 3.0) / 1.25)
+    assert d.design.x_bar[0, 0] == pytest.approx(1.4)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -92,27 +82,27 @@ def test_summarize_matches_brute_force(seed):
     from conftest import random_ragged_dataset
 
     d = random_ragged_dataset(seed, r=2)
-    cs = nb.summarize(d)
     a, xbar, ybar, xunder = _brute.summaries(d)
-    np.testing.assert_allclose(cs.a, a, rtol=1e-12)
-    np.testing.assert_allclose(cs.x_bar, xbar, rtol=1e-12)
-    np.testing.assert_allclose(cs.y_bar, ybar, rtol=1e-12)
-    np.testing.assert_allclose(cs.x_under, xunder, rtol=1e-12)
+    np.testing.assert_allclose(d.design.a, a, rtol=1e-12)
+    np.testing.assert_allclose(d.design.x_bar, xbar, rtol=1e-12)
+    np.testing.assert_allclose(summarize(d, d.y), ybar, rtol=1e-12)
+    np.testing.assert_allclose(d.design.x_under, xunder, rtol=1e-12)
+    # a (B, N) block of response rows gives one row of means per world
+    block = np.stack([d.y, 2.0 * d.y])
+    np.testing.assert_allclose(summarize(d, block), [ybar, 2.0 * ybar], rtol=1e-12)
 
 
 def test_summarize_scale_consistency():
     from conftest import random_ragged_dataset
 
     d = random_ragged_dataset(3)
-    cs = nb.summarize(d)
     c = 2.5  # rescale every s_ij in every cluster by c
     d2 = nb.from_arrays(
         np.repeat(np.arange(d.n), d.sizes), d.x.copy(), d.y.copy(), d.s * c
     )
-    cs2 = nb.summarize(d2)
-    np.testing.assert_allclose(cs2.a, cs.a / c**2, rtol=1e-12)
-    np.testing.assert_allclose(cs2.x_bar, cs.x_bar, rtol=1e-12)
-    np.testing.assert_allclose(cs2.y_bar, cs.y_bar, rtol=1e-12)
+    np.testing.assert_allclose(d2.design.a, d.design.a / c**2, rtol=1e-12)
+    np.testing.assert_allclose(d2.design.x_bar, d.design.x_bar, rtol=1e-12)
+    np.testing.assert_allclose(summarize(d2, d2.y), summarize(d, d.y), rtol=1e-12)
 
 
 def test_with_responses_shares_design_and_checks_shape():

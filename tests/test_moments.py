@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import nerboot as nb
+from nerboot import mmdist
 from nerboot.moments import estimate_gamma_u, estimate_gamma_v
 from nerboot.pipeline import fit_model
 
@@ -66,7 +67,7 @@ def test_floored_gamma_is_feasible_for_matching():
     gamma_v = estimate_gamma_v(d, resid, sigma2)
     gamma_u = estimate_gamma_u(d, resid, sigma2, sigma2, gamma_v)
     for gamma in (gamma_v, gamma_u):
-        nb.make_three_point(float(sigma2[0]), float(gamma[0]))
+        mmdist.make_three_point(float(sigma2[0]), float(gamma[0]))
 
 
 def test_gamma_u_truncation_with_zero_sigma_u():
@@ -112,11 +113,11 @@ def test_gamma_concentrates_for_three_point_noise():
     rng = np.random.default_rng(8)
     n, m = 200, 3
     design = benchmark_dataset(n=n, m=m, seed=9)
-    dist = nb.make_three_point(1.0, 3.0)
+    dist = mmdist.make_three_point(1.0, 3.0)
     vals = []
     for _ in range(300):
         u = rng.standard_normal(n)
-        v = nb.sample(dist, rng, n * m)
+        v = mmdist.sample(dist, rng, n * m)
         y = design.x[:, 0] + np.repeat(u, m) + v
         fit = fit_model(design.with_responses(y))
         vals.append(fit.gamma_v)

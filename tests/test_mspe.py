@@ -92,7 +92,7 @@ def test_world_moments_match_fit(fitted):
     for k in range(n_worlds):
         d_star, theta_star = _brute.draw_world(d, fit.mu, fit.beta, *laws, rng)
         u_all[k] = theta_star - (
-            fit.mu + nb.summarize(d).x_under @ fit.beta
+            fit.mu + d.design.x_under @ fit.beta
         )
     flat = u_all.ravel()
     for power, target in (
@@ -111,7 +111,7 @@ def test_world_point_mass_when_sigma_u_zero(fitted):
     d_star, theta_star = _brute.draw_world(
         d, fit.mu, fit.beta, *_fit_laws(point_mass), np.random.default_rng(0)
     )
-    synthetic = fit.mu + nb.summarize(d).x_under @ fit.beta
+    synthetic = fit.mu + d.design.x_under @ fit.beta
     np.testing.assert_allclose(theta_star, synthetic, rtol=1e-12)
 
 
@@ -139,7 +139,7 @@ def test_single_replicate_is_one_squared_deviation(fitted):
     v_dist = nb.make_distribution(fit.sigma2_v, fit.gamma_v)
     rng = streams.substream(31, streams.SINGLE, 0)
     d_star, theta_star = _brute.draw_world(d, fit.mu, fit.beta, u_dist, v_dist, rng)
-    refit = fit_model(d_star, with_fourth_moments=False)
+    refit = fit_model(d_star)
     np.testing.assert_allclose(u_hat, (refit.theta_hat - theta_star) ** 2, rtol=1e-12)
 
 
@@ -185,7 +185,7 @@ def test_double_bootstrap_across_blocks_matches_looped_oracle(monkeypatch, fitte
     for b in range(cfg.b2):
         rng = streams.substream(cfg.master_seed, streams.OUTER, b)
         d_star, _ = _brute.draw_world(d, fit.mu, fit.beta, u_dist, v_dist, rng)
-        outer = fit_model(d_star, with_fourth_moments=True)
+        outer = fit_model(d_star)
         laws = (
             nb.make_distribution(outer.sigma2_u, outer.gamma_u),
             nb.make_distribution(outer.sigma2_v, outer.gamma_v),
@@ -193,7 +193,7 @@ def test_double_bootstrap_across_blocks_matches_looped_oracle(monkeypatch, fitte
         for el in range(cfg.c):
             rng = streams.substream(cfg.master_seed, streams.INNER, b, el)
             d_in, theta = _brute.draw_world(d, outer.mu, outer.beta, *laws, rng)
-            refit = fit_model(d_in, with_fourth_moments=False)
+            refit = fit_model(d_in)
             vacc += (refit.theta_hat - theta) ** 2 / cfg.c
     np.testing.assert_allclose(res.mse_double, vacc / cfg.b2, rtol=1e-10)
 
@@ -215,7 +215,7 @@ def test_seed_stream_equivalence(fitted):
         d_star, theta_star = _brute.draw_world(
             d, fit.mu, fit.beta, u_dist, v_dist, rng
         )
-        refit = fit_model(d_star, with_fourth_moments=False)
+        refit = fit_model(d_star)
         per_world[b] = (refit.theta_hat - theta_star) ** 2
     np.testing.assert_allclose(per_world.mean(axis=0), u_a, rtol=1e-12)
     se = per_world.std(axis=0, ddof=1) / math.sqrt(2000.0)
@@ -235,7 +235,7 @@ def test_level_one_tracks_independent_truth_simulation():
     acc = np.zeros(60)
     for _ in range(5000):
         y, theta = sim._simulate_responses(design, scen, model, rng)
-        fit = fit_model(design.with_responses(y), with_fourth_moments=False)
+        fit = fit_model(design.with_responses(y))
         acc += (fit.theta_hat - theta) ** 2
     smse = acc / 5000
 
@@ -243,7 +243,7 @@ def test_level_one_tracks_independent_truth_simulation():
         design, scen, model, np.random.default_rng(3141)
     )
     d_one = design.with_responses(y_one)
-    fit_one = fit_model(d_one, with_fourth_moments=True)
+    fit_one = fit_model(d_one)
     cfg = BootstrapConfig(b1=2000, b2=1, c=1, master_seed=8)
     u_hat, _ = mse_single(d_one, fit_one, cfg)
     assert abs(u_hat.mean() - smse.mean()) < 0.12 * smse.mean()
@@ -302,7 +302,7 @@ def test_failed_world_is_masked_and_excluded(monkeypatch, fitted):
         d_star, theta_star = _brute.draw_world(
             d, fit.mu, fit.beta, u_dist, v_dist, rng
         )
-        refit = fit_model(d_star, with_fourth_moments=False)
+        refit = fit_model(d_star)
         acc += (refit.theta_hat - theta_star) ** 2
     np.testing.assert_allclose(u_hat, acc / (cfg.b1 - 1), rtol=1e-12)
 
@@ -343,7 +343,7 @@ def test_outer_world_whose_inner_worlds_all_fail_counts_once(monkeypatch, fitted
             continue
         rng = streams.substream(cfg.master_seed, streams.OUTER, b)
         d_star, _ = _brute.draw_world(d, fit.mu, fit.beta, u_dist, v_dist, rng)
-        outer = fit_model(d_star, with_fourth_moments=True)
+        outer = fit_model(d_star)
         laws = (
             nb.make_distribution(outer.sigma2_u, outer.gamma_u),
             nb.make_distribution(outer.sigma2_v, outer.gamma_v),
@@ -351,7 +351,7 @@ def test_outer_world_whose_inner_worlds_all_fail_counts_once(monkeypatch, fitted
         for el in range(cfg.c):
             rng = streams.substream(cfg.master_seed, streams.INNER, b, el)
             d_in, theta = _brute.draw_world(d, outer.mu, outer.beta, *laws, rng)
-            refit = fit_model(d_in, with_fourth_moments=False)
+            refit = fit_model(d_in)
             vacc += (refit.theta_hat - theta) ** 2 / cfg.c
     np.testing.assert_allclose(res.mse_double, vacc / (cfg.b2 - 1), rtol=1e-10)
 

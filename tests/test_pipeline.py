@@ -79,3 +79,27 @@ def test_every_export_resolves():
     missing = [name for name in nerboot.__all__ if not hasattr(nerboot, name)]
     assert missing == []
     assert len(set(nerboot.__all__)) == len(nerboot.__all__)
+
+
+def test_readme_library_quickstart_runs():
+    # the README's "Library quickstart" and run_study snippets, through the
+    # names they use, on a small design at desk sizes
+    import nerboot as nb
+    from nerboot import simulate as sim
+
+    assert len(nb.__all__) <= 25
+    d0 = random_ragged_dataset(4, n=10, r=2)
+    labels, x, y, s = np.repeat(np.arange(d0.n), d0.sizes), d0.x, d0.y, d0.s
+
+    d = nb.from_arrays(labels, x, y, s)
+    fit = nb.fit_model(d)
+    assert fit.theta_hat.shape == fit.naive_mse.shape == (10,)
+    cfg = nb.BootstrapConfig.desk_scale(master_seed=12345)
+    fit, res = nb.mspe_report(d, cfg)
+    assert np.all(res.corrected_robust > 0)
+
+    scen = sim.Scenario.from_ratio(n=10, ratio=1.0)
+    cfg = nb.BootstrapConfig.desk_scale(master_seed=7)
+    study = sim.run_study(scen, sim.error_model("m1"), cfg, replicates=2, jobs=1)
+    for name in ("naive", "robust"):
+        assert np.isfinite(study.metrics[name].rb_median)

@@ -3,12 +3,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import nerboot as nb
+from nerboot.model import summarize
 from nerboot.pipeline import predict, ridge_floor
 
 
-def eblup(cs, fe, sigma2_u, sigma2_v):
-    theta_hat, rho, naive_mse = predict(cs, fe.mu, fe.beta, sigma2_u, sigma2_v)
+def eblup(d, fe, sigma2_u, sigma2_v):
+    theta_hat, rho, naive_mse = predict(
+        d, summarize(d, d.y), fe.mu, fe.beta, sigma2_u, sigma2_v
+    )
     return SimpleNamespace(theta_hat=theta_hat, rho=rho, naive_mse=naive_mse)
 
 
@@ -16,37 +18,34 @@ def naive_mse(sigma2_u, sigma2_v, a):
     """psi_0 of ``predict`` for clusters with a_i = ``a`` (an array)."""
     a = np.asarray(a, dtype=float)
     zeros = np.zeros((a.size, 1))
-    cs = nb.ClusterSummaries(a=a, x_bar=zeros, y_bar=zeros[:, 0], x_under=zeros)
-    return predict(cs, 0.0, np.zeros(1), sigma2_u, sigma2_v)[2]
+    d = SimpleNamespace(design=SimpleNamespace(a=a, x_bar=zeros, x_under=zeros))
+    return predict(d, zeros[:, 0], 0.0, np.zeros(1), sigma2_u, sigma2_v)[2]
 
 
 def test_shrinkage_factor_values(benchmark_fixture):
     d = benchmark_fixture
-    cs = nb.summarize(d)
     fe = SimpleNamespace(mu=0.0, beta=np.array([1.0]))
-    pred = eblup(cs, fe, 1.0, 1.0)
+    pred = eblup(d, fe, 1.0, 1.0)
     np.testing.assert_allclose(pred.rho, 0.75, rtol=1e-12)  # a_i = 3
     np.testing.assert_allclose(pred.naive_mse, 0.25, rtol=1e-12)
 
 
 def test_zero_cluster_variance_gives_synthetic_predictor(benchmark_fixture):
     d = benchmark_fixture
-    cs = nb.summarize(d)
     fe = SimpleNamespace(mu=0.3, beta=np.array([0.7]))
-    pred = eblup(cs, fe, 0.0, 1.0)
+    pred = eblup(d, fe, 0.0, 1.0)
     assert np.all(pred.rho == 0.0)
     assert np.all(pred.naive_mse == 0.0)
     np.testing.assert_allclose(
-        pred.theta_hat, 0.3 + cs.x_under[:, 0] * 0.7, rtol=1e-12
+        pred.theta_hat, 0.3 + d.design.x_under[:, 0] * 0.7, rtol=1e-12
     )
 
 
 def test_ridge_floor_keeps_rho_near_one(benchmark_fixture):
     d = benchmark_fixture
-    cs = nb.summarize(d)
     fe = SimpleNamespace(mu=0.0, beta=np.array([1.0]))
     floor_v = ridge_floor(60) / (180 - 60 - 1)
-    pred = eblup(cs, fe, 1.0, floor_v)
+    pred = eblup(d, fe, 1.0, floor_v)
     assert np.all(pred.rho > 0.999)
 
 
@@ -67,13 +66,12 @@ def test_naive_mse_harmonic_bound_and_monotonicity():
 
 def test_endpoint_interpolation(benchmark_fixture):
     d = benchmark_fixture
-    cs = nb.summarize(d)
     fe = SimpleNamespace(mu=0.1, beta=np.array([0.9]))
-    synthetic = fe.mu + cs.x_under @ fe.beta
-    direct_gap = cs.y_bar - fe.mu - cs.x_bar @ fe.beta
+    synthetic = fe.mu + d.design.x_under @ fe.beta
+    direct_gap = summarize(d, d.y) - fe.mu - d.design.x_bar @ fe.beta
 
-    pred0 = eblup(cs, fe, 0.0, 1.0)  # rho = 0 exactly
+    pred0 = eblup(d, fe, 0.0, 1.0)  # rho = 0 exactly
     np.testing.assert_allclose(pred0.theta_hat, synthetic, rtol=1e-12)
 
-    pred1 = eblup(cs, fe, 1e12, 1.0)  # rho -> 1
+    pred1 = eblup(d, fe, 1e12, 1.0)  # rho -> 1
     np.testing.assert_allclose(pred1.theta_hat, synthetic + direct_gap, rtol=1e-9)

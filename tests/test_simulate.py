@@ -152,6 +152,14 @@ def test_run_study_single_only():
     assert np.all(np.isnan(study.records[:, :, 4]))
 
 
+@pytest.mark.parametrize("replicates, jobs", [(0, 1), (2, 0), (2, -2)])
+def test_run_study_rejects_counts_below_one(replicates, jobs):
+    scen = Scenario.from_ratio(n=8, ratio=1.0)
+    cfg = BootstrapConfig(b1=3, b2=1, c=1, master_seed=5)
+    with pytest.raises(ValueError, match="at least one"):
+        run_study(scen, error_model("m1"), cfg, replicates=replicates, jobs=jobs)
+
+
 def test_run_study_parallel_matches_serial():
     scen = Scenario.from_ratio(n=10, ratio=1.0)
     cfg = BootstrapConfig(b1=4, b2=2, c=2, master_seed=31)
@@ -168,13 +176,12 @@ def test_pickled_design_gives_identical_replicates():
     import pickle
 
     from nerboot import simulate, streams
-    from nerboot.pipeline import fit_model
 
     scen = Scenario.from_ratio(n=10, ratio=0.5)
     model = error_model("m3")
     cfg = BootstrapConfig(b1=4, b2=2, c=3, master_seed=17)
     design = make_design(scen, streams.substream(cfg.master_seed, streams.DESIGN))
-    fit_model(design, cfg.ridge, with_fourth_moments=True)  # run_study's prebuild
+    design.design  # run_study's prebuild
     prebuilt = set(design._cache)
     assert prebuilt == {"design"}
     clone = pickle.loads(pickle.dumps(design))

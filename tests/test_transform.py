@@ -117,7 +117,7 @@ def test_sse1_invariant_to_dropped_observation(seed):
     # the T-form SSE1 of the oracle does not depend on which observation each
     # cluster drops, and equals the kernel's all-rows within regression
     d = random_ragged_dataset(seed)
-    base = fit_model(d, with_fourth_moments=False).sse1
+    base = fit_model(d).sse1
     rng = np.random.default_rng(seed + 100)
     for _ in range(3):
         dropped = np.array([rng.integers(0, m) for m in d.sizes])
@@ -128,5 +128,5 @@ def test_sse1_invariant_to_dropped_observation(seed):
 def test_sse1_matches_dense_oracle():
     for seed in (1, 2):
         d = random_ragged_dataset(seed)
-        sse1 = fit_model(d, with_fourth_moments=False).sse1
+        sse1 = fit_model(d).sse1
         assert sse1 == pytest.approx(_brute.sse1_dense(d), rel=1e-10)

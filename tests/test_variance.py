@@ -9,7 +9,7 @@ from conftest import benchmark_dataset, random_ragged_dataset
 
 
 def _variances(d):
-    return fit_model(d, with_fourth_moments=False)
+    return fit_model(d)
 
 
 def test_noise_free_data_hits_ridge_floor():
@@ -81,7 +81,7 @@ def test_unbiasedness_smoke_monte_carlo():
         u = rng.standard_normal(30)
         v = rng.standard_normal(90)
         y = design.x[:, 0] + np.repeat(u, 3) + v
-        fit = fit_model(design.with_responses(y), with_fourth_moments=False)
+        fit = fit_model(design.with_responses(y))
         vals[k] = fit.sigma2_v
     se = vals.std(ddof=1) / np.sqrt(reps)
     assert abs(vals.mean() - 1.0) < 3 * se
@@ -98,7 +98,7 @@ def test_consistency_sweep_rmse_nonincreasing():
             u = rng.standard_normal(n)
             v = rng.standard_normal(3 * n)
             y = design.x[:, 0] + np.repeat(u, 3) + v
-            fit = fit_model(design.with_responses(y), with_fourth_moments=False)
+            fit = fit_model(design.with_responses(y))
             errs.append(
                 (fit.sigma2_u - 1.0) ** 2 + (fit.sigma2_v - 1.0) ** 2
             )
