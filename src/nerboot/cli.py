@@ -7,7 +7,8 @@ diagnostics go to stderr.  Exit codes: 0 success, 2 usage/validation,
 3 data error, 4 numerical failure.
 
 All randomness flows from ``--seed``; when omitted, a seed is drawn from
-system entropy and printed so the run can be reproduced.  Every option of
+system entropy, once every other argument has been checked, and printed so
+the run can be reproduced.  Every option of
 ``fit`` and ``simulate`` may also be set in a flat ``key = value`` config
 file (``--config``); its values become the options' defaults, so flags win.
 """
@@ -19,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from .errors import DataError, NumericalError
 from .model import Dataset, read_csv_dataset
 from .mspe import BootstrapConfig, DoubleBootstrapResult, mspe_report
 from .pipeline import WorldFits
-from .streams import MAX_SEED, draw_master_seed
+from .streams import MAX_SEED, draw_master_seed, substream
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -163,7 +164,7 @@ def _cluster_table(d: Dataset, fit: WorldFits, res: DoubleBootstrapResult) -> di
     }
 
 
-def _report_json(table: dict, fit, res, cfg: BootstrapConfig, seed: int) -> dict:
+def _report_json(table: dict, fit, res, cfg: BootstrapConfig) -> dict:
     fitted = ("mu", "sigma2_u", "sigma2_v", "gamma_u", "gamma_v")
     return {
         "global": {"beta": list(fit.beta), **{k: getattr(fit, k) for k in fitted}},
@@ -175,7 +176,7 @@ def _report_json(table: dict, fit, res, cfg: BootstrapConfig, seed: int) -> dict
             "family": cfg.family,
             "g": cfg.g_kind,
             "c_clip": cfg.c_clip,
-            "seed": seed,
+            "seed": cfg.master_seed,
         },
         "clusters": [dict(zip(table, row)) for row in zip(*table.values())],
     }
@@ -188,19 +189,21 @@ def _report_csv(table: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _bootstrap_config(args, seed: int) -> BootstrapConfig:
+def _bootstrap_config(args) -> BootstrapConfig:
+    """The bootstrap settings, each checked before the seed is resolved, so a
+    usage error draws no seed."""
     try:
-        return BootstrapConfig(
+        cfg = BootstrapConfig(
             b1=args.b1, b2=args.b2, c=args.c, family=args.family, g_kind=args.g,
-            c_clip=args.c_clip, master_seed=seed, ridge=(args.ridge_b1, args.ridge_b2),
+            c_clip=args.c_clip, ridge=(args.ridge_b1, args.ridge_b2),
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    return replace(cfg, master_seed=resolve_seed(args.seed))
 
 
 def cmd_fit(args) -> int:
-    seed = resolve_seed(args.seed)
-    cfg = _bootstrap_config(args, seed)
+    cfg = _bootstrap_config(args)
     dataset = read_csv_dataset(args.input)
     print(
         f"fit: {dataset.n} clusters, {dataset.total} observations, r={dataset.r}",
@@ -208,7 +211,7 @@ def cmd_fit(args) -> int:
     )
     fit, res = mspe_report(dataset, cfg)
     table = _cluster_table(dataset, fit, res)
-    payload = _json_dump(_report_json(table, fit, res, cfg, seed))
+    payload = _json_dump(_report_json(table, fit, res, cfg))
     csv_text = _report_csv(table)
     if args.out:
         _write_text(Path(args.out + ".json"), payload)
@@ -279,14 +282,17 @@ def _render_table(summaries: list[dict]) -> str:
 
 
 def cmd_simulate(args) -> int:
-    seed = resolve_seed(args.seed)
-    cfg = _bootstrap_config(args, seed)
-    if args.all_models:
-        model_names = list(simulate.MODEL_NAMES)
-    elif args.model:
-        model_names = [args.model]
-    else:
+    if args.all_models and args.model:
+        raise UsageError("give either --model or --all-models, not both")
+    if not (args.all_models or args.model):
         raise UsageError("choose an error model with --model m1..m8 or --all-models")
+    try:
+        models = [
+            simulate.error_model(name)
+            for name in (simulate.MODEL_NAMES if args.all_models else [args.model])
+        ]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
     for name, least in (("replicates", 1), ("n", 2), ("jobs", 1)):
         value = getattr(args, name)
@@ -311,13 +317,10 @@ def cmd_simulate(args) -> int:
                 "custom ratios need --sigma-u/--sigma-v"
             )
         scenario = simulate.Scenario.from_ratio(n=args.n, ratio=ratio)
+    cfg = _bootstrap_config(args)
 
     summaries, records = [], {}
-    for name in model_names:
-        try:
-            model = simulate.error_model(name)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+    for model in models:
         print(
             f"simulate: model={model.kind} n={args.n} "
             f"sigma2_u={scenario.sigma2_u:g} sigma2_v={scenario.sigma2_v:g} "
@@ -356,7 +359,6 @@ def cmd_simulate(args) -> int:
 def cmd_dist(args) -> int:
     if args.count < 2:  # the MC standard error needs two draws
         raise UsageError(f"--count must be at least 2 (got {args.count})")
-    seed = resolve_seed(args.seed)
     family = args.family.replace("-", "_")
     if family not in mmdist.FAMILIES:
         raise UsageError(
@@ -381,8 +383,7 @@ def cmd_dist(args) -> int:
         out.append(f"df: {_fmt(dist.params['df'])}")
         out.append(f"scale: {_fmt(dist.params['scale'])}")
 
-    rng = np.random.default_rng(seed)
-    draws = mmdist.sample(dist, rng, args.count)
+    draws = mmdist.sample(dist, substream(resolve_seed(args.seed)), args.count)
     out.append(f"empirical moments of {args.count} draws (value +/- MC s.e.):")
     for label, power in (("mean", 1), ("variance", 2), ("fourth moment", 4)):
         vals = draws**power

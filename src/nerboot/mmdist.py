@@ -153,12 +153,13 @@ def sample(dist: MatchedDistribution, rng: np.random.Generator, count: int):
 def sample_worlds(
     u_dist: MatchedDistribution,
     v_dist: MatchedDistribution,
-    states: list,
+    states: np.ndarray,
     count_u: int,
     count_v: int,
 ):
     """U (B, count_u) and V (B, count_v) draws for a block of worlds; world b
-    draws from the PCG64 state ``states[b]`` (see ``streams.replay``).
+    draws from its own generator, seeded by row b of ``states`` (the seed
+    words of ``streams.substream_states``, see ``streams.replay``).
 
     Each world makes the generator calls of ``sample(u_dist, rng, count_u)``
     and then of ``sample(v_dist, rng, count_v)``, so its draws equal that

@@ -19,13 +19,13 @@ Both branches agree at u = v and are strictly positive for u > 0.
 Every bootstrap world gets its own random substream keyed by
 (master_seed, level code, replicate index), with the level code always in
 second position, so results are reproducible and independent of execution
-order.  The PCG64 states of many worlds are derived in one
+order.  The seed words of many worlds are derived in one
 ``streams.substream_states`` call -- all b1 level-one worlds, all b2 outer
 worlds, and per refit block of outer worlds all their inner worlds,
-ordered (b, l), which bounds the states held at once by the block size
-times c.  Each world then reseeds one generator and draws U and then V
-(``mmdist.sample_worlds``), bit for bit what its own ``streams.substream``
-would give.
+ordered (b, l), which bounds the words held at once by the block size
+times c.  Each world then gets a fresh generator seeded by its words and
+draws U and then V (``mmdist.sample_worlds``), bit for bit what its own
+``streams.substream`` would give.
 
 Every fit is a ``pipeline.WorldFits``, and every level draws around one
 the same way (``_keyed_draw``): its (mu, beta), the laws matched to its
@@ -154,15 +154,15 @@ def _responses(d: Dataset, mu, beta, u_star, v_star):
     return y_star, theta_star
 
 
-def _draw_worlds(d: Dataset, mu, beta, laws: tuple, states: list):
+def _draw_worlds(d: Dataset, mu, beta, laws: tuple, states: np.ndarray):
     """Synthetic response rows (B, N) on the same design and the true theta
     (B, n); world b draws U before V, from the matched ``laws`` (U, V), with
-    the PCG64 state ``states[b]``."""
+    the seed words ``states[b]``."""
     u_star, v_star = sample_worlds(*laws, states, d.n, d.total)
     return _responses(d, mu, beta, u_star, v_star)
 
 
-def _keyed_draw(d: Dataset, fit: WorldFits, family: str, states: list):
+def _keyed_draw(d: Dataset, fit: WorldFits, family: str, states: np.ndarray):
     """The level engine's ``draw(lo, hi)`` for the worlds keyed by ``states``
     around one fit: its (mu, beta) and the laws matched to its second and
     fourth moments, U first."""
@@ -187,7 +187,7 @@ def _check_failures(failed: int, attempted: int, level: str) -> None:
 
 
 def _level_states(cfg: BootstrapConfig, level: int, key_prefix: tuple, *axes):
-    """PCG64 states of the worlds keyed (level, *key_prefix, *index), one
+    """Seed words of the worlds keyed (level, *key_prefix, *index), one row
     per index in the product of the ranges ``axes``, in row-major order."""
     grid = np.meshgrid(*[np.asarray(axis) for axis in axes], indexing="ij")
     index = np.stack(grid, axis=-1).reshape(-1, len(axes))

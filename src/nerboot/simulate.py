@@ -175,20 +175,24 @@ def _simulate_responses(d: Dataset, scenario, model, rng):
     return _responses(d, MU, np.asarray(BETA), u, v)
 
 
-def run_truth(scenario: Scenario, model: ErrorModel, replicates: int, rng):
+def run_truth(
+    scenario: Scenario, model: ErrorModel, replicates: int, master_seed: int
+):
     """Per-cluster SMSE from a pure truth simulation (no bootstrap).
 
-    ``rng`` may be a Generator or an integer seed.  The covariate design is
-    drawn once, then held fixed across replicates.  Replicates draw from
-    ``rng`` in order and are refitted by the level engine.
+    The worlds are those of ``run_study`` at the same master seed: the
+    covariate design from key (DESIGN,), replicate r from key (STUDY, r).
+    The level engine refits them in blocks, so the result equals that
+    study's ``smse`` up to rounding.
     """
-    rng = np.random.default_rng(rng)  # returns a Generator unchanged
-    design = make_design(scenario, rng)
+    design = make_design(scenario, streams.substream(master_seed, streams.DESIGN))
 
     def draw(lo, hi):
-        y, theta = zip(
-            *[_simulate_responses(design, scenario, model, rng) for _ in range(lo, hi)]
+        reps = np.arange(lo, hi)[:, None]
+        rngs = streams.replay(
+            streams.substream_states(master_seed, streams.STUDY, tails=reps)
         )
+        y, theta = zip(*[_simulate_responses(design, scenario, model, g) for g in rngs])
         return np.stack(y), np.stack(theta)
 
     acc, failed = squared_error(design, draw, replicates)

@@ -12,10 +12,11 @@ contract that makes parallel runs bit-identical to serial ones.
 to a whole level of bootstrap worlds at once: keys that share a prefix and
 differ in their trailing components go through ``SeedSequence``'s entropy
 mixing and state generation as uint32 column arithmetic, one array
-operation per step for all keys, then through PCG64's seeding step, giving
-each world's PCG64 ``(state, inc)``.
-``replay`` reseeds one generator to each state in turn; world b then draws
-exactly what ``substream(*key_b)`` would.
+operation per step for all keys, giving each world's
+``generate_state(4, uint64)`` words.  ``replay`` hands each row of words to
+numpy's own PCG64 seeding, so world b's generator draws exactly what
+``substream(*key_b)`` would.  This module is the only one that makes
+generators.
 
 Key layout: the component after the master seed is one of the purpose
 codes below, so streams of different purposes never share a key; a study
@@ -24,14 +25,14 @@ indices come last.
 """
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # purpose codes; keep stable across releases, outputs depend on them
-TRUTH = 1        # (TRUTH, replicate)            truth-simulation error draws
 SINGLE = 2       # (SINGLE, b)                   level-one bootstrap world b
 OUTER = 3        # (OUTER, b)                    double-bootstrap outer world b
 INNER = 4        # (INNER, b, l)                 inner world l around outer b
 DESIGN = 5       # (DESIGN,)                     covariate design of a study
-STUDY = 6        # (STUDY, replicate)            per-replicate study error draws
+STUDY = 6        # (STUDY, replicate)            per-replicate study and truth draws
 # inside a study: (SINGLE, replicate, b), (OUTER, replicate, b) and
 # (INNER, replicate, b, l)
 
@@ -47,9 +48,6 @@ _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
 _MASK32 = 2**32 - 1
-# PCG64's 128-bit LCG multiplier
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK128 = 2**128 - 1
 
 
 def substream(master_seed, *key):
@@ -120,28 +118,19 @@ def _pool(entropy: list) -> list:
     return pool
 
 
-def _pcg64_states(pool: list, rows: int) -> list:
-    """PCG64 (state, inc) per row from ``generate_state(4, uint64)`` of the
-    pool and PCG64's srandom_r seeding (two LCG steps from state 0)."""
+def _generate_state(pool: list, rows: int) -> np.ndarray:
+    """``generate_state(4, uint64)`` of each row's pool, as (rows, 4)
+    C-contiguous native uint64: eight uint32 words read little-endian in
+    pairs, as SeedSequence reads them."""
     hashmix = _Hash(_INIT_B, _MULT_B)
-    halves = [
-        np.broadcast_to(hashmix(pool[i % _POOL_SIZE]), rows).astype(np.uint64)
-        for i in range(8)
-    ]
-    seed = [
-        (halves[2 * j + 1] << np.uint64(32) | halves[2 * j]).tolist() for j in range(4)
-    ]
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*seed):
-        inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
-        state = (((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT) + inc) & _MASK128
-        states.append((state, inc))
-    return states
+    halves = [np.broadcast_to(hashmix(pool[i % _POOL_SIZE]), rows) for i in range(8)]
+    return np.stack(halves, axis=1).astype("<u4").view("<u8").astype(np.uint64)
 
 
-def substream_states(master_seed, *key_prefix, tails) -> list:
-    """PCG64 ``(state, inc)`` of ``substream(master_seed, *key_prefix, *t)``
-    for every row t of the (B, k) integer array ``tails``, in row order.
+def substream_states(master_seed, *key_prefix, tails) -> np.ndarray:
+    """Seed words of ``substream(master_seed, *key_prefix, *t)`` for every
+    row t of the (B, k) integer array ``tails``: a (B, 4) uint64 array whose
+    row b is that key's ``SeedSequence.generate_state(4, np.uint64)``.
 
     Trailing components must lie in [0, 2**32), so that each is one entropy
     word and every row shares one entropy layout; prefix components may be
@@ -156,19 +145,22 @@ def substream_states(master_seed, *key_prefix, tails) -> list:
         raise ValueError("trailing key components must be in [0, 2**32)")
     entropy = [np.array([w], dtype=np.uint32) for w in prefix]
     entropy += [tails[:, j].astype(np.uint32) for j in range(tails.shape[1])]
-    return _pcg64_states(_pool(entropy), len(tails))
+    return _generate_state(_pool(entropy), len(tails))
+
+
+class _Seed(ISeedSequence):
+    """The seed words of one key, already generated; PCG64 reads the
+    C-contiguous uint64 buffer directly."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 def replay(states):
-    """One Generator, reseeded to each PCG64 ``(state, inc)`` in turn; draw
-    from it before advancing the iteration."""
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    for state, inc in states:
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
+    """A fresh Generator per row of ``substream_states``, in row order: row b
+    seeds PCG64 as its key's ``SeedSequence`` would."""
+    for words in states:
+        yield np.random.Generator(np.random.PCG64(_Seed(words)))

@@ -198,14 +198,46 @@ def test_fit_invalid_ridge_is_usage_error(fixture_csv, tmp_path, capsys, bad):
         ["simulate", "--model", "m1", "--n", "1", "--seed", "1"],
         ["simulate", "--model", "m1", "--jobs", "0", "--seed", "1"],
         ["simulate", "--model", "m1", "--jobs", "-2", "--seed", "1"],
+        # without --seed: rejected before a seed is drawn
+        ["simulate", "--model", "m1", "--n", "0"],
+        ["dist", "three-point", "1", "3", "--count", "1"],
     ],
 )
 def test_bad_counts_are_usage_errors(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert "at least" in captured.err
+    assert "seed:" not in captured.err
     assert "simulate: model" not in captured.err  # rejected before the banner
     assert "nan" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["simulate", "--model", "m9"], "", "unknown error model 'm9'"),
+        (["dist", "gaussian", "1", "3"], "", "family must be one of"),
+        (["dist", "three-point", "nan", "3"], "", "must be finite"),
+        (["dist", "student-t", "1", "3"], "", "requires z4/z2^2 > 3"),
+        (
+            ["simulate", "--model", "m1", "--sigma-u", "-1", "--sigma-v", "1"],
+            "",
+            "must be finite and >= 0",
+        ),
+        (["simulate", "--model", "m1", "--b1", "0"], "", "must all be >= 1"),
+        (["simulate", "--model", "m1", "--all-models"], "", "not both"),
+        (["simulate", "--model", "m1"], "all_models = true\n", "not both"),
+        (["simulate", "--all-models"], "model = m1\n", "not both"),
+    ],
+)
+def test_usage_errors_draw_no_seed(argv, config, message, tmp_path, capsys):
+    if config:
+        (tmp_path / "run.conf").write_text(config)
+        argv = argv + ["--config", str(tmp_path / "run.conf")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert "seed:" not in err and "simulate: model" not in err
 
 
 def test_bad_jobs_from_config_is_usage_error(tmp_path, capsys):
@@ -298,15 +330,15 @@ def test_unknown_config_key_is_usage_error(fixture_csv, tmp_path, capsys, argv, 
 
 def test_bootstrap_defaults_come_from_bootstrap_config():
     parser = nerboot.cli.build_parser()
-    fit_args = parser.parse_args(["fit", "data.csv"])
-    sim_args = parser.parse_args(["simulate"])
-    cfg = nerboot.cli._bootstrap_config(fit_args, 5)
+    fit_args = parser.parse_args(["fit", "data.csv", "--seed", "5"])
+    sim_args = parser.parse_args(["simulate", "--seed", "5"])
+    cfg = nerboot.cli._bootstrap_config(fit_args)
     assert cfg == BootstrapConfig(master_seed=5)
-    cfg = nerboot.cli._bootstrap_config(sim_args, 5)
+    cfg = nerboot.cli._bootstrap_config(sim_args)
     assert cfg == BootstrapConfig.desk_scale(5)
     # an unset ridge component keeps its default
-    ridge_args = parser.parse_args(["simulate", "--ridge-b2", "3"])
-    cfg = nerboot.cli._bootstrap_config(ridge_args, 5)
+    ridge_args = parser.parse_args(["simulate", "--ridge-b2", "3", "--seed", "5"])
+    cfg = nerboot.cli._bootstrap_config(ridge_args)
     assert cfg.ridge == (DEFAULT_RIDGE[0], 3.0)
 
 

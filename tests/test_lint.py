@@ -1,5 +1,5 @@
 """Every name a library module imports, and every private name it defines at
-module level, is used in that module."""
+module level, is used in that module; only ``streams`` makes generators."""
 
 import ast
 from pathlib import Path
@@ -84,4 +84,46 @@ def test_unused_private_name_is_reported():
     )
     assert _unused_private_names(source) == [
         "line 2: _B", "line 6: _stale", "line 8: _Old"
+    ]
+
+
+# constructors of numpy generators, bit generators and seed sequences
+GENERATOR_MAKERS = {"default_rng", "SeedSequence", "PCG64", "Generator"}
+
+
+def _generator_calls(source: str) -> list:
+    """Calls of a ``GENERATOR_MAKERS`` name; annotations are not calls."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        if name in GENERATOR_MAKERS:
+            found.append(f"line {node.lineno}: {name}")
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in Path(nerboot.__file__).parent.glob("*.py") if p.name != "streams.py"],
+    ids=lambda path: path.name,
+)
+def test_only_streams_makes_generators(path):
+    assert _generator_calls(path.read_text()) == []
+
+
+def test_generator_call_is_reported():
+    source = (
+        "import numpy as np\n"
+        "from numpy.random import PCG64, Generator\n"
+        "def draw(rng: np.random.Generator) -> np.random.Generator:\n"
+        "    return np.random.default_rng(3), Generator(PCG64(1))\n"
+        "seq = np.random.SeedSequence(5)\n"
+    )
+    assert _generator_calls(source) == [
+        "line 4: Generator",
+        "line 4: PCG64",
+        "line 4: default_rng",
+        "line 5: SeedSequence",
     ]

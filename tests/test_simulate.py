@@ -82,23 +82,34 @@ def test_make_design_shape():
 
 def test_run_truth_zero_noise_scenario():
     scen = Scenario(n=10, sigma2_u=0.0, sigma2_v=0.0)
-    smse = run_truth(scen, error_model("m1"), replicates=20, rng=4)
+    smse = run_truth(scen, error_model("m1"), replicates=20, master_seed=4)
     np.testing.assert_allclose(smse, 0.0, atol=1e-18)
 
 
 def test_run_truth_determinism():
     scen = Scenario.from_ratio(n=15, ratio=1.0)
-    a = run_truth(scen, error_model("m3"), replicates=50, rng=9)
-    b = run_truth(scen, error_model("m3"), replicates=50, rng=9)
+    a = run_truth(scen, error_model("m3"), replicates=50, master_seed=9)
+    b = run_truth(scen, error_model("m3"), replicates=50, master_seed=9)
     np.testing.assert_array_equal(a, b)
 
 
 def test_run_truth_exceeds_leading_term():
     # true MSE is psi_0 + O(1/n) with a positive 1/n part; psi_0 = 0.25 here
     scen = Scenario.from_ratio(n=60, ratio=1.0)
-    smse = run_truth(scen, error_model("m1"), replicates=1500, rng=123)
+    smse = run_truth(scen, error_model("m1"), replicates=1500, master_seed=123)
     assert smse.mean() > 0.25
     assert smse.mean() == pytest.approx(0.25, abs=0.02)
+
+
+@pytest.mark.parametrize(
+    "n, model, ratio, seed",
+    [(20, "m3", 0.5, 11), (60, "m1", 1.0, 20060401)],  # the latter: criterion 6
+)
+def test_run_truth_draws_the_worlds_of_run_study(n, model, ratio, seed):
+    scen, law = Scenario.from_ratio(n=n, ratio=ratio), error_model(model)
+    cfg = BootstrapConfig(b1=1, b2=1, c=1, master_seed=seed)
+    study = run_study(scen, law, cfg, 40, double=False, jobs=1)
+    np.testing.assert_allclose(run_truth(scen, law, 40, seed), study.smse, rtol=1e-12)
 
 
 def test_oracle_estimator_has_zero_rb_cv():

@@ -30,6 +30,15 @@ def test_batched_states_replay_default_rng(seed):
                 np.testing.assert_array_equal(rng.random(7), expected)
 
 
+def test_replayed_generators_are_independent_objects():
+    # every generator is collected before any draws: each keeps its own stream
+    states = streams.substream_states(9, streams.STUDY, tails=np.arange(5)[:, None])
+    generators = list(streams.replay(states))
+    for t, rng in enumerate(generators):
+        expected = streams.substream(9, streams.STUDY, t).random(4)
+        np.testing.assert_array_equal(rng.random(4), expected)
+
+
 def test_batched_states_reject_what_default_rng_rejects():
     with pytest.raises(ValueError):
         np.random.default_rng([3, streams.SINGLE, -1])
@@ -42,7 +51,7 @@ def test_batched_states_reject_what_default_rng_rejects():
     # a trailing component of two entropy words would change the layout
     with pytest.raises(ValueError):
         streams.substream_states(3, streams.SINGLE, tails=np.array([[1], [2**32]]))
-    assert streams.substream_states(3, tails=np.zeros((0, 1), int)) == []
+    assert len(streams.substream_states(3, tails=np.zeros((0, 1), int))) == 0
 
 
 @pytest.mark.parametrize(
