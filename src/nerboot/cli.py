@@ -372,7 +372,7 @@ def cmd_dist(args) -> int:
     except DataError as exc:
         raise UsageError(str(exc)) from None
 
-    out = [f"family: {dist.family}", f"z2: {_fmt(dist.z2)}", f"z4: {_fmt(dist.z4)}"]
+    out = [f"family: {dist.family}", f"z2: {_fmt(args.z2)}", f"z4: {_fmt(args.z4)}"]
     if dist.family == mmdist.THREE_POINT:
         p, atom = dist.params["p"], dist.params["atom"]
         out.append(f"p: {_fmt(p)}")
@@ -434,10 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit a CSV dataset and estimate MSPEs")
     p_fit.add_argument("input", help="CSV with header cluster,y[,s],x1,...,xr")
     p_fit.add_argument("--out", help="output path prefix (writes .json and .csv)")
-    p_fit.add_argument(
-        "--jobs", type=int,
-        help="accepted for interface symmetry; the fit pipeline is single-process",
-    )
     _add_common_bootstrap_flags(p_fit, BootstrapConfig())
     p_fit.set_defaults(func=cmd_fit)
 

@@ -1,4 +1,4 @@
-"""Moment-matching resampling distributions.
+"""The laws the library draws from, and the one sampler that draws them.
 
 A matched distribution is any zero-mean law with prescribed variance z2
 and fourth moment z4 (feasible whenever z2^2 <= z4).  Two families are
@@ -14,6 +14,11 @@ provided:
 Only these two moments matter to the bootstrap bias correction to first
 order, which is why the family choice is a detail rather than a model
 assumption.
+
+The study's eight error laws (``STUDY_LAWS``) share the table of laws: each
+is one generator call, centered and scaled analytically to unit variance,
+then to its sd.  ``sample_worlds`` draws a pair of ``Law``s for a block of
+worlds, one generator per world; ``sample`` is its one-world case.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import streams
 from .errors import KurtosisNotHeavy, MomentInfeasible
 
 log = logging.getLogger(__name__)
@@ -35,10 +39,11 @@ FAMILIES = (THREE_POINT, STUDENT_T)
 
 
 @dataclass(frozen=True)
-class MatchedDistribution:
+class Law:
+    """A zero-mean law: its entry in the table of laws and the parameters
+    its generator calls and transform read."""
+
     family: str
-    z2: float
-    z4: float
     params: dict
 
 
@@ -53,7 +58,7 @@ def _check_feasible(z2: float, z4: float) -> None:
         raise MomentInfeasible(f"z4 must be positive when z2 > 0, got {z4}")
 
 
-def make_three_point(z2: float, z4: float) -> MatchedDistribution:
+def make_three_point(z2: float, z4: float) -> Law:
     """Three-point law: 0 w.p. 1-p, +-sqrt(z2/p) w.p. p/2, p = z2^2/z4.
 
     z2 = 0 degenerates to a point mass at zero (p = 0 by convention).
@@ -64,12 +69,10 @@ def make_three_point(z2: float, z4: float) -> MatchedDistribution:
     else:
         p = z2**2 / z4
         atom = math.sqrt(z2 / p)
-    return MatchedDistribution(
-        family=THREE_POINT, z2=float(z2), z4=float(z4), params={"p": p, "atom": atom}
-    )
+    return Law(family=THREE_POINT, params={"p": p, "atom": atom})
 
 
-def make_student_t(z2: float, z4: float) -> MatchedDistribution:
+def make_student_t(z2: float, z4: float) -> Law:
     """Rescaled Student's t matching (z2, z4); needs kurtosis above 3."""
     _check_feasible(z2, z4)
     if z2 <= 0:
@@ -81,14 +84,10 @@ def make_student_t(z2: float, z4: float) -> MatchedDistribution:
         )
     df = (4.0 * kurt - 6.0) / (kurt - 3.0)  # > 4, not necessarily an integer
     scale = math.sqrt(z2 * (df - 2.0) / df)
-    return MatchedDistribution(
-        family=STUDENT_T, z2=float(z2), z4=float(z4), params={"df": df, "scale": scale}
-    )
+    return Law(family=STUDENT_T, params={"df": df, "scale": scale})
 
 
-def make_distribution(
-    z2: float, z4: float, family: str = THREE_POINT
-) -> MatchedDistribution:
+def make_distribution(z2: float, z4: float, family: str = THREE_POINT) -> Law:
     """Family dispatch with the documented fallback.
 
     When ``student_t`` is requested but the kurtosis is not above 3 (or the
@@ -109,66 +108,95 @@ def make_distribution(
     return make_three_point(z2, z4)
 
 
-def _three_point_values(dist: MatchedDistribution, u):
+def _three_point_values(params, u):
     # one table lookup: index 0 (atom) below p/2, 1 (-atom) below p, 2 (0) from p on
-    p, atom = dist.params["p"], dist.params["atom"]
+    p, atom = params["p"], params["atom"]
     return np.array([atom, -atom, 0.0])[np.add(u >= 0.5 * p, u >= p, dtype=np.intp)]
 
 
-def _student_t_values(dist: MatchedDistribution, z, chi2):
-    # gamma-mixture representation of t_df, exact for fractional df
-    return dist.params["scale"] * z / np.sqrt(chi2 / dist.params["df"])
+def _student_t_values(params, z, half_chi2):
+    # gamma-mixture representation of t_df, exact for fractional df; the
+    # chi-square is twice a standard gamma of shape df/2
+    return params["scale"] * z / np.sqrt(2.0 * half_chi2 / params["df"])
 
 
-def _raw_block(dist: MatchedDistribution, worlds: int, count: int) -> list:
-    """Buffers for the generator output of ``count`` draws, one row per world."""
-    calls = 1 if dist.family == THREE_POINT else 2
-    return [np.empty((worlds, count)) for _ in range(calls)]
+def _standard(call, center, spread):
+    """A study law's entry: one generator call, then (x - center) / spread
+    scaled by the law's standard deviation ``sd``."""
+    return (call,), lambda params, x: (x - center) / spread * params["sd"]
 
 
-def _draw_raw(dist: MatchedDistribution, rng, raw: list, b: int) -> None:
-    """World b's generator calls, in order: the family's only sampling code."""
-    if dist.family == THREE_POINT:
-        rng.random(out=raw[0][b])
-        return
-    rng.standard_normal(out=raw[0][b])
-    count = raw[1].shape[1]
-    raw[1][b] = rng.gamma(shape=dist.params["df"] / 2.0, scale=2.0, size=count)
+def _fill(method: str, *args):
+    """The generator call ``method(*args, size)``, copied into a world's row."""
+    return lambda rng, row, _: np.copyto(row, getattr(rng, method)(*args, row.size))
 
 
-def _values(dist: MatchedDistribution, raw: list):
-    if dist.family == THREE_POINT:
-        return _three_point_values(dist, *raw)
-    return _student_t_values(dist, *raw)
+_SQRT_CHI2_5_MEAN = math.sqrt(2.0) * math.gamma(3.0) / math.gamma(2.5)
+
+# law -> (one world's generator calls, in order, each filling that world's
+# row of its own (B, count) buffer; the transform of a block's buffers)
+_LAWS = {
+    THREE_POINT: ((lambda rng, row, params: rng.random(out=row),), _three_point_values),
+    STUDENT_T: (
+        (
+            lambda rng, row, params: rng.standard_normal(out=row),
+            lambda rng, row, params: rng.standard_gamma(params["df"] / 2.0, out=row),
+        ),
+        _student_t_values,
+    ),
+    # the study's error laws, each centered and of unit variance before sd
+    "normal": _standard(lambda rng, row, _: rng.standard_normal(out=row), 0.0, 1.0),
+    "sqrt_chi2_5": _standard(
+        lambda rng, row, _: np.sqrt(rng.chisquare(5.0, row.size), out=row),
+        _SQRT_CHI2_5_MEAN,
+        math.sqrt(5.0 - _SQRT_CHI2_5_MEAN**2),
+    ),
+    "chi2_5": _standard(_fill("chisquare", 5.0), 5.0, math.sqrt(10.0)),
+    "chi2_10": _standard(_fill("chisquare", 10.0), 10.0, math.sqrt(20.0)),
+    "exponential": _standard(_fill("exponential", 1.0), 1.0, 1.0),
+    "neg_chi2_5": _standard(_fill("chisquare", 5.0), 5.0, -math.sqrt(10.0)),
+    "t6": _standard(_fill("standard_t", 6.0), 0.0, math.sqrt(1.5)),
+    "logistic": _standard(_fill("logistic", 0.0, 1.0), 0.0, math.pi / math.sqrt(3.0)),
+}
+
+STUDY_LAWS = tuple(name for name in _LAWS if name not in FAMILIES)
 
 
-def sample(dist: MatchedDistribution, rng: np.random.Generator, count: int):
+def make_study_law(name: str, variance: float) -> Law:
+    """The study law ``name``, scaled to ``variance``."""
+    if name not in STUDY_LAWS:
+        raise ValueError(f"unknown study law {name!r}; expected one of {STUDY_LAWS}")
+    if variance < 0:
+        raise ValueError("variance must be >= 0")
+    return Law(family=name, params={"sd": math.sqrt(variance)})
+
+
+def sample(law: Law, rng: np.random.Generator, count: int):
     """``count`` i.i.d. draws; deterministic given the generator state.  The
-    one-world case of the block draw of ``sample_worlds``."""
-    raw = _raw_block(dist, 1, count)
-    _draw_raw(dist, rng, raw, 0)
-    return _values(dist, raw)[0]
+    one-world case of ``sample_worlds``, with no V draws."""
+    return sample_worlds(law, law, [rng], count, 0)[0][0]
 
 
-def sample_worlds(
-    u_dist: MatchedDistribution,
-    v_dist: MatchedDistribution,
-    states: np.ndarray,
-    count_u: int,
-    count_v: int,
-):
-    """U (B, count_u) and V (B, count_v) draws for a block of worlds; world b
-    draws from its own generator, seeded by row b of ``states`` (the seed
-    words of ``streams.substream_states``, see ``streams.replay``).
+def sample_worlds(u_law: Law, v_law: Law, rngs: list, count_u: int, count_v: int):
+    """U (B, count_u) and V (B, count_v) draws for a block of worlds, world b
+    drawing from its own generator ``rngs[b]``: the only code that calls a
+    law's generator methods.
 
-    Each world makes the generator calls of ``sample(u_dist, rng, count_u)``
-    and then of ``sample(v_dist, rng, count_v)``, so its draws equal that
-    pair of calls bit for bit; the transforms run once on the whole block.
+    Each world makes the generator calls of ``sample(u_law, rng, count_u)``
+    and then of ``sample(v_law, rng, count_v)``, so its draws equal that
+    pair of calls bit for bit; each world writes its own rows of
+    preallocated buffers, and the transforms run once on the whole block.
     """
-    worlds = len(states)
-    u_raw = _raw_block(u_dist, worlds, count_u)
-    v_raw = _raw_block(v_dist, worlds, count_v)
-    for b, rng in enumerate(streams.replay(states)):
-        _draw_raw(u_dist, rng, u_raw, b)
-        _draw_raw(v_dist, rng, v_raw, b)
-    return _values(u_dist, u_raw), _values(v_dist, v_raw)
+    blocks, steps = [], []
+    for law, count in ((u_law, count_u), (v_law, count_v)):
+        calls, _ = _LAWS[law.family]
+        raw = [np.empty((len(rngs), count)) for _ in calls]
+        blocks.append(raw)
+        steps += [(call, buffer, law.params) for call, buffer in zip(calls, raw)]
+    for b, rng in enumerate(rngs):
+        for call, buffer, params in steps:
+            call(rng, buffer[b], params)
+    return tuple(
+        _LAWS[law.family][1](law.params, *raw)
+        for law, raw in zip((u_law, v_law), blocks)
+    )

@@ -23,9 +23,11 @@ order.  The seed words of many worlds are derived in one
 ``streams.substream_states`` call -- all b1 level-one worlds, all b2 outer
 worlds, and per refit block of outer worlds all their inner worlds,
 ordered (b, l), which bounds the words held at once by the block size
-times c.  Each world then gets a fresh generator seeded by its words and
-draws U and then V (``mmdist.sample_worlds``), bit for bit what its own
-``streams.substream`` would give.
+times c.  Each world then gets a fresh generator seeded by its words
+(``streams.replay``), bit for bit its own ``streams.substream``, and
+``_draw_worlds`` hands a block's generators to ``mmdist.sample_worlds``,
+which draws U and then V from each.  ``_draw_worlds`` builds the worlds of
+the study harness too.
 
 Every fit is a ``pipeline.WorldFits``, and every level draws around one
 the same way (``_keyed_draw``): its (mu, beta), the laws matched to its
@@ -154,11 +156,12 @@ def _responses(d: Dataset, mu, beta, u_star, v_star):
     return y_star, theta_star
 
 
-def _draw_worlds(d: Dataset, mu, beta, laws: tuple, states: np.ndarray):
+def _draw_worlds(d: Dataset, mu, beta, laws: tuple, rngs: list):
     """Synthetic response rows (B, N) on the same design and the true theta
-    (B, n); world b draws U before V, from the matched ``laws`` (U, V), with
-    the seed words ``states[b]``."""
-    u_star, v_star = sample_worlds(*laws, states, d.n, d.total)
+    (B, n); world b draws U before V, from ``laws`` (U, V), with the
+    generator ``rngs[b]``.  Every level builds its worlds here: the truth
+    simulation and the study replicates as well as the bootstrap levels."""
+    u_star, v_star = sample_worlds(*laws, rngs, d.n, d.total)
     return _responses(d, mu, beta, u_star, v_star)
 
 
@@ -172,7 +175,9 @@ def _keyed_draw(d: Dataset, fit: WorldFits, family: str, states: np.ndarray):
         make_distribution(float(fit.sigma2_u), float(fit.gamma_u), family),
         make_distribution(float(fit.sigma2_v), float(fit.gamma_v), family),
     )
-    return lambda lo, hi: _draw_worlds(d, fit.mu, fit.beta, laws, states[lo:hi])
+    return lambda lo, hi: _draw_worlds(
+        d, fit.mu, fit.beta, laws, list(streams.replay(states[lo:hi]))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ The study design follows the standard benchmark: clusters of size 3, one
 covariate drawn once from Uniform[1/2, 1] and then held fixed (all metrics
 are per-cluster quantities conditional on the design), mu = 0, beta = 1,
 s = 1, and variance ratios sigma_U^2/sigma_V^2 in {1/2, 1, 2} normalized so
-the larger component is 1.  Eight error models cover normal, skewed,
-heavy-tailed and mixed-sign cases; every law is centered analytically and
-scaled to the scenario variance.
+the larger component is 1.  Eight error models pair the study laws of
+``mmdist`` (normal, skewed, heavy-tailed and mixed-sign cases, each centered
+analytically and scaled to the scenario variance).  Every world, of the
+truth simulation or of a study replicate, is built by ``mspe._draw_worlds``,
+the world builder of the bootstrap levels.
 
 For each replicate the harness records the true and predicted mixed
 effects together with the MSPE estimates, so relative bias
@@ -23,7 +25,6 @@ is bit-identical to serial.
 from __future__ import annotations
 
 import contextlib
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -32,7 +33,8 @@ import numpy as np
 from . import streams
 from .model import Dataset, from_arrays
 from .errors import RankDeficient
-from .mspe import BootstrapConfig, _responses, mse_double, mse_single
+from .mmdist import make_study_law, sample
+from .mspe import BootstrapConfig, _draw_worlds, mse_double, mse_single
 from .pipeline import fit_model, squared_error
 
 # record-log columns, in file order
@@ -44,54 +46,6 @@ RECORD_COLUMNS = (
     "mse_double",
     "mse_bc_robust",
 )
-
-_SQRT_CHI2_5_MEAN = math.sqrt(2.0) * math.gamma(3.0) / math.gamma(2.5)
-_SQRT_CHI2_5_SD = math.sqrt(5.0 - _SQRT_CHI2_5_MEAN**2)
-
-
-def _std_normal(rng, size):
-    return rng.standard_normal(size)
-
-
-def _std_chi2_5(rng, size):
-    return (rng.chisquare(5.0, size) - 5.0) / math.sqrt(10.0)
-
-
-def _std_neg_chi2_5(rng, size):
-    return -_std_chi2_5(rng, size)
-
-
-def _std_chi2_10(rng, size):
-    return (rng.chisquare(10.0, size) - 10.0) / math.sqrt(20.0)
-
-
-def _std_exponential(rng, size):
-    return rng.exponential(1.0, size) - 1.0
-
-
-def _std_sqrt_chi2_5(rng, size):
-    return (np.sqrt(rng.chisquare(5.0, size)) - _SQRT_CHI2_5_MEAN) / _SQRT_CHI2_5_SD
-
-
-def _std_t6(rng, size):
-    return rng.standard_t(6.0, size) / math.sqrt(1.5)
-
-
-def _std_logistic(rng, size):
-    return rng.logistic(0.0, 1.0, size) / (math.pi / math.sqrt(3.0))
-
-
-LAWS = {
-    "normal": _std_normal,
-    "sqrt_chi2_5": _std_sqrt_chi2_5,
-    "chi2_5": _std_chi2_5,
-    "chi2_10": _std_chi2_10,
-    "exponential": _std_exponential,
-    "neg_chi2_5": _std_neg_chi2_5,
-    "t6": _std_t6,
-    "logistic": _std_logistic,
-}
-
 
 @dataclass(frozen=True)
 class ErrorModel:
@@ -127,9 +81,7 @@ def error_model(name: str) -> ErrorModel:
 
 def draw_error(law: str, variance: float, rng: np.random.Generator, count: int):
     """i.i.d. draws from the named law, centered and scaled to ``variance``."""
-    if variance < 0:
-        raise ValueError("variance must be >= 0")
-    return LAWS[law](rng, count) * math.sqrt(variance)
+    return sample(make_study_law(law, variance), rng, count)
 
 
 # the fixed design of the study: clusters of N_I, one covariate from
@@ -168,11 +120,12 @@ def make_design(scenario: Scenario, rng: np.random.Generator) -> Dataset:
     return from_arrays(labels, x, np.zeros(total), np.full(total, S))
 
 
-def _simulate_responses(d: Dataset, scenario, model, rng):
-    """Responses (N,) and true theta (n,) of one truth replicate on ``d``."""
-    u = draw_error(model.u_law, scenario.sigma2_u, rng, scenario.n)
-    v = draw_error(model.v_law, scenario.sigma2_v, rng, d.total)
-    return _responses(d, MU, np.asarray(BETA), u, v)
+def _laws(scenario: Scenario, model: ErrorModel) -> tuple:
+    """The (U, V) laws of the study worlds of one cell."""
+    return (
+        make_study_law(model.u_law, scenario.sigma2_u),
+        make_study_law(model.v_law, scenario.sigma2_v),
+    )
 
 
 def run_truth(
@@ -182,18 +135,19 @@ def run_truth(
 
     The worlds are those of ``run_study`` at the same master seed: the
     covariate design from key (DESIGN,), replicate r from key (STUDY, r).
-    The level engine refits them in blocks, so the result equals that
-    study's ``smse`` up to rounding.
+    The level engine draws and refits them in blocks, so the result equals
+    that study's ``smse`` up to rounding.
     """
+    if replicates < 1:
+        raise ValueError("need at least one replicate")
     design = make_design(scenario, streams.substream(master_seed, streams.DESIGN))
+    laws = _laws(scenario, model)
 
     def draw(lo, hi):
         reps = np.arange(lo, hi)[:, None]
-        rngs = streams.replay(
-            streams.substream_states(master_seed, streams.STUDY, tails=reps)
-        )
-        y, theta = zip(*[_simulate_responses(design, scenario, model, g) for g in rngs])
-        return np.stack(y), np.stack(theta)
+        states = streams.substream_states(master_seed, streams.STUDY, tails=reps)
+        rngs = list(streams.replay(states))
+        return _draw_worlds(design, MU, np.asarray(BETA), laws, rngs)
 
     acc, failed = squared_error(design, draw, replicates)
     if failed:
@@ -275,7 +229,8 @@ def _init_worker(design, scenario, model, cfg, double):
 def _one_replicate(rep: int) -> np.ndarray:
     design, scenario, model, cfg, double = _WORKER["state"]
     rng = streams.substream(cfg.master_seed, streams.STUDY, rep)
-    y, theta = _simulate_responses(design, scenario, model, rng)
+    laws = _laws(scenario, model)
+    (y,), (theta,) = _draw_worlds(design, MU, np.asarray(BETA), laws, [rng])
     d_rep = design.with_responses(y)
     fit = fit_model(d_rep, cfg.ridge)
     rec = np.empty((scenario.n, len(RECORD_COLUMNS)))

@@ -116,9 +116,8 @@ def rank_one_inverse(s, sigma2_u, sigma2_v):
 
 def draw_world(d, mu, beta, u_dist, v_dist, rng):
     """One synthetic world with fixed effects (mu, beta) on the design of
-    ``d``, U drawn before V with
-    ``sample``: (dataset, true theta).  The looped reference for the block
-    draws of the bootstrap engines."""
+    ``d``, U drawn before V with ``sample``: (dataset, true theta).  The
+    looped reference for the block draws of every level."""
     u = sample(u_dist, rng, d.n)
     v = sample(v_dist, rng, d.total)
     y = mu + d.x @ beta + np.repeat(u, d.sizes) + d.s * v

@@ -58,13 +58,11 @@ def test_fit_end_to_end(fixture_csv, tmp_path, capsys):
 
 
 def test_fit_deterministic_across_runs_and_jobs(fixture_csv, tmp_path):
-    out_a, out_b, out_c = (tmp_path / k for k in ("a", "b", "c"))
+    # fit is single-process and takes no --jobs (see test_fit_has_no_jobs_flag)
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(_fit_args(fixture_csv, out_a)) == 0
     assert main(_fit_args(fixture_csv, out_b)) == 0
-    assert main(_fit_args(fixture_csv, out_c) + ["--jobs", "2"]) == 0
-    blob = (tmp_path / "a.json").read_bytes()
-    assert blob == (tmp_path / "b.json").read_bytes()
-    assert blob == (tmp_path / "c.json").read_bytes()
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
@@ -314,6 +312,7 @@ def test_bad_family_or_c_clip_is_usage_error(
         (["fit", "DATA"], "b_1"),
         (["fit", "DATA"], "model"),  # an option of simulate only
         (["simulate", "--model", "m1", "--n", "5"], "input"),  # of fit only
+        (["fit", "DATA"], "jobs"),  # fit is single-process
     ],
 )
 def test_unknown_config_key_is_usage_error(fixture_csv, tmp_path, capsys, argv, key):
@@ -326,6 +325,14 @@ def test_unknown_config_key_is_usage_error(fixture_csv, tmp_path, capsys, argv, 
     err = capsys.readouterr().err
     assert f"unknown config key for {argv[0]}: {key}" in err
     assert not list(tmp_path.glob("run*"))
+
+
+def test_fit_has_no_jobs_flag(fixture_csv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(_fit_args(fixture_csv, tmp_path / "report") + ["--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_bootstrap_defaults_come_from_bootstrap_config():

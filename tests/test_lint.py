@@ -1,5 +1,6 @@
 """Every name a library module imports, and every private name it defines at
-module level, is used in that module; only ``streams`` makes generators."""
+module level, is used in that module; only ``streams`` makes generators, and
+only ``mmdist`` draws from them."""
 
 import ast
 from pathlib import Path
@@ -89,17 +90,23 @@ def test_unused_private_name_is_reported():
 
 # constructors of numpy generators, bit generators and seed sequences
 GENERATOR_MAKERS = {"default_rng", "SeedSequence", "PCG64", "Generator"}
+# the generator methods that the laws of ``mmdist`` draw with
+LAW_DRAWS = {
+    "random", "standard_normal", "standard_gamma", "gamma", "chisquare",
+    "exponential", "standard_t", "logistic",
+}
 
 
-def _generator_calls(source: str) -> list:
-    """Calls of a ``GENERATOR_MAKERS`` name; annotations are not calls."""
+def _calls(source: str, names: set) -> list:
+    """Calls of a function or method named in ``names``; annotations are not
+    calls."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-        if name in GENERATOR_MAKERS:
+        if name in names:
             found.append(f"line {node.lineno}: {name}")
     return sorted(found)
 
@@ -110,7 +117,7 @@ def _generator_calls(source: str) -> list:
     ids=lambda path: path.name,
 )
 def test_only_streams_makes_generators(path):
-    assert _generator_calls(path.read_text()) == []
+    assert _calls(path.read_text(), GENERATOR_MAKERS) == []
 
 
 def test_generator_call_is_reported():
@@ -121,9 +128,33 @@ def test_generator_call_is_reported():
         "    return np.random.default_rng(3), Generator(PCG64(1))\n"
         "seq = np.random.SeedSequence(5)\n"
     )
-    assert _generator_calls(source) == [
+    assert _calls(source, GENERATOR_MAKERS) == [
         "line 4: Generator",
         "line 4: PCG64",
         "line 4: default_rng",
         "line 5: SeedSequence",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in Path(nerboot.__file__).parent.glob("*.py") if p.name != "mmdist.py"],
+    ids=lambda path: path.name,
+)
+def test_only_mmdist_draws_from_generators(path):
+    assert _calls(path.read_text(), LAW_DRAWS) == []
+
+
+def test_law_draw_call_is_reported():
+    source = (
+        "import numpy as np\n"
+        "def draw(rng, n):\n"
+        "    x = rng.uniform(0.5, 1.0, n) + rng.chisquare(5.0, n)\n"
+        "    rng.standard_gamma(3.0, out=x)\n"
+        "    return x * np.random.default_rng(1).random(n)\n"
+    )
+    assert _calls(source, LAW_DRAWS) == [
+        "line 3: chisquare",
+        "line 4: standard_gamma",
+        "line 5: random",
     ]

@@ -12,6 +12,7 @@ import nerboot.streams as streams
 from nerboot.errors import DivisionGuard, TooManyFailures
 from nerboot.mspe import (
     BootstrapConfig,
+    _draw_worlds,
     mse_double,
     mse_single,
     mspe_report,
@@ -229,18 +230,19 @@ def test_level_one_tracks_independent_truth_simulation():
     import nerboot.simulate as sim
 
     scen = sim.Scenario.from_ratio(n=60, ratio=1.0)
-    model = sim.error_model("m1")
+    laws = sim._laws(scen, sim.error_model("m1"))
+    beta = np.asarray(sim.BETA)
     rng = np.random.default_rng(314)
     design = sim.make_design(scen, rng)
     acc = np.zeros(60)
     for _ in range(5000):
-        y, theta = sim._simulate_responses(design, scen, model, rng)
+        (y,), (theta,) = _draw_worlds(design, sim.MU, beta, laws, [rng])
         fit = fit_model(design.with_responses(y))
         acc += (fit.theta_hat - theta) ** 2
     smse = acc / 5000
 
-    y_one, _ = sim._simulate_responses(
-        design, scen, model, np.random.default_rng(3141)
+    (y_one,), _ = _draw_worlds(
+        design, sim.MU, beta, laws, [np.random.default_rng(3141)]
     )
     d_one = design.with_responses(y_one)
     fit_one = fit_model(d_one)

@@ -5,9 +5,9 @@ import pytest
 
 import nerboot.pipeline
 from nerboot.errors import RankDeficient
+from nerboot.mmdist import STUDY_LAWS
 from nerboot.mspe import BootstrapConfig
 from nerboot.simulate import (
-    LAWS,
     RECORD_COLUMNS,
     Scenario,
     _estimator_metrics,
@@ -43,7 +43,40 @@ def test_draw_error_reconstructions():
     np.testing.assert_allclose(neg, -pos, rtol=1e-12)
 
 
-@pytest.mark.parametrize("law", sorted(LAWS))
+_SQRT_CHI2_5_MEAN = math.sqrt(2.0) * math.gamma(3.0) / math.gamma(2.5)
+
+# each study law's standardized draws, written out by hand from numpy's
+# generator calls
+STANDARDIZED = {
+    "normal": lambda rng, k: rng.standard_normal(k),
+    "sqrt_chi2_5": lambda rng, k: (np.sqrt(rng.chisquare(5.0, k)) - _SQRT_CHI2_5_MEAN)
+    / math.sqrt(5.0 - _SQRT_CHI2_5_MEAN**2),
+    "chi2_5": lambda rng, k: (rng.chisquare(5.0, k) - 5.0) / math.sqrt(10.0),
+    "chi2_10": lambda rng, k: (rng.chisquare(10.0, k) - 10.0) / math.sqrt(20.0),
+    "exponential": lambda rng, k: rng.exponential(1.0, k) - 1.0,
+    "neg_chi2_5": lambda rng, k: -((rng.chisquare(5.0, k) - 5.0) / math.sqrt(10.0)),
+    "t6": lambda rng, k: rng.standard_t(6.0, k) / math.sqrt(1.5),
+    "logistic": lambda rng, k: rng.logistic(0.0, 1.0, k) / (math.pi / math.sqrt(3.0)),
+}
+
+
+@pytest.mark.parametrize("law", sorted(STUDY_LAWS))
+def test_study_laws_replay_the_generator_calls(law):
+    assert set(STANDARDIZED) == set(STUDY_LAWS)
+    for variance, count in ((1.0, 1), (1.7, 9), (0.3, 1000)):
+        expected = STANDARDIZED[law](np.random.default_rng(count), count)
+        drawn = draw_error(law, variance, np.random.default_rng(count), count)
+        np.testing.assert_array_equal(drawn, expected * math.sqrt(variance))
+
+
+def test_draw_error_rejects_a_negative_variance_or_an_unknown_law():
+    with pytest.raises(ValueError, match="variance must be >= 0"):
+        draw_error("normal", -1.0, np.random.default_rng(0), 3)
+    with pytest.raises(ValueError, match="unknown study law"):
+        draw_error("three_point", 1.0, np.random.default_rng(0), 3)
+
+
+@pytest.mark.parametrize("law", sorted(STUDY_LAWS))
 def test_all_laws_centered_and_scaled(law):
     draws = draw_error(law, 1.7, np.random.default_rng(11), 400_000)
     se_mean = draws.std(ddof=1) / math.sqrt(len(draws))
@@ -84,6 +117,13 @@ def test_run_truth_zero_noise_scenario():
     scen = Scenario(n=10, sigma2_u=0.0, sigma2_v=0.0)
     smse = run_truth(scen, error_model("m1"), replicates=20, master_seed=4)
     np.testing.assert_allclose(smse, 0.0, atol=1e-18)
+
+
+@pytest.mark.filterwarnings("error")
+def test_run_truth_rejects_zero_replicates():
+    # a zero count would divide by zero: an all-NaN SMSE and a RuntimeWarning
+    with pytest.raises(ValueError, match="at least one replicate"):
+        run_truth(Scenario.from_ratio(5, 1.0), error_model("m1"), 0, 3)
 
 
 def test_run_truth_determinism():

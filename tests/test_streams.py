@@ -10,10 +10,12 @@ from nerboot.mmdist import (
     make_three_point,
 )
 from nerboot.mspe import _draw_worlds
+from nerboot.simulate import Scenario, _laws, error_model
 
 import _brute
 from conftest import benchmark_dataset
 
+STUDY = ("m3", "m6", "m7", "m8")  # the study laws of U and V cover all eight
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
 PREFIXES = ((), (streams.SINGLE,), (streams.INNER, 0), (streams.OUTER, 2**32, 2**70))
 TAILS = np.array([[0, 0], [1, 5], [2**32 - 1, 3], [2**31, 2**32 - 1]], dtype=np.uint64)
@@ -55,7 +57,8 @@ def test_batched_states_reject_what_default_rng_rejects():
 
 
 @pytest.mark.parametrize(
-    "case", ["fallback_u", "three_point", "student_t", "t_then_tp"]
+    "case",
+    ["fallback_u", "three_point", "student_t", "t_then_tp", "m3", "m6", "m7", "m8"],
 )
 def test_block_draws_equal_looped_oracle(case):
     d = benchmark_dataset(n=12, m=3, seed=4)
@@ -70,13 +73,14 @@ def test_block_draws_equal_looped_oracle(case):
         "three_point": (make_three_point(0.5, 0.5), make_three_point(0.7, 1.4)),
         "student_t": (make_student_t(0.5, 0.5**2 * 4.0), heavy_t),
         "t_then_tp": (heavy_t, make_three_point(0.7, 1.4)),
+        **{m: _laws(Scenario.from_ratio(12, 0.5), error_model(m)) for m in STUDY},
     }[case]
     if case == "fallback_u":
         assert [law.family for law in laws] == ["three_point", "student_t"]
     keys = [(2**40 + 9, streams.INNER, 3, b, el) for b in range(3) for el in range(4)]
     tails = np.array([key[3:] for key in keys])
     states = streams.substream_states(2**40 + 9, streams.INNER, 3, tails=tails)
-    y_star, theta_star = _draw_worlds(d, mu, beta, laws, states)
+    y_star, theta_star = _draw_worlds(d, mu, beta, laws, list(streams.replay(states)))
     for k, key in enumerate(keys):
         d_star, theta = _brute.draw_world(d, mu, beta, *laws, streams.substream(*key))
         np.testing.assert_array_equal(y_star[k], d_star.y)
