@@ -40,11 +40,12 @@ FAMILIES = (THREE_POINT, STUDENT_T)
 
 @dataclass(frozen=True)
 class Law:
-    """A zero-mean law: its entry in the table of laws and the parameters
-    its generator calls and transform read."""
+    """A zero-mean law: its entry in the table of laws, the parameters its
+    transform reads and one world's generator calls, in order, as data."""
 
     family: str
     params: dict
+    calls: tuple
 
 
 def _check_feasible(z2: float, z4: float) -> None:
@@ -69,7 +70,7 @@ def make_three_point(z2: float, z4: float) -> Law:
     else:
         p = z2**2 / z4
         atom = math.sqrt(z2 / p)
-    return Law(family=THREE_POINT, params={"p": p, "atom": atom})
+    return Law(THREE_POINT, {"p": p, "atom": atom}, (("random", ()),))
 
 
 def make_student_t(z2: float, z4: float) -> Law:
@@ -84,7 +85,8 @@ def make_student_t(z2: float, z4: float) -> Law:
         )
     df = (4.0 * kurt - 6.0) / (kurt - 3.0)  # > 4, not necessarily an integer
     scale = math.sqrt(z2 * (df - 2.0) / df)
-    return Law(family=STUDENT_T, params={"df": df, "scale": scale})
+    calls = (("standard_normal", ()), ("standard_gamma", (df / 2.0,)))
+    return Law(STUDENT_T, {"df": df, "scale": scale}, calls)
 
 
 def make_distribution(z2: float, z4: float, family: str = THREE_POINT) -> Law:
@@ -111,7 +113,9 @@ def make_distribution(z2: float, z4: float, family: str = THREE_POINT) -> Law:
 def _three_point_values(params, u):
     # one table lookup: index 0 (atom) below p/2, 1 (-atom) below p, 2 (0) from p on
     p, atom = params["p"], params["atom"]
-    return np.array([atom, -atom, 0.0])[np.add(u >= 0.5 * p, u >= p, dtype=np.intp)]
+    index = (u >= 0.5 * p).view(np.uint8)
+    index += u >= p
+    return np.array([atom, -atom, 0.0]).take(index)
 
 
 def _student_t_values(params, z, half_chi2):
@@ -120,46 +124,35 @@ def _student_t_values(params, z, half_chi2):
     return params["scale"] * z / np.sqrt(2.0 * half_chi2 / params["df"])
 
 
-def _standard(call, center, spread):
-    """A study law's entry: one generator call, then (x - center) / spread
-    scaled by the law's standard deviation ``sd``."""
-    return (call,), lambda params, x: (x - center) / spread * params["sd"]
-
-
-def _fill(method: str, *args):
-    """The generator call ``method(*args, size)``, copied into a world's row."""
-    return lambda rng, row, _: np.copyto(row, getattr(rng, method)(*args, row.size))
+def _standard(center, spread, root=False):
+    """A study law's transform: ((x, or its root) - center) / spread * sd."""
+    return lambda p, x: ((np.sqrt(x) if root else x) - center) / spread * p["sd"]
 
 
 _SQRT_CHI2_5_MEAN = math.sqrt(2.0) * math.gamma(3.0) / math.gamma(2.5)
 
-# law -> (one world's generator calls, in order, each filling that world's
-# row of its own (B, count) buffer; the transform of a block's buffers)
-_LAWS = {
-    THREE_POINT: ((lambda rng, row, params: rng.random(out=row),), _three_point_values),
-    STUDENT_T: (
-        (
-            lambda rng, row, params: rng.standard_normal(out=row),
-            lambda rng, row, params: rng.standard_gamma(params["df"] / 2.0, out=row),
-        ),
-        _student_t_values,
+# the study's error laws: name -> (one world's generator call, its transform)
+_STUDY = {
+    "normal": (("standard_normal", ()), _standard(0.0, 1.0)),
+    "sqrt_chi2_5": (
+        ("chisquare", (5.0,)),
+        _standard(_SQRT_CHI2_5_MEAN, math.sqrt(5.0 - _SQRT_CHI2_5_MEAN**2), root=True),
     ),
-    # the study's error laws, each centered and of unit variance before sd
-    "normal": _standard(lambda rng, row, _: rng.standard_normal(out=row), 0.0, 1.0),
-    "sqrt_chi2_5": _standard(
-        lambda rng, row, _: np.sqrt(rng.chisquare(5.0, row.size), out=row),
-        _SQRT_CHI2_5_MEAN,
-        math.sqrt(5.0 - _SQRT_CHI2_5_MEAN**2),
-    ),
-    "chi2_5": _standard(_fill("chisquare", 5.0), 5.0, math.sqrt(10.0)),
-    "chi2_10": _standard(_fill("chisquare", 10.0), 10.0, math.sqrt(20.0)),
-    "exponential": _standard(_fill("exponential", 1.0), 1.0, 1.0),
-    "neg_chi2_5": _standard(_fill("chisquare", 5.0), 5.0, -math.sqrt(10.0)),
-    "t6": _standard(_fill("standard_t", 6.0), 0.0, math.sqrt(1.5)),
-    "logistic": _standard(_fill("logistic", 0.0, 1.0), 0.0, math.pi / math.sqrt(3.0)),
+    "chi2_5": (("chisquare", (5.0,)), _standard(5.0, math.sqrt(10.0))),
+    "chi2_10": (("chisquare", (10.0,)), _standard(10.0, math.sqrt(20.0))),
+    "exponential": (("exponential", (1.0,)), _standard(1.0, 1.0)),
+    "neg_chi2_5": (("chisquare", (5.0,)), _standard(5.0, -math.sqrt(10.0))),
+    "t6": (("standard_t", (6.0,)), _standard(0.0, math.sqrt(1.5))),
+    "logistic": (("logistic", (0.0, 1.0)), _standard(0.0, math.pi / math.sqrt(3.0))),
 }
 
-STUDY_LAWS = tuple(name for name in _LAWS if name not in FAMILIES)
+STUDY_LAWS = tuple(_STUDY)
+
+# law -> the transform of a block's draws, one (B, count) array per call
+_LAWS = {THREE_POINT: _three_point_values, STUDENT_T: _student_t_values}
+_LAWS.update((name, transform) for name, (_, transform) in _STUDY.items())
+
+_FILLS_OUT = {"random", "standard_normal", "standard_gamma"}  # take out=
 
 
 def make_study_law(name: str, variance: float) -> Law:
@@ -168,7 +161,7 @@ def make_study_law(name: str, variance: float) -> Law:
         raise ValueError(f"unknown study law {name!r}; expected one of {STUDY_LAWS}")
     if variance < 0:
         raise ValueError("variance must be >= 0")
-    return Law(family=name, params={"sd": math.sqrt(variance)})
+    return Law(name, {"sd": math.sqrt(variance)}, (_STUDY[name][0],))
 
 
 def sample(law: Law, rng: np.random.Generator, count: int):
@@ -182,21 +175,35 @@ def sample_worlds(u_law: Law, v_law: Law, rngs: list, count_u: int, count_v: int
     drawing from its own generator ``rngs[b]``: the only code that calls a
     law's generator methods.
 
-    Each world makes the generator calls of ``sample(u_law, rng, count_u)``
-    and then of ``sample(v_law, rng, count_v)``, so its draws equal that
-    pair of calls bit for bit; each world writes its own rows of
-    preallocated buffers, and the transforms run once on the whole block.
+    Each world's draws equal those of ``sample(u_law, rng, count_u)`` and
+    then ``sample(v_law, rng, count_v)`` bit for bit, though it makes U's
+    last call and V's first as one call when they are the same method with
+    the same arguments: each method fills element by element and caches no
+    state.  Each world writes its own rows of preallocated buffers, and the
+    transforms run once on the whole block.
     """
-    blocks, steps = [], []
+    steps = []  # (call, the counts of the law calls it makes)
     for law, count in ((u_law, count_u), (v_law, count_v)):
-        calls, _ = _LAWS[law.family]
-        raw = [np.empty((len(rngs), count)) for _ in calls]
-        blocks.append(raw)
-        steps += [(call, buffer, law.params) for call, buffer in zip(calls, raw)]
+        for call in law.calls:
+            if steps and steps[-1][0] == call:
+                steps[-1][1].append(count)
+            else:
+                steps.append((call, [count]))
+    buffers = [np.empty((len(rngs), sum(counts))) for _, counts in steps]
+    fills = [(m, a, m in _FILLS_OUT, buf) for ((m, a), _), buf in zip(steps, buffers)]
     for b, rng in enumerate(rngs):
-        for call, buffer, params in steps:
-            call(rng, buffer[b], params)
-    return tuple(
-        _LAWS[law.family][1](law.params, *raw)
-        for law, raw in zip((u_law, v_law), blocks)
+        for method, args, in_place, buffer in fills:
+            if in_place:
+                getattr(rng, method)(*args, out=buffer[b])
+            else:
+                buffer[b] = getattr(rng, method)(*args, buffer.shape[1])
+    raw = []  # each law call's columns of its step's buffer
+    for (_, counts), buffer in zip(steps, buffers):
+        for count in counts:
+            raw.append(buffer[:, :count])
+            buffer = buffer[:, count:]
+    first_v = len(u_law.calls)
+    return (
+        _LAWS[u_law.family](u_law.params, *raw[:first_v]),
+        _LAWS[v_law.family](v_law.params, *raw[first_v:]),
     )

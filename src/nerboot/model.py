@@ -157,12 +157,12 @@ def _orthonormal_basis(mat: np.ndarray, message: str) -> np.ndarray:
 class _Design:
     """Every design-only array the refit kernel reads; all are read-only.
 
-    Summaries: w = s^-2, a_i = sum_j w_ij, weighted x_bar, unweighted x_under.
+    Summaries: w = s^-2, a_i = sum_j w_ij, x_bar, x_under, each row's cluster.
 
     Uncentered regression of s^-1 y on s^-1 (1, x') (``p_bar_rows``, r_aug
     columns): its residual sum of squares obeys E(SSE2) = K sigma_U^2 +
     (N - r_aug) sigma_V^2, with K = K1 - K2 from the Gram matrix and the
-    cluster sums ``zmat`` = sum_j s^-2 (1, x')', which GLS reuses.
+    cluster sums ``zmat`` = sum_j s^-2 (1, x')', which GLS reuses (``zz``).
 
     Within regression: centering at weighted cluster means leaves each
     cluster's residuals with covariance sigma_V^2 times a projection (the
@@ -188,6 +188,7 @@ class _Design:
             np.add.reduceat(self.w[:, None] * d.x, lo, axis=0) / self.a[:, None]
         )
         self.x_under = np.add.reduceat(d.x, lo, axis=0) / sizes[:, None]
+        self.cluster = np.repeat(np.arange(d.n), sizes)  # of each observation
 
         s_inv = 1.0 / d.s
         x_aug = np.column_stack([np.ones(d.total), d.x])  # (N, r+1)
@@ -200,6 +201,8 @@ class _Design:
         self.k1 = float(np.sum(w_k))
         self.gram = self.p_bar_rows.T @ self.p_bar_rows  # sum_ij s^-2 x~ x~'
         self.zmat = np.add.reduceat(w_k[:, None] * x_aug, lo, axis=0)  # (n, r+1)
+        # per-cluster outer products zmat_i zmat_i', flattened: (n, (r+1)^2)
+        self.zz = (self.zmat[:, :, None] * self.zmat[:, None, :]).reshape(d.n, -1)
         sol = np.linalg.solve(self.gram, self.zmat.T)  # (r+1, n)
         self.k = self.k1 - float(np.sum(self.zmat * sol.T))
         if self.k <= 0:

@@ -21,21 +21,23 @@ Every bootstrap world gets its own random substream keyed by
 second position, so results are reproducible and independent of execution
 order.  The seed words of many worlds are derived in one
 ``streams.substream_states`` call -- all b1 level-one worlds, all b2 outer
-worlds, and per refit block of outer worlds all their inner worlds,
-ordered (b, l), which bounds the words held at once by the block size
-times c.  Each world then gets a fresh generator seeded by its words
+worlds, and per refit block of outer worlds the inner worlds of those that
+refit, ordered (b, l), which bounds the words held at once by the block
+size times c.  Each world then gets a fresh generator seeded by its words
 (``streams.replay``), bit for bit its own ``streams.substream``, and
-``_draw_worlds`` hands a block's generators to ``mmdist.sample_worlds``,
+``_draw_worlds`` hands a run of generators to ``mmdist.sample_worlds``,
 which draws U and then V from each.  ``_draw_worlds`` builds the worlds of
 the study harness too.
 
-Every fit is a ``pipeline.WorldFits``, and every level draws around one
+Every fit is a ``pipeline.WorldFits``, and every world is drawn around one
 the same way (``_keyed_draw``): its (mu, beta), the laws matched to its
-second and fourth moments, then the keyed block draw.  Level one and the
-outer level draw around the original fit; the inner level of outer world k
-draws around ``fits.world(k)``.  Every level runs on the level engine of
-``pipeline``: the outer level reads the block fits of ``refit_level``,
-while level one and each inner level take ``squared_error``.
+second and fourth moments, then the keyed draw.  Level one and the outer
+level draw around the original fit.  The inner level is one pass per refit
+block of outer worlds: the inner worlds of the block's outer worlds that
+refit are drawn, each around its own outer fit, and refitted in blocks
+that may span outer worlds; ``squared_error`` sums them per outer world.
+Every level runs on the level engine of ``pipeline``: the outer level reads
+the block fits of ``refit_level``, the other levels take ``squared_error``.
 Worlds whose refit fails numerically are masked, skipped and counted; more
 than 1% failures at any level aborts the run, since under the ridge
 safeguard failures signal a pathological input.  ``mspe_report`` returns
@@ -59,6 +61,7 @@ from .pipeline import (
     fit_model,
     refit_level,
     ridge_floor,
+    runs,
     squared_error,
 )
 
@@ -147,37 +150,43 @@ def robust_correction(
 # world generation
 # ---------------------------------------------------------------------------
 
-def _responses(d: Dataset, mu, beta, u_star, v_star):
-    """Responses and true theta of worlds with fixed effects (mu, beta),
-    cluster effects ``u_star`` (..., n) and noise ``v_star`` (..., N): one
-    world or a (B, .) block."""
-    y_star = mu + d.x @ beta + np.repeat(u_star, d.sizes, axis=-1) + d.s * v_star
-    theta_star = mu + d.design.x_under @ beta + u_star
-    return y_star, theta_star
-
-
 def _draw_worlds(d: Dataset, mu, beta, laws: tuple, rngs: list):
     """Synthetic response rows (B, N) on the same design and the true theta
-    (B, n); world b draws U before V, from ``laws`` (U, V), with the
-    generator ``rngs[b]``.  Every level builds its worlds here: the truth
-    simulation and the study replicates as well as the bootstrap levels."""
+    (B, n) of worlds with fixed effects (mu, beta); world b draws U before V,
+    from ``laws`` (U, V), with the generator ``rngs[b]``.  Every level builds
+    its worlds here: the truth simulation and the study replicates as well
+    as the bootstrap levels."""
     u_star, v_star = sample_worlds(*laws, rngs, d.n, d.total)
-    return _responses(d, mu, beta, u_star, v_star)
+    y_star = u_star.take(d.design.cluster, axis=1)
+    y_star += mu + d.x @ beta
+    y_star += d.s * v_star
+    return y_star, mu + d.design.x_under @ beta + u_star
 
 
-def _keyed_draw(d: Dataset, fit: WorldFits, family: str, states: np.ndarray):
-    """The level engine's ``draw(lo, hi)`` for the worlds keyed by ``states``
-    around one fit: its (mu, beta) and the laws matched to its second and
-    fourth moments, U first."""
-    if fit.gamma_u is None:
+def _target(fits: WorldFits, family: str, k=()):
+    """(mu, beta, laws (U, V)) of worlds drawn around fit k of a block's fits
+    (of a one-world fit by default): the laws match its moments."""
+    if fits.gamma_u is None:
         raise ValueError("the bootstrap needs a fit with fourth moments")
-    laws = (
-        make_distribution(float(fit.sigma2_u), float(fit.gamma_u), family),
-        make_distribution(float(fit.sigma2_v), float(fit.gamma_v), family),
+    laws = tuple(
+        make_distribution(float(z2[k]), float(z4[k]), family)
+        for z2, z4 in ((fits.sigma2_u, fits.gamma_u), (fits.sigma2_v, fits.gamma_v))
     )
-    return lambda lo, hi: _draw_worlds(
-        d, fit.mu, fit.beta, laws, list(streams.replay(states[lo:hi]))
-    )
+    return fits.mu[k], fits.beta[k], laws
+
+
+def _keyed_draw(d: Dataset, targets: list, states: np.ndarray, per: int):
+    """The level engine's ``draw(lo, hi)`` for the worlds keyed by ``states``,
+    world i around ``targets[i // per]``, one ``_draw_worlds`` call per run."""
+
+    def draw(lo, hi):
+        parts = []
+        for start, end in runs(lo, hi, per):
+            rngs = list(streams.replay(states[start:end]))
+            parts.append(_draw_worlds(d, *targets[start // per], rngs))
+        return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +213,10 @@ def mse_single(
 ) -> tuple[np.ndarray, int]:
     """Level-one bootstrap estimate u-hat of MSE_i; returns (u_hat, failures)."""
     states = _level_states(cfg, streams.SINGLE, key_prefix, range(cfg.b1))
-    draw = _keyed_draw(d, fit, cfg.family, states)
-    acc, failed = squared_error(d, draw, cfg.b1, cfg.ridge)
+    draw = _keyed_draw(d, [_target(fit, cfg.family)], states, cfg.b1)
+    (acc,), (failed,) = squared_error(d, draw, cfg.b1, cfg.ridge)
     _check_failures(failed, cfg.b1, "level-one")
-    return acc / (cfg.b1 - failed), failed
+    return acc / (cfg.b1 - failed), int(failed)
 
 
 def mse_double(
@@ -223,29 +232,23 @@ def mse_double(
     """
     u_hat, fail1 = mse_single(d, fit, cfg, key_prefix)
     outer = _level_states(cfg, streams.OUTER, key_prefix, range(cfg.b2))
-    draw = _keyed_draw(d, fit, cfg.family, outer)
+    draw = _keyed_draw(d, [_target(fit, cfg.family)], outer, cfg.b2)
 
     vacc = np.zeros(d.n)
     outer_failed = inner_attempted = inner_failed = 0
     for lo, _, fits in refit_level(
         d, draw, cfg.b2, cfg.ridge, with_fourth_moments=True
     ):
-        # the inner worlds (b, l) of the block's k-th outer world b are
-        # rows k * c to (k + 1) * c
-        rows = range(lo, lo + len(fits.ok))
-        inner = _level_states(cfg, streams.INNER, key_prefix, rows, range(cfg.c))
-        outer_failed += int(np.count_nonzero(~fits.ok))
-        for k in np.flatnonzero(fits.ok):
-            worlds = inner[k * cfg.c : (k + 1) * cfg.c]
-            acc, failed = squared_error(
-                d, _keyed_draw(d, fits.world(k), cfg.family, worlds), cfg.c, cfg.ridge
-            )
-            inner_attempted += cfg.c
-            inner_failed += failed
-            if failed == cfg.c:
-                outer_failed += 1
-            else:
-                vacc += acc / (cfg.c - failed)
+        ks = np.flatnonzero(fits.ok)  # inner pass: worlds (b, l) of refitted b
+        inner = _level_states(cfg, streams.INNER, key_prefix, lo + ks, range(cfg.c))
+        targets = [_target(fits, cfg.family, k) for k in ks]
+        draw_inner = _keyed_draw(d, targets, inner, cfg.c)
+        acc, failed = squared_error(d, draw_inner, len(inner), cfg.ridge, cfg.c)
+        refit = failed < cfg.c
+        outer_failed += len(fits.ok) - int(np.count_nonzero(refit))
+        inner_attempted += len(inner)
+        inner_failed += int(failed.sum())
+        vacc += np.sum(acc[refit] / (cfg.c - failed[refit, None]), axis=0)
     _check_failures(outer_failed, cfg.b2, "outer")
     _check_failures(inner_failed, inner_attempted, "inner")
 
@@ -256,11 +259,7 @@ def mse_double(
         bias=v_hat - u_hat,
         corrected_simple=2.0 * u_hat - v_hat,
         corrected_robust=robust_correction(u_hat, v_hat, d.n, cfg.g_kind, cfg.c_clip),
-        failures={
-            "single": fail1,
-            "outer": outer_failed,
-            "inner": inner_failed,
-        },
+        failures={"single": fail1, "outer": outer_failed, "inner": inner_failed},
     )
 
 

@@ -37,9 +37,10 @@ raises for them; ``fit_model``, the kernel's ``world(0)`` on the dataset's
 own responses, raises RankDeficient when that one world fails.
 
 Every Monte Carlo level -- the truth simulation, level one, the outer and
-each inner level -- runs on the level engine ``refit_level``, which draws
+the inner level -- runs on the level engine ``refit_level``, which draws
 and refits a level's worlds one block at a time; ``squared_error`` sums
-(theta-hat - theta)^2 on top of it.  Levels differ only in their draws.
+(theta-hat - theta)^2 on top of it, per run of worlds that a block may
+span.  Levels differ only in their draws.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ DEFAULT_RIDGE = (1e-6, 2.0)  # (B1, B2); B1 > 0, B2 >= 2
 
 # Worlds are drawn and refitted in blocks of max(1, CHUNK_ELEMENTS // N)
 # response rows, which bounds the kernel's working memory on large designs.
+# 2^14 keeps each (B, N) float64 temporary within glibc's default mmap
+# threshold of 128 KiB.  On the n = 60 study design, B = 182 cost 12% more
+# per world than B = 91: do not raise it without a paired benchmark.
 CHUNK_ELEMENTS = 2**14
 
 
@@ -100,10 +104,11 @@ def normal_equations(d: Dataset, q_bar, zy, sigma2_u, sigma2_v):
     design = d.design
     s2u, s2v = sigma2_u[:, None], sigma2_v[:, None]
     lam = s2u / (s2v * (s2v + s2u * design.a))  # (B, n)
-    zmat = design.zmat  # (n, r+1): sum_j s^-2 (1, x')' per cluster
-    weighted = np.swapaxes(lam[:, :, None] * zmat, 1, 2)  # (B, r+1, n)
-    normal = design.gram / s2v[:, :, None] - weighted @ zmat
-    rhs = (q_bar @ design.p_bar_rows) / s2v - (lam * zy) @ zmat
+    # sum_i lam_i z_i z_i' for every world at once: one (B, n) (n, (r+1)^2)
+    # product with the per-cluster outer products of z_i = zmat[i]
+    shrunk = (lam @ design.zz).reshape(-1, *design.gram.shape)
+    normal = design.gram / s2v[:, :, None] - shrunk
+    rhs = (q_bar @ design.p_bar_rows) / s2v - (lam * zy) @ design.zmat
     return normal, rhs
 
 
@@ -139,11 +144,10 @@ def predict(d: Dataset, y_bar, mu, beta, sigma2_u, sigma2_v):
     design = d.design
     within = sigma2_v / design.a  # a_i^-1 sigma_V^2 > 0 under the ridge
     rho = sigma2_u / (sigma2_u + within)
-    synthetic = mu + beta @ design.x_under.T
-    direct_gap = y_bar - mu - beta @ design.x_bar.T
-    theta = synthetic + rho * direct_gap
-    naive = sigma2_u * within / (sigma2_u + within)
-    return theta, rho, naive
+    theta = y_bar - mu - beta @ design.x_bar.T  # the direct gap
+    theta *= rho
+    theta += mu + beta @ design.x_under.T
+    return theta, rho, rho * within  # psi_0 = rho_i a_i^-1 sigma_V^2
 
 
 @dataclass(frozen=True)
@@ -177,9 +181,10 @@ def refit_worlds(
     """Fit every response row of ``y`` (B, N) on the design of ``d``."""
     y_bar = summarize(d, y)
     design = d.design
-    q = (y - np.repeat(y_bar, d.sizes, axis=1)) / d.s
+    q = y - y_bar.take(design.cluster, axis=1)
+    q /= d.s
     sse1 = residual_ss(q, design.within_basis)
-    q_bar = y / d.s
+    q_bar = np.divide(y, d.s, out=q)  # q is spent: reuse its buffer
     sse2 = residual_ss(q_bar, design.uncentered_basis)
     sse1, sigma2_v, sigma2_u = estimate_variances(d, sse1, sse2, ridge)
 
@@ -224,19 +229,33 @@ def refit_level(
     step = block_size(d)
     for lo in range(0, count, step):
         y, theta = draw(lo, min(lo + step, count))
-        yield lo, theta, refit_worlds(
-            d, y, ridge, with_fourth_moments=with_fourth_moments
-        )
+        fits = refit_worlds(d, y, ridge, with_fourth_moments=with_fourth_moments)
+        del y  # hold no block while suspended or building the next one
+        yield lo, theta, fits
+        del theta, fits
 
 
-def squared_error(d: Dataset, draw, count: int, ridge=DEFAULT_RIDGE):
-    """Per-cluster sum of (theta-hat - theta)^2 over the worlds of
-    ``refit_level`` that refit, and the number of worlds that failed."""
-    acc = np.zeros(d.n)
-    failed = 0
-    for _, theta, fits in refit_level(d, draw, count, ridge):
-        acc += np.sum((fits.theta_hat[fits.ok] - theta[fits.ok]) ** 2, axis=0)
-        failed += int(np.count_nonzero(~fits.ok))
+def runs(lo: int, hi: int, per: int):
+    """(start, end) of the runs [k per, (k + 1) per) cut to [lo, hi)."""
+    for start in [lo, *range(lo - lo % per + per, hi, per)]:
+        yield start, min(hi, start - start % per + per)
+
+
+def squared_error(d: Dataset, draw, count: int, ridge=DEFAULT_RIDGE, per=None):
+    """Per-cluster sums of (theta-hat - theta)^2 over the worlds of
+    ``refit_level`` that refit, and the numbers of worlds that failed, per
+    run of ``per`` worlds (``runs``; by default one run of all ``count``):
+    arrays (G, n) and (G,), G = ceil(count / per)."""
+    per = per or count
+    acc = np.zeros((-(-count // per), d.n))
+    failed = np.zeros(len(acc), dtype=np.intp)
+    for lo, theta, fits in refit_level(d, draw, count, ridge):
+        err = np.where(fits.ok[:, None], fits.theta_hat - theta, 0.0)
+        err *= err
+        for start, end in runs(lo, lo + len(theta), per):
+            acc[start // per] += np.sum(err[start - lo : end - lo], axis=0)
+            failed[start // per] += np.count_nonzero(~fits.ok[start - lo : end - lo])
+        del theta, fits, err  # not held while the next block is refitted
     return acc, failed
 
 

@@ -149,7 +149,7 @@ def run_truth(
         rngs = list(streams.replay(states))
         return _draw_worlds(design, MU, np.asarray(BETA), laws, rngs)
 
-    acc, failed = squared_error(design, draw, replicates)
+    (acc,), (failed,) = squared_error(design, draw, replicates)
     if failed:
         raise RankDeficient("a truth-simulation refit failed")
     return acc / replicates
@@ -275,6 +275,7 @@ def run_study(
     design.design
 
     state = (design, scenario, model, cfg, double)
+    jobs = min(jobs, replicates)  # a fork pool starts all its workers at once
     if jobs == 1:
         _init_worker(*state)
         executor = contextlib.nullcontext()

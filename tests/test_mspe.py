@@ -18,10 +18,10 @@ from nerboot.mspe import (
     mspe_report,
     robust_correction,
 )
-from nerboot.pipeline import fit_model
+from nerboot.pipeline import block_size, fit_model
 
 import _brute
-from conftest import benchmark_dataset
+from conftest import benchmark_dataset, random_ragged_dataset
 
 
 @pytest.fixture(scope="module")
@@ -356,6 +356,62 @@ def test_outer_world_whose_inner_worlds_all_fail_counts_once(monkeypatch, fitted
             refit = fit_model(d_in)
             vacc += (refit.theta_hat - theta) ** 2 / cfg.c
     np.testing.assert_allclose(res.mse_double, vacc / (cfg.b2 - 1), rtol=1e-10)
+
+
+def _pcg_state(rng):
+    return rng.bit_generator.state["state"]["state"]
+
+
+def test_v_hat_does_not_depend_on_the_refit_block_size(monkeypatch):
+    # the inner worlds of a block of outer worlds are refitted in chunks that
+    # straddle outer worlds (c divides none of the block sizes); one outer
+    # and one inner world, found by their keyed generators, fail to refit
+    d = random_ragged_dataset(7, n=8, r=2)
+    fit = fit_model(d)
+    cfg = BootstrapConfig(b1=4, b2=100, c=3, master_seed=2**33 + 5)
+    assert all(size % cfg.c for size in (2, 7, block_size(d)))
+    bad_outer, bad_inner = 17, (40, 2)
+    bad = {
+        _pcg_state(streams.substream(cfg.master_seed, streams.OUTER, bad_outer)),
+        _pcg_state(streams.substream(cfg.master_seed, streams.INNER, *bad_inner)),
+    }
+    real = nerboot.mspe._draw_worlds
+
+    def poisoned(d, mu, beta, laws, rngs):
+        rows = [k for k, rng in enumerate(rngs) if _pcg_state(rng) in bad]
+        y_star, theta_star = real(d, mu, beta, laws, rngs)
+        y_star[rows, 0] = np.nan
+        return y_star, theta_star
+
+    monkeypatch.setattr("nerboot.mspe._draw_worlds", poisoned)
+    default = mse_double(d, fit, cfg)
+    assert default.failures == {"single": 0, "outer": 1, "inner": 1}
+    for size in (1, 2, 7):
+        monkeypatch.setattr("nerboot.pipeline.block_size", lambda d, size=size: size)
+        res = mse_double(d, fit, cfg)
+        assert res.failures == default.failures
+        np.testing.assert_allclose(res.mse_double, default.mse_double, rtol=1e-12)
+    monkeypatch.undo()
+
+    u_dist = nb.make_distribution(fit.sigma2_u, fit.gamma_u)
+    v_dist = nb.make_distribution(fit.sigma2_v, fit.gamma_v)
+    vacc = np.zeros(d.n)
+    for b in range(cfg.b2):
+        if b == bad_outer:
+            continue
+        rng = streams.substream(cfg.master_seed, streams.OUTER, b)
+        d_star, _ = _brute.draw_world(d, fit.mu, fit.beta, u_dist, v_dist, rng)
+        outer = fit_model(d_star)
+        laws = (
+            nb.make_distribution(outer.sigma2_u, outer.gamma_u),
+            nb.make_distribution(outer.sigma2_v, outer.gamma_v),
+        )
+        inner = [el for el in range(cfg.c) if (b, el) != bad_inner]
+        for el in inner:
+            rng = streams.substream(cfg.master_seed, streams.INNER, b, el)
+            d_in, theta = _brute.draw_world(d, outer.mu, outer.beta, *laws, rng)
+            vacc += (fit_model(d_in).theta_hat - theta) ** 2 / len(inner)
+    np.testing.assert_allclose(default.mse_double, vacc / (cfg.b2 - 1), rtol=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -221,6 +221,44 @@ def test_run_study_parallel_matches_serial():
     np.testing.assert_array_equal(serial.records, parallel.records)
 
 
+class _FakePool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and runs
+    the tasks in this process, starting none."""
+
+    made = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.made.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "replicates, jobs, workers", [(2, 16, [2]), (1, 4, []), (5, 3, [3])]
+)
+def test_run_study_pool_has_at_most_one_worker_per_replicate(
+    monkeypatch, replicates, jobs, workers
+):
+    # a fork pool starts all max_workers processes at its first task; one
+    # worker is no pool at all
+    scen = Scenario.from_ratio(n=6, ratio=1.0)
+    cfg = BootstrapConfig(b1=3, b2=2, c=2, master_seed=8)
+    serial = run_study(scen, error_model("m3"), cfg, replicates, jobs=1)
+    monkeypatch.setattr(_FakePool, "made", [])
+    monkeypatch.setattr("nerboot.simulate.ProcessPoolExecutor", _FakePool)
+    pooled = run_study(scen, error_model("m3"), cfg, replicates, jobs=jobs)
+    assert _FakePool.made == workers
+    np.testing.assert_array_equal(pooled.records, serial.records)
+
+
 def test_pickled_design_gives_identical_replicates():
     # spawn and forkserver workers receive the design pickled: the prebuilt
     # kernel caches must travel with it and give bit-identical records

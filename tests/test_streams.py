@@ -7,6 +7,7 @@ from nerboot.mmdist import (
     STUDENT_T,
     make_distribution,
     make_student_t,
+    make_study_law,
     make_three_point,
 )
 from nerboot.mspe import _draw_worlds
@@ -56,9 +57,35 @@ def test_batched_states_reject_what_default_rng_rejects():
     assert len(streams.substream_states(3, tails=np.zeros((0, 1), int))) == 0
 
 
+class _CountingGenerator:
+    """A generator that counts the calls of its methods."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def call(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return call
+
+
+# generator calls per world: U's last call and V's first make one call when
+# they are the same method with the same arguments (m6: chi2_5 and
+# neg_chi2_5 both draw chisquare(5); chisquare(5) and chisquare(10) do not)
+CALLS_PER_WORLD = {
+    "fallback_u": 3, "three_point": 1, "student_t": 4, "t_then_tp": 3,
+    "m3": 1, "m6": 1, "m7": 1, "m8": 1, "point_mass_u": 1, "chi2_5_10": 2,
+}
+
+
 @pytest.mark.parametrize(
     "case",
-    ["fallback_u", "three_point", "student_t", "t_then_tp", "m3", "m6", "m7", "m8"],
+    ["fallback_u", "three_point", "student_t", "t_then_tp", "m3", "m6", "m7", "m8",
+     "point_mass_u", "chi2_5_10"],
 )
 def test_block_draws_equal_looped_oracle(case):
     d = benchmark_dataset(n=12, m=3, seed=4)
@@ -74,13 +101,19 @@ def test_block_draws_equal_looped_oracle(case):
         "student_t": (make_student_t(0.5, 0.5**2 * 4.0), heavy_t),
         "t_then_tp": (heavy_t, make_three_point(0.7, 1.4)),
         **{m: _laws(Scenario.from_ratio(12, 0.5), error_model(m)) for m in STUDY},
+        # sigma_U^2 truncated to 0: U is a point mass (p = 0) that still draws
+        "point_mass_u": (make_three_point(0.0, 0.0), make_three_point(0.7, 1.4)),
+        "chi2_5_10": (make_study_law("chi2_5", 0.5), make_study_law("chi2_10", 0.7)),
     }[case]
     if case == "fallback_u":
         assert [law.family for law in laws] == ["three_point", "student_t"]
     keys = [(2**40 + 9, streams.INNER, 3, b, el) for b in range(3) for el in range(4)]
     tails = np.array([key[3:] for key in keys])
     states = streams.substream_states(2**40 + 9, streams.INNER, 3, tails=tails)
-    y_star, theta_star = _draw_worlds(d, mu, beta, laws, list(streams.replay(states)))
+    rngs = [_CountingGenerator(rng) for rng in streams.replay(states)]
+    y_star, theta_star = _draw_worlds(d, mu, beta, laws, rngs)
+    assert [rng.calls for rng in rngs] == [CALLS_PER_WORLD[case]] * len(keys)
+    # the oracle draws U and V with one ``sample`` call each
     for k, key in enumerate(keys):
         d_star, theta = _brute.draw_world(d, mu, beta, *laws, streams.substream(*key))
         np.testing.assert_array_equal(y_star[k], d_star.y)
