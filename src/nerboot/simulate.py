@@ -7,8 +7,9 @@ s = 1, and variance ratios sigma_U^2/sigma_V^2 in {1/2, 1, 2} normalized so
 the larger component is 1.  Eight error models pair the study laws of
 ``mmdist`` (normal, skewed, heavy-tailed and mixed-sign cases, each centered
 analytically and scaled to the scenario variance).  Every world, of the
-truth simulation or of a study replicate, is built by ``mspe._draw_worlds``,
-the world builder of the bootstrap levels.
+truth simulation or of a study replicate, comes through ``mspe._keyed_draw``
+like a bootstrap world: replicate r from the seed words of key (STUDY, r),
+all derived in one ``streams.substream_states`` call.
 
 For each replicate the harness records the true and predicted mixed
 effects together with the MSPE estimates, so relative bias
@@ -19,12 +20,14 @@ effects together with the MSPE estimates, so relative bias
 and the coefficient of variation CV_i = sqrt(mean_r (MSEhat_i - SMSE_i)^2)
 / SMSE_i are recomputable from the replicate log without rerunning.
 Replicates are independent across keyed substreams, so parallel execution
-is bit-identical to serial.
+is bit-identical to serial.  Each study task carries its own state and the
+module holds none, so studies may nest or run on several threads at once.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -34,7 +37,7 @@ from . import streams
 from .model import Dataset, from_arrays
 from .errors import RankDeficient
 from .mmdist import make_study_law, sample
-from .mspe import BootstrapConfig, _draw_worlds, mse_double, mse_single
+from .mspe import BootstrapConfig, _keyed_draw, mse_double, mse_single
 from .pipeline import fit_model, squared_error
 
 # record-log columns, in file order
@@ -128,6 +131,19 @@ def _laws(scenario: Scenario, model: ErrorModel) -> tuple:
     )
 
 
+def _study_draw(design: Dataset, scenario: Scenario, model: ErrorModel, words):
+    """The level engine's ``draw(lo, hi)`` of the study's replicate worlds:
+    replicate r is drawn from the seed words ``words[r]`` of key (STUDY, r)."""
+    target = (MU, np.asarray(BETA), _laws(scenario, model))
+    return _keyed_draw(design, [target], words, len(words))
+
+
+def _study_words(master_seed: int, replicates: int) -> np.ndarray:
+    """Seed words of the keys (STUDY, r), r < replicates."""
+    reps = np.arange(replicates)[:, None]
+    return streams.substream_states(master_seed, streams.STUDY, tails=reps)
+
+
 def run_truth(
     scenario: Scenario, model: ErrorModel, replicates: int, master_seed: int
 ):
@@ -141,14 +157,8 @@ def run_truth(
     if replicates < 1:
         raise ValueError("need at least one replicate")
     design = make_design(scenario, streams.substream(master_seed, streams.DESIGN))
-    laws = _laws(scenario, model)
-
-    def draw(lo, hi):
-        reps = np.arange(lo, hi)[:, None]
-        states = streams.substream_states(master_seed, streams.STUDY, tails=reps)
-        rngs = list(streams.replay(states))
-        return _draw_worlds(design, MU, np.asarray(BETA), laws, rngs)
-
+    words = _study_words(master_seed, replicates)
+    draw = _study_draw(design, scenario, model, words)
     (acc,), (failed,) = squared_error(design, draw, replicates)
     if failed:
         raise RankDeficient("a truth-simulation refit failed")
@@ -218,19 +228,10 @@ def metrics_from_records(records: np.ndarray, double: bool) -> tuple:
     return smse, metrics
 
 
-# worker state for process pools (populated by the pool initializer)
-_WORKER: dict = {}
-
-
-def _init_worker(design, scenario, model, cfg, double):
-    _WORKER["state"] = (design, scenario, model, cfg, double)
-
-
-def _one_replicate(rep: int) -> np.ndarray:
-    design, scenario, model, cfg, double = _WORKER["state"]
-    rng = streams.substream(cfg.master_seed, streams.STUDY, rep)
-    laws = _laws(scenario, model)
-    (y,), (theta,) = _draw_worlds(design, MU, np.asarray(BETA), laws, [rng])
+def _one_replicate(state: tuple, rep: int) -> np.ndarray:
+    """The record of replicate ``rep``; ``state`` is everything it reads."""
+    design, scenario, model, cfg, double, words = state
+    (y,), (theta,) = _study_draw(design, scenario, model, words)(rep, rep + 1)
     d_rep = design.with_responses(y)
     fit = fit_model(d_rep, cfg.ridge)
     rec = np.empty((scenario.n, len(RECORD_COLUMNS)))
@@ -270,26 +271,23 @@ def run_study(
     if jobs < 1:
         raise ValueError(f"need at least one job, got {jobs}")
     design = make_design(scenario, streams.substream(cfg.master_seed, streams.DESIGN))
-    # build the design arrays of the refit kernel once; workers receive them
-    # with the design, whether they are forked or unpickle it
+    # build the design arrays of the refit kernel once; every task carries
+    # them with the design, which a pool pickles
     design.design
 
-    state = (design, scenario, model, cfg, double)
+    words = _study_words(cfg.master_seed, replicates)
+    task = functools.partial(
+        _one_replicate, (design, scenario, model, cfg, double, words)
+    )
     jobs = min(jobs, replicates)  # a fork pool starts all its workers at once
-    if jobs == 1:
-        _init_worker(*state)
-        executor = contextlib.nullcontext()
-    else:
-        executor = ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=state
-        )
+    pool = ProcessPoolExecutor(jobs) if jobs > 1 else contextlib.nullcontext()
     records = np.empty((replicates, scenario.n, len(RECORD_COLUMNS)))
-    with executor as pool:
+    with pool:
         reps = range(replicates)
         recs = (
-            pool.map(_one_replicate, reps, chunksize=max(1, replicates // (jobs * 8)))
+            pool.map(task, reps, chunksize=max(1, replicates // (jobs * 8)))
             if jobs > 1
-            else map(_one_replicate, reps)
+            else map(task, reps)
         )
         for rep, rec in enumerate(recs):
             records[rep] = rec

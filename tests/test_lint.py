@@ -1,6 +1,7 @@
 """Every name a library module imports, and every private name it defines at
-module level, is used in that module; only ``streams`` makes generators, and
-only ``mmdist`` draws from them."""
+module level, is used in that module; only ``streams`` makes generators,
+only ``mspe`` replays keyed streams into worlds, and only ``mmdist`` draws
+from generators."""
 
 import ast
 from pathlib import Path
@@ -133,6 +134,34 @@ def test_generator_call_is_reported():
         "line 4: PCG64",
         "line 4: default_rng",
         "line 5: SeedSequence",
+    ]
+
+
+# the calls that turn seed words into generators and generators into worlds
+WORLD_MAKERS = {"replay", "_draw_worlds"}
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in Path(nerboot.__file__).parent.glob("*.py") if p.name != "mspe.py"],
+    ids=lambda path: path.name,
+)
+def test_only_mspe_replays_keyed_streams(path):
+    # every other module draws its worlds through ``mspe._keyed_draw``
+    assert _calls(path.read_text(), WORLD_MAKERS) == []
+
+
+def test_world_maker_call_is_reported():
+    source = (
+        "from . import streams\n"
+        "from .mspe import _draw_worlds\n"
+        "def draw(d, states, laws):\n"
+        "    rngs = list(streams.replay(states))\n"
+        "    return _draw_worlds(d, 0.0, 1.0, laws, rngs)\n"
+    )
+    assert _calls(source, WORLD_MAKERS) == [
+        "line 4: replay",
+        "line 5: _draw_worlds",
     ]
 
 

@@ -227,9 +227,8 @@ class _FakePool:
 
     made = []
 
-    def __init__(self, max_workers, initializer, initargs):
+    def __init__(self, max_workers):
         self.made.append(max_workers)
-        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -277,9 +276,30 @@ def test_pickled_design_gives_identical_replicates():
     assert set(clone._cache) == prebuilt
     assert not clone.design.within_basis.flags.writeable
 
+    words = simulate._study_words(cfg.master_seed, 3)
     records = []
     for d in (design, clone):
-        simulate._init_worker(d, scen, model, cfg, True)
-        records.append([simulate._one_replicate(rep) for rep in range(3)])
+        state = (d, scen, model, cfg, True, words)
+        records.append([simulate._one_replicate(state, rep) for rep in range(3)])
         assert set(d._cache) == prebuilt  # nothing left to build in a worker
     np.testing.assert_array_equal(records[0], records[1])
+
+
+def test_study_started_from_a_progress_callback_leaves_the_outer_study_intact():
+    # each task carries its own state: a study run inside another's progress
+    # callback (same n, another model and seed) must not leak into it
+    scen = Scenario.from_ratio(n=6, ratio=1.0)
+    outer_cfg = BootstrapConfig(b1=3, b2=2, c=2, master_seed=41)
+    inner_cfg = BootstrapConfig(b1=4, b2=2, c=2, master_seed=42)
+    solo = run_study(scen, error_model("m3"), outer_cfg, replicates=3)
+    inner_solo = run_study(scen, error_model("m7"), inner_cfg, replicates=2)
+
+    inner = []
+
+    def progress(done, total):
+        if done == 1:
+            inner.append(run_study(scen, error_model("m7"), inner_cfg, replicates=2))
+
+    nested = run_study(scen, error_model("m3"), outer_cfg, replicates=3, progress=progress)
+    np.testing.assert_array_equal(nested.records, solo.records)
+    np.testing.assert_array_equal(inner[0].records, inner_solo.records)
