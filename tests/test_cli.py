@@ -85,6 +85,29 @@ def _assert_same_tree(got, want, where="$"):
         assert type(got) is type(want) and got == want, where
 
 
+def _assert_same_row(got: dict, want: dict):
+    """One cluster row of a `fit` report against its snapshot.  ``bias`` is
+    v-hat - u-hat of the same report, exactly; against the snapshot it is a
+    small difference of two numbers near v-hat, so its rounding is bounded
+    relative to v-hat, not to itself.  Every other number to rtol 1e-12."""
+    assert sorted(got) == sorted(want), want["cluster"]
+    assert got["bias"] == got["mse_double"] - got["mse_boot"], want["cluster"]
+    assert abs(got["bias"] - want["bias"]) <= 1e-12 * abs(want["mse_double"])
+    for key, value in want.items():
+        if key != "bias":
+            _assert_same_tree(got[key], value, f"{want['cluster']}.{key}")
+
+
+def _csv_rows(text: str) -> list:
+    header, *lines = text.splitlines()
+    names = header.split(",")
+    rows = [dict(zip(names, line.split(","))) for line in lines]
+    for row in rows:
+        row.update({k: float(v) for k, v in row.items() if k not in ("cluster", "n_i")})
+        row["n_i"] = int(row["n_i"])
+    return rows
+
+
 @pytest.mark.parametrize("family", ["three_point", "student_t"])
 def test_fit_report_matches_stored_snapshot(fixture_csv, tmp_path, family):
     # tests/data/fit_report_<family>.{json,csv}: the `fit` report of the
@@ -93,18 +116,18 @@ def test_fit_report_matches_stored_snapshot(fixture_csv, tmp_path, family):
     out = tmp_path / "report"
     assert main(_fit_args(fixture_csv, out, seed="7") + ["--family", family]) == 0
     stored = SNAPSHOTS / f"fit_report_{family}"
-    _assert_same_tree(
-        json.loads((tmp_path / "report.json").read_text()),
-        json.loads(stored.with_suffix(".json").read_text()),
-    )
-    got = (tmp_path / "report.csv").read_text().splitlines()
-    want = stored.with_suffix(".csv").read_text().splitlines()
-    assert got[0] == want[0] and len(got) == len(want)
-    for got_row, want_row in zip(got[1:], want[1:]):
-        g, w = got_row.split(","), want_row.split(",")
-        assert g[:2] == w[:2] and len(g) == len(w)
-        for gv, wv in zip(g[2:], w[2:]):
-            assert math.isclose(float(gv), float(wv), rel_tol=1e-12), (g[0], wv)
+    got = json.loads((tmp_path / "report.json").read_text())
+    want = json.loads(stored.with_suffix(".json").read_text())
+    got_rows, want_rows = got.pop("clusters"), want.pop("clusters")
+    _assert_same_tree(got, want)
+    got_csv = (tmp_path / "report.csv").read_text()
+    want_csv = stored.with_suffix(".csv").read_text()
+    assert got_csv.splitlines()[0] == want_csv.splitlines()[0]
+    tables = [(got_rows, want_rows), (_csv_rows(got_csv), _csv_rows(want_csv))]
+    for got_table, want_table in tables:
+        assert len(got_table) == len(want_table)
+        for got_row, want_row in zip(got_table, want_table):
+            _assert_same_row(got_row, want_row)
 
 
 def test_fit_missing_file_exit_code(capsys):
