@@ -157,12 +157,13 @@ def _orthonormal_basis(mat: np.ndarray, message: str) -> np.ndarray:
 class _Design:
     """Every design-only array the refit kernel reads; all are read-only.
 
-    Summaries: w = s^-2, a_i = sum_j w_ij, x_bar, x_under, each row's cluster.
+    Summaries: w = s^-2, the cluster sums ``zmat`` = sum_j w_ij (1, x_ij')'
+    (a_i = sum_j w_ij and a_i x_bar_i), x_under, each row's cluster.
 
     Uncentered regression of s^-1 y on s^-1 (1, x') (``p_bar_rows``, r_aug
     columns): its residual sum of squares obeys E(SSE2) = K sigma_U^2 +
-    (N - r_aug) sigma_V^2, with K = K1 - K2 from the Gram matrix and the
-    cluster sums ``zmat`` = sum_j s^-2 (1, x')', which GLS reuses (``zz``).
+    (N - r_aug) sigma_V^2, with K1 = sum_i a_i and K = K1 - K2 from the Gram
+    matrix and ``zmat``, which GLS reuses (``zz``).
 
     Within regression: centering at weighted cluster means leaves each
     cluster's residuals with covariance sigma_V^2 times a projection (the
@@ -183,24 +184,21 @@ class _Design:
         sizes = d.sizes
 
         self.w = d.s**-2
-        self.a = np.add.reduceat(self.w, lo)
-        self.x_bar = (
-            np.add.reduceat(self.w[:, None] * d.x, lo, axis=0) / self.a[:, None]
-        )
+        x_aug = np.column_stack([np.ones(d.total), d.x])  # (N, r+1)
+        self.zmat = np.add.reduceat(self.w[:, None] * x_aug, lo, axis=0)  # (n, r+1)
+        self.a = np.ascontiguousarray(self.zmat[:, 0])
+        self.x_bar = self.zmat[:, 1:] / self.a[:, None]
         self.x_under = np.add.reduceat(d.x, lo, axis=0) / sizes[:, None]
         self.cluster = np.repeat(np.arange(d.n), sizes)  # of each observation
 
         s_inv = 1.0 / d.s
-        x_aug = np.column_stack([np.ones(d.total), d.x])  # (N, r+1)
         self.p_bar_rows = s_inv[:, None] * x_aug
         self.uncentered_basis = _orthonormal_basis(
             self.p_bar_rows, "augmented design P-bar is not of full row rank"
         )  # (N, r+1)
         self.r_aug = d.r + 1
-        w_k = s_inv**2  # can round apart from s**-2 (self.w) in the last bit
-        self.k1 = float(np.sum(w_k))
+        self.k1 = float(np.sum(self.a))
         self.gram = self.p_bar_rows.T @ self.p_bar_rows  # sum_ij s^-2 x~ x~'
-        self.zmat = np.add.reduceat(w_k[:, None] * x_aug, lo, axis=0)  # (n, r+1)
         # per-cluster outer products zmat_i zmat_i', flattened: (n, (r+1)^2)
         self.zz = (self.zmat[:, :, None] * self.zmat[:, None, :]).reshape(d.n, -1)
         sol = np.linalg.solve(self.gram, self.zmat.T)  # (r+1, n)

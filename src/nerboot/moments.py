@@ -57,7 +57,8 @@ def estimate_gamma_u(d: Dataset, resid: np.ndarray, sigma2_u, sigma2_v, gamma_v)
     """Truncated estimator of E(U^4) from raw fourth powers of residuals;
     broadcasts like ``estimate_gamma_v``."""
     design = d.design
-    resid4 = np.sum(resid**4, axis=-1)
+    e2 = resid * resid
+    resid4 = np.sum(e2 * e2, axis=-1)
     raw = (
         resid4 - 6.0 * sigma2_u * sigma2_v * design.sum_s2 - gamma_v * design.sum_s4
     ) / d.total

@@ -60,7 +60,10 @@ DEFAULT_RIDGE = (1e-6, 2.0)  # (B1, B2); B1 > 0, B2 >= 2
 # response rows, which bounds the kernel's working memory on large designs.
 # 2^14 keeps each (B, N) float64 temporary within glibc's default mmap
 # threshold of 128 KiB.  On the n = 60 study design, B = 182 cost 12% more
-# per world than B = 91: do not raise it without a paired benchmark.
+# per world than B = 91.  On the ragged n = 600 design (N = 4,201) a block
+# holds 3 worlds; blocks of 8, 16 and 32 raised a desk-scale fit's peak RSS
+# from 44.7 MB to 46.5, 48.6 and 52.2 MB with no resolved time gain (2 cores,
+# one BLAS thread).  Do not raise it without a paired benchmark.
 CHUNK_ELEMENTS = 2**14
 
 

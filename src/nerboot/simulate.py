@@ -157,8 +157,7 @@ def run_truth(
     if replicates < 1:
         raise ValueError("need at least one replicate")
     design = make_design(scenario, streams.substream(master_seed, streams.DESIGN))
-    words = _study_words(master_seed, replicates)
-    draw = _study_draw(design, scenario, model, words)
+    draw = _study_draw(design, scenario, model, _study_words(master_seed, replicates))
     (acc,), (failed,) = squared_error(design, draw, replicates)
     if failed:
         raise RankDeficient("a truth-simulation refit failed")

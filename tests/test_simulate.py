@@ -300,6 +300,8 @@ def test_study_started_from_a_progress_callback_leaves_the_outer_study_intact():
         if done == 1:
             inner.append(run_study(scen, error_model("m7"), inner_cfg, replicates=2))
 
-    nested = run_study(scen, error_model("m3"), outer_cfg, replicates=3, progress=progress)
+    nested = run_study(
+        scen, error_model("m3"), outer_cfg, replicates=3, progress=progress
+    )
     np.testing.assert_array_equal(nested.records, solo.records)
     np.testing.assert_array_equal(inner[0].records, inner_solo.records)
