@@ -305,3 +305,35 @@ def test_study_started_from_a_progress_callback_leaves_the_outer_study_intact():
     )
     np.testing.assert_array_equal(nested.records, solo.records)
     np.testing.assert_array_equal(inner[0].records, inner_solo.records)
+
+
+def test_studies_on_several_threads_match_their_solo_runs():
+    # more threads than cores, switching often: no study may read another's
+    # state
+    import sys
+    import threading
+
+    scen = Scenario.from_ratio(n=6, ratio=1.0)
+    cells = [
+        (error_model(name), BootstrapConfig(b1=3, b2=2, c=2, master_seed=seed))
+        for name, seed in (("m3", 51), ("m7", 52), ("m1", 53))
+    ]
+    solo = [run_study(scen, model, cfg, replicates=3).records for model, cfg in cells]
+    got = [None] * len(cells)
+
+    def run(k):
+        got[k] = run_study(scen, *cells[k], replicates=3).records
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(cells))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for records, want in zip(got, solo):
+        np.testing.assert_array_equal(records, want)
