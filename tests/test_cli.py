@@ -101,7 +101,7 @@ def _assert_same_row(got: dict, want: dict):
 def _csv_rows(text: str) -> list:
     header, *lines = text.splitlines()
     names = header.split(",")
-    rows = [dict(zip(names, line.split(","))) for line in lines]
+    rows = [dict(zip(names, line.split(","), strict=True)) for line in lines]
     for row in rows:
         row.update({k: float(v) for k, v in row.items() if k not in ("cluster", "n_i")})
         row["n_i"] = int(row["n_i"])
