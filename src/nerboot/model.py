@@ -145,13 +145,13 @@ def from_arrays(cluster_labels, x, y, s=None) -> Dataset:
     return _validate(d)
 
 
-def _orthonormal_basis(mat: np.ndarray, message: str) -> np.ndarray:
-    """Q of the thin QR of ``mat``; raises RankDeficient below full column rank."""
+def _orthonormal_basis(mat: np.ndarray, message: str):
+    """(Q, R) of the thin QR of ``mat``; RankDeficient below full column rank."""
     q_mat, r_mat = np.linalg.qr(mat)
     svals = np.linalg.svd(r_mat, compute_uv=False)
     if svals[-1] <= RANK_RTOL * svals[0]:
         raise RankDeficient(message)
-    return q_mat
+    return q_mat, r_mat
 
 
 class _Design:
@@ -160,19 +160,17 @@ class _Design:
     Summaries: w = s^-2, the cluster sums ``zmat`` = sum_j w_ij (1, x_ij')'
     (a_i = sum_j w_ij and a_i x_bar_i), x_under, each row's cluster.
 
-    Uncentered regression of s^-1 y on s^-1 (1, x') (``p_bar_rows``, r_aug
-    columns): its residual sum of squares obeys E(SSE2) = K sigma_U^2 +
-    (N - r_aug) sigma_V^2, with K1 = sum_i a_i and K = K1 - K2 from the Gram
-    matrix and ``zmat``, which GLS reuses (``zz``).
-
-    Within regression: centering at weighted cluster means leaves each
+    ``proj`` (N, 2r+1) = [Q_u | Q_w] / s holds orthonormal bases, so that
+    y @ proj gives both regressions' coordinates z of s^-1 y.  Q_u spans the
+    uncentered rows P-bar = s^-1 (1, x') = Q_u ``ru``: SSE2 = sum w y^2 -
+    ||z_u||^2 has E(SSE2) = K sigma_U^2 + (N - r_aug) sigma_V^2, K = K1 - K2
+    (K1 = sum_i a_i) from ``gram`` and ``zmat``, which GLS reuses with ``zz``
+    and the cross-products z_u ``ru``.  Q_w spans the within rows
+    s^-1 (x - x_bar_i): centering at weighted cluster means leaves each
     cluster's residuals with covariance sigma_V^2 times a projection (the
     paper's T_i after one observation per cluster is dropped), so SSE1 =
-    e' T^-1 e is the ordinary residual sum of squares of s^-1 (y - y_bar_i)
-    on s^-1 (x - x_bar_i) over all N rows.
-
-    Each regression keeps an orthonormal basis Q from one QR, so a residual
-    sum of squares is ||q||^2 - ||q Q||^2 per response row.  K is checked
+    e' T^-1 e = sum w (y - y_bar)^2 - ||z_w||^2.  Each column of Q_w / s
+    sums to 0 over every cluster, so z_w needs no centred y.  K is checked
     before the within rank: K <= 0 puts a cluster indicator in the span of
     (1, x), which also leaves the within design rank-deficient.
 
@@ -191,14 +189,13 @@ class _Design:
         self.x_under = np.add.reduceat(d.x, lo, axis=0) / sizes[:, None]
         self.cluster = np.repeat(np.arange(d.n), sizes)  # of each observation
 
-        s_inv = 1.0 / d.s
-        self.p_bar_rows = s_inv[:, None] * x_aug
-        self.uncentered_basis = _orthonormal_basis(
-            self.p_bar_rows, "augmented design P-bar is not of full row rank"
-        )  # (N, r+1)
+        p_bar = (1.0 / d.s)[:, None] * x_aug
+        q_u, self.ru = _orthonormal_basis(
+            p_bar, "augmented design P-bar is not of full row rank"
+        )
         self.r_aug = d.r + 1
         self.k1 = float(np.sum(self.a))
-        self.gram = self.p_bar_rows.T @ self.p_bar_rows  # sum_ij s^-2 x~ x~'
+        self.gram = p_bar.T @ p_bar  # sum_ij s^-2 x~ x~'
         # per-cluster outer products zmat_i zmat_i', flattened: (n, (r+1)^2)
         self.zz = (self.zmat[:, :, None] * self.zmat[:, None, :]).reshape(d.n, -1)
         sol = np.linalg.solve(self.gram, self.zmat.T)  # (r+1, n)
@@ -207,9 +204,10 @@ class _Design:
             raise NonPositiveK(f"K = K1 - K2 = {self.k} is not positive")
 
         p_rows = (d.x - np.repeat(self.x_bar, sizes, axis=0)) / d.s[:, None]
-        self.within_basis = _orthonormal_basis(
+        q_w, _ = _orthonormal_basis(
             p_rows, "centered design P T^-1 P' has rank below the covariate dimension"
-        )  # (N, r)
+        )
+        self.proj = np.column_stack([q_u, q_w]) / d.s[:, None]  # (N, 2r+1)
 
         s2 = d.s**2
         s2_sum = np.add.reduceat(s2, lo)

@@ -30,36 +30,34 @@ def _square(sigma2):
     return np.float_power(sigma2, 2)
 
 
-def estimate_gamma_v(d: Dataset, resid: np.ndarray, sigma2_v):
+def power_sums(d: Dataset, resid: np.ndarray):
+    """Per-cluster power sums (S1, S2, S3, S4), S_k = sum_j e_ij^k, of fitted
+    residuals y_ij - mu-hat - x_ij' beta-hat, (B, n) for a (B, N) block of
+    residual rows: both estimators read them."""
+    e2 = resid * resid
+    powers = (resid, e2, e2 * resid, e2 * e2)
+    return tuple(np.add.reduceat(p, d.starts[:-1], axis=-1) for p in powers)
+
+
+def estimate_gamma_v(d: Dataset, sums, sigma2_v):
     """Truncated estimator of E(V^4) from fourth-power pair contrasts.
 
-    ``resid`` holds fitted residuals y_ij - mu-hat - x_ij' beta-hat, one row
-    per world (or a single (N,) vector); ``sigma2_v`` matches its leading
-    shape.  With per-cluster power sums S_k = sum_j e_ij^k,
-
-        sum_{j1 != j2} (e_ij1 - e_ij2)^4 = 2 n_i S4 - 8 S1 S3 + 6 S2^2,
-
-    so the ordered-pair average needs no pairwise tensors.
+    ``sums`` are the residuals' ``power_sums``, ``sigma2_v`` of their
+    leading shape; sum_{j1 != j2} (e_ij1 - e_ij2)^4 = 2 n_i S4 - 8 S1 S3
+    + 6 S2^2, so the ordered-pair average needs no pairwise tensors.
     """
     design = d.design
-    e2 = resid * resid
-    s1, s2, s3, s4 = (
-        np.add.reduceat(p, d.starts[:-1], axis=-1)
-        for p in (resid, e2, e2 * resid, e2 * e2)
-    )
+    s1, s2, s3, s4 = sums
     pairs = 2.0 * d.sizes * s4 - 8.0 * s1 * s3 + 6.0 * s2 * s2
     w4 = np.sum(pairs, axis=-1) / design.pair_count
     raw = (w4 - 6.0 * design.c_pair * sigma2_v**2) / (2.0 * design.a4_pair)
     return np.maximum(raw, _square(sigma2_v))
 
 
-def estimate_gamma_u(d: Dataset, resid: np.ndarray, sigma2_u, sigma2_v, gamma_v):
-    """Truncated estimator of E(U^4) from raw fourth powers of residuals;
-    broadcasts like ``estimate_gamma_v``."""
+def estimate_gamma_u(d: Dataset, sums, sigma2_u, sigma2_v, gamma_v):
+    """Truncated estimator of E(U^4) from raw fourth powers of residuals,
+    sum_ij e_ij^4 = sum_i S4; broadcasts like ``estimate_gamma_v``."""
     design = d.design
-    e2 = resid * resid
-    resid4 = np.sum(e2 * e2, axis=-1)
-    raw = (
-        resid4 - 6.0 * sigma2_u * sigma2_v * design.sum_s2 - gamma_v * design.sum_s4
-    ) / d.total
+    raw = np.sum(sums[3], axis=-1) - 6.0 * sigma2_u * sigma2_v * design.sum_s2
+    raw = (raw - gamma_v * design.sum_s4) / d.total
     return np.maximum(raw, _square(sigma2_u))

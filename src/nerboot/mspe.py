@@ -22,20 +22,22 @@ second position, so results are reproducible and independent of execution
 order.  The seed words of many worlds are derived in one
 ``streams.substream_states`` call -- all b1 level-one worlds, all b2 outer
 worlds, and per refit block of outer worlds the inner worlds of those that
-refit, ordered (b, l), which bounds the words held at once by the block
-size times c.  Each world then gets a fresh generator seeded by its words
-(``streams.replay``), bit for bit its own ``streams.substream``, and
-``_draw_worlds`` hands a run of generators to ``mmdist.sample_worlds``,
-which draws U and then V from each.  ``_draw_worlds`` builds the worlds of
-the study harness too.
+refit, ordered (b, l).  ``_draw_worlds`` hands each run of worlds' fresh
+generators (``streams.replay``, bit for bit each world's
+``streams.substream``) to ``mmdist.sample_worlds``, which draws U and then
+V from each; it builds the worlds of the study harness too.
 
-Every fit is a ``pipeline.WorldFits``, and every world is drawn around one
-the same way (``_keyed_draw``): its (mu, beta), the laws matched to its
-second and fourth moments, then the keyed draw.  Level one and the outer
-level draw around the original fit.  The inner level is one pass per refit
-block of outer worlds: the inner worlds of the block's outer worlds that
-refit are drawn, each around its own outer fit, and refitted in blocks
-that may span outer worlds; ``squared_error`` sums them per outer world.
+Every fit is a ``pipeline.WorldFits``, and every world is drawn from the
+laws matched to one fit's second and fourth moments (``_keyed_draw``).  A
+bootstrap world carries no mean: GLS and the EBLUP are equivariant (Prasad
+& Rao, JASA 1990), so adding mu + x' beta to y* moves theta-hat* by
+mu + x_under' beta, as it moves theta*, and leaves the variance and
+fourth-moment estimates alone; theta-hat* - theta* and the failures do not
+depend on the fit's (mu, beta).  Level one and the outer level draw around
+the original fit.  The inner level is one pass per refit block of outer
+worlds: the inner worlds of the block's outer worlds that refit are drawn,
+each around its own outer fit, and refitted in blocks that may span outer
+worlds; ``squared_error`` sums them per outer world.
 Every level runs on the level engine of ``pipeline``: the outer level reads
 the block fits of ``refit_level``, the other levels take ``squared_error``.
 Worlds whose refit fails numerically are masked, skipped and counted; more
@@ -150,40 +152,43 @@ def robust_correction(
 # world generation
 # ---------------------------------------------------------------------------
 
-def _draw_worlds(d: Dataset, mu, beta, laws: tuple, rngs: list):
+def _draw_worlds(d: Dataset, laws: tuple, rngs: list, mean=None):
     """Synthetic response rows (B, N) on the same design and the true theta
-    (B, n) of worlds with fixed effects (mu, beta); world b draws U before V,
-    from ``laws`` (U, V), with the generator ``rngs[b]``.  Every level builds
-    its worlds here: the truth simulation and the study replicates as well
-    as the bootstrap levels."""
+    (B, n); world b draws U before V, from ``laws`` (U, V), with the
+    generator ``rngs[b]``.  Every level builds its worlds here; only study
+    and truth worlds have a ``mean`` (mu, beta), and the theta of a world
+    without one is U itself."""
     u_star, v_star = sample_worlds(*laws, rngs, d.n, d.total)
     y_star = u_star.take(d.design.cluster, axis=1)
-    y_star += mu + d.x @ beta
+    if mean is not None:
+        mu, beta = mean
+        y_star += mu + d.x @ beta
+        u_star = mu + d.design.x_under @ beta + u_star
     y_star += d.s * v_star
-    return y_star, mu + d.design.x_under @ beta + u_star
+    return y_star, u_star
 
 
-def _target(fits: WorldFits, family: str, k=()):
-    """(mu, beta, laws (U, V)) of worlds drawn around fit k of a block's fits
-    (of a one-world fit by default): the laws match its moments."""
+def _laws(fits: WorldFits, family: str, k=()):
+    """The laws (U, V) of worlds drawn around fit k of a block's fits (of a
+    one-world fit by default), matched to its second and fourth moments."""
     if fits.gamma_u is None:
         raise ValueError("the bootstrap needs a fit with fourth moments")
-    laws = tuple(
+    return tuple(
         make_distribution(float(z2[k]), float(z4[k]), family)
         for z2, z4 in ((fits.sigma2_u, fits.gamma_u), (fits.sigma2_v, fits.gamma_v))
     )
-    return fits.mu[k], fits.beta[k], laws
 
 
-def _keyed_draw(d: Dataset, targets: list, states: np.ndarray, per: int):
+def _keyed_draw(d: Dataset, laws: list, states: np.ndarray, per: int, mean=None):
     """The level engine's ``draw(lo, hi)`` for the worlds keyed by ``states``,
-    world i around ``targets[i // per]``, one ``_draw_worlds`` call per run."""
+    world i from ``laws[i // per]`` around ``mean``, one ``_draw_worlds``
+    call per run."""
 
     def draw(lo, hi):
         parts = []
         for start, end in runs(lo, hi, per):
             rngs = list(streams.replay(states[start:end]))
-            parts.append(_draw_worlds(d, *targets[start // per], rngs))
+            parts.append(_draw_worlds(d, laws[start // per], rngs, mean))
         return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
     return draw
@@ -213,7 +218,7 @@ def mse_single(
 ) -> tuple[np.ndarray, int]:
     """Level-one bootstrap estimate u-hat of MSE_i; returns (u_hat, failures)."""
     states = _level_states(cfg, streams.SINGLE, key_prefix, range(cfg.b1))
-    draw = _keyed_draw(d, [_target(fit, cfg.family)], states, cfg.b1)
+    draw = _keyed_draw(d, [_laws(fit, cfg.family)], states, cfg.b1)
     (acc,), (failed,) = squared_error(d, draw, cfg.b1, cfg.ridge)
     _check_failures(failed, cfg.b1, "level-one")
     return acc / (cfg.b1 - failed), int(failed)
@@ -232,7 +237,7 @@ def mse_double(
     """
     u_hat, fail1 = mse_single(d, fit, cfg, key_prefix)
     outer = _level_states(cfg, streams.OUTER, key_prefix, range(cfg.b2))
-    draw = _keyed_draw(d, [_target(fit, cfg.family)], outer, cfg.b2)
+    draw = _keyed_draw(d, [_laws(fit, cfg.family)], outer, cfg.b2)
 
     vacc = np.zeros(d.n)
     outer_failed = inner_attempted = inner_failed = 0
@@ -241,8 +246,8 @@ def mse_double(
     ):
         ks = np.flatnonzero(fits.ok)  # inner pass: worlds (b, l) of refitted b
         inner = _level_states(cfg, streams.INNER, key_prefix, lo + ks, range(cfg.c))
-        targets = [_target(fits, cfg.family, k) for k in ks]
-        draw_inner = _keyed_draw(d, targets, inner, cfg.c)
+        laws = [_laws(fits, cfg.family, k) for k in ks]
+        draw_inner = _keyed_draw(d, laws, inner, cfg.c)
         acc, failed = squared_error(d, draw_inner, len(inner), cfg.ridge, cfg.c)
         refit = failed < cfg.c
         outer_failed += len(fits.ok) - int(np.count_nonzero(refit))

@@ -9,9 +9,9 @@ stage is a few quadratic forms in the responses plus one small solve per
 world; everything that depends only on the design is built once in
 ``d.design`` (``model._Design``).  In order:
 
-1. The weighted cluster means y_bar (``summarize``) and the residual sums
-   of squares SSE1 (within regression) and SSE2 (uncentered regression), by
-   ``residual_ss``.
+1. The weighted cluster means y_bar, one projection GEMM z = y @ ``proj``
+   and two weighted sums of squares: SSE2 = sum w y^2 - ||z_u||^2 and
+   SSE1 = sum w (y - y_bar)^2 - ||z_w||^2 (``model._Design``).
 2. Method-of-moments variance components (``estimate_variances``):
        sigma_V^2-hat = max(SSE1, B1 n^-B2) / (N - n - r)
        sigma_U^2-hat = max(K^-1 {SSE2 - (N - r_aug) sigma_V^2-hat}, 0)
@@ -29,7 +29,8 @@ world; everything that depends only on the design is built once in
        rho_i-hat   = sigma_U^2 / (sigma_U^2 + a_i^-1 sigma_V^2);
    the naive MSE is the leading term psi_0 = rho_i-hat a_i^-1 sigma_V^2 with
    estimates plugged in, whose underestimation the bootstrap repairs.
-5. Optionally, the fourth moments (``moments``).
+5. Optionally, the fourth moments (``moments``), from one set of
+   per-cluster power sums of the residuals.
 
 A world fails when its GLS normal matrix is not positive-definite or its
 EBLUP is not finite.  The kernel masks such worlds in ``ok`` and never
@@ -51,8 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficient
-from .model import Dataset, summarize
-from .moments import estimate_gamma_u, estimate_gamma_v
+from .model import Dataset
+from .moments import estimate_gamma_u, estimate_gamma_v, power_sums
 
 DEFAULT_RIDGE = (1e-6, 2.0)  # (B1, B2); B1 > 0, B2 >= 2
 
@@ -70,13 +71,6 @@ CHUNK_ELEMENTS = 2**14
 def block_size(d: Dataset) -> int:
     """Worlds per refit block on this design."""
     return max(1, CHUNK_ELEMENTS // d.total)
-
-
-def residual_ss(q: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Residual sum of squares of each row of q (B, N) on orthonormal columns
-    ``basis`` (N, k); tiny negative rounding is clamped to 0."""
-    z = q @ basis
-    return np.maximum(np.sum(q * q, axis=1) - np.sum(z * z, axis=1), 0.0)
 
 
 def ridge_floor(n: int, ridge=DEFAULT_RIDGE) -> float:
@@ -97,12 +91,12 @@ def estimate_variances(d: Dataset, sse1, sse2, ridge=DEFAULT_RIDGE):
     return sse1, sigma2_v, sigma2_u
 
 
-def normal_equations(d: Dataset, q_bar, zy, sigma2_u, sigma2_v):
+def normal_equations(d: Dataset, xwy, zy, sigma2_u, sigma2_v):
     """Stacked GLS normal matrices (B, r+1, r+1) and right-hand sides (B, r+1).
 
-    Row b uses the rescaled responses q_bar[b] = y / s, the cluster sums
-    zy[b] = a_i y_bar_i and the variance components sigma2_u[b],
-    sigma2_v[b].
+    Row b uses the weighted cross-products xwy[b] = sum_ij w_ij y_ij
+    (1, x_ij'), the cluster sums zy[b] = a_i y_bar_i and the variance
+    components sigma2_u[b], sigma2_v[b].
     """
     design = d.design
     s2u, s2v = sigma2_u[:, None], sigma2_v[:, None]
@@ -111,7 +105,7 @@ def normal_equations(d: Dataset, q_bar, zy, sigma2_u, sigma2_v):
     # product with the per-cluster outer products of z_i = zmat[i]
     shrunk = (lam @ design.zz).reshape(-1, *design.gram.shape)
     normal = design.gram / s2v[:, :, None] - shrunk
-    rhs = (q_bar @ design.p_bar_rows) / s2v - (lam * zy) @ design.zmat
+    rhs = xwy / s2v - (lam * zy) @ design.zmat
     return normal, rhs
 
 
@@ -182,16 +176,20 @@ def refit_worlds(
     d: Dataset, y: np.ndarray, ridge=DEFAULT_RIDGE, *, with_fourth_moments: bool = False
 ) -> WorldFits:
     """Fit every response row of ``y`` (B, N) on the design of ``d``."""
-    y_bar = summarize(d, y)
     design = d.design
-    q = y - y_bar.take(design.cluster, axis=1)
-    q /= d.s
-    sse1 = residual_ss(q, design.within_basis)
-    q_bar = np.divide(y, d.s, out=q)  # q is spent: reuse its buffer
-    sse2 = residual_ss(q_bar, design.uncentered_basis)
+    yw = y * design.w  # the block's one (B, N) temporary
+    zy = np.add.reduceat(yw, d.starts[:-1], axis=1)  # a_i y_bar_i
+    y_bar = zy / design.a
+    wy2 = np.einsum("bj,bj->b", yw, y)
+    zu, zw = np.split(y @ design.proj, [design.r_aug], axis=1)
+    # (y - y_bar)^2 in yw's buffer; mode "clip" lets take write there unbuffered
+    centred = np.take(y_bar, design.cluster, axis=1, out=yw, mode="clip")
+    centred = np.square(np.subtract(y, centred, out=yw), out=yw)
+    sse1 = np.maximum(centred @ design.w - np.einsum("bk,bk->b", zw, zw), 0.0)
+    sse2 = np.maximum(wy2 - np.einsum("bk,bk->b", zu, zu), 0.0)
     sse1, sigma2_v, sigma2_u = estimate_variances(d, sse1, sse2, ridge)
 
-    normal, rhs = normal_equations(d, q_bar, design.a * y_bar, sigma2_u, sigma2_v)
+    normal, rhs = normal_equations(d, zu @ design.ru, zy, sigma2_u, sigma2_v)
     coef, ok = solve_normal_equations(normal, rhs)
     mu, beta = coef[:, 0], coef[:, 1:]
     theta, rho, naive = predict(
@@ -201,9 +199,9 @@ def refit_worlds(
 
     gamma_u = gamma_v = None
     if with_fourth_moments:
-        resid = y - mu[:, None] - beta @ d.x.T
-        gamma_v = estimate_gamma_v(d, resid, sigma2_v)
-        gamma_u = estimate_gamma_u(d, resid, sigma2_u, sigma2_v, gamma_v)
+        sums = power_sums(d, y - mu[:, None] - beta @ d.x.T)
+        gamma_v = estimate_gamma_v(d, sums, sigma2_v)
+        gamma_u = estimate_gamma_u(d, sums, sigma2_u, sigma2_v, gamma_v)
     return WorldFits(
         sigma2_u=sigma2_u,
         sigma2_v=sigma2_v,

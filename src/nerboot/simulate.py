@@ -134,8 +134,8 @@ def _laws(scenario: Scenario, model: ErrorModel) -> tuple:
 def _study_draw(design: Dataset, scenario: Scenario, model: ErrorModel, words):
     """The level engine's ``draw(lo, hi)`` of the study's replicate worlds:
     replicate r is drawn from the seed words ``words[r]`` of key (STUDY, r)."""
-    target = (MU, np.asarray(BETA), _laws(scenario, model))
-    return _keyed_draw(design, [target], words, len(words))
+    laws = [_laws(scenario, model)]
+    return _keyed_draw(design, laws, words, len(words), (MU, np.asarray(BETA)))
 
 
 def _study_words(master_seed: int, replicates: int) -> np.ndarray:

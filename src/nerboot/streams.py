@@ -11,7 +11,8 @@ contract that makes parallel runs bit-identical to serial ones.
 ``substream`` applies the rule to one key.  ``substream_states`` applies it
 to a whole level of bootstrap worlds at once: keys that share a prefix and
 differ in their trailing components go through ``SeedSequence``'s entropy
-mixing and state generation as uint32 column arithmetic, one array
+mixing and state generation together: the shared words as Python ints,
+once, and from the first trailing word on as uint32 columns, one array
 operation per step for all keys, giving each world's
 ``generate_state(4, uint64)`` words.  ``replay`` hands each row of words to
 numpy's own PCG64 seeding, so world b's generator draws exactly what
@@ -71,43 +72,42 @@ def _words(value: int) -> list:
     reads one entropy component (zero is one word)."""
     if value < 0:
         raise ValueError(f"key components must be non-negative, got {value}")
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
+    return [value >> k & _MASK32 for k in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _u32(value):
+    """``value`` mod 2**32: a Python int is masked, a uint32 array already
+    wraps."""
+    return value & _MASK32 if isinstance(value, int) else value
 
 
 class _Hash:
-    """SeedSequence's hashmix with its running multiplier, on uint32 arrays;
-    (``_INIT_A``, ``_MULT_A``) mix the pool, (``_INIT_B``, ``_MULT_B``)
-    generate the state."""
+    """SeedSequence's hashmix with its running multiplier; (``_INIT_A``,
+    ``_MULT_A``) mix the pool, (``_INIT_B``, ``_MULT_B``) generate the state.
+    A word is a Python int where every key shares it, a uint32 array over
+    the keys otherwise."""
 
     def __init__(self, init, mult):
         self.const = init
         self.mult = mult
 
     def __call__(self, value):
-        value = value ^ np.uint32(self.const)
+        value = value ^ self.const
         self.const = (self.const * self.mult) & _MASK32
-        value = value * np.uint32(self.const)
+        value = _u32(value * self.const)
         return value ^ (value >> _XSHIFT)
 
 
 def _mix(x, y):
-    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    result = _u32(_u32(_MIX_MULT_L * x) - _u32(_MIX_MULT_R * y))
     return result ^ (result >> _XSHIFT)
 
 
 def _pool(entropy: list) -> list:
-    """SeedSequence's mixed entropy pool; ``entropy`` holds one uint32 array
-    per word, of shape (1,) for a word every key shares and (B,) otherwise."""
+    """SeedSequence's mixed entropy pool of the words ``entropy``, each an
+    int or a uint32 array (``_Hash``)."""
     hashmix = _Hash(_INIT_A, _MULT_A)
-    zero = np.zeros(1, dtype=np.uint32)
-    pool = [
-        hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)
-    ]
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
@@ -134,7 +134,8 @@ def substream_states(master_seed, *key_prefix, tails) -> np.ndarray:
 
     Trailing components must lie in [0, 2**32), so that each is one entropy
     word and every row shares one entropy layout; prefix components may be
-    any non-negative integer.
+    any non-negative integer.  The prefix words are hashed as Python ints,
+    once for all rows; arrays start at the first trailing word.
     """
     _check_seed(master_seed)
     prefix = [w for k in (master_seed, *key_prefix) for w in _words(int(k))]
@@ -143,8 +144,7 @@ def substream_states(master_seed, *key_prefix, tails) -> np.ndarray:
         raise ValueError("tails must be a (B, k) integer array")
     if tails.size and (tails.min() < 0 or tails.max() > _MASK32):
         raise ValueError("trailing key components must be in [0, 2**32)")
-    entropy = [np.array([w], dtype=np.uint32) for w in prefix]
-    entropy += [tails[:, j].astype(np.uint32) for j in range(tails.shape[1])]
+    entropy = prefix + [tails[:, j].astype(np.uint32) for j in range(tails.shape[1])]
     return _generate_state(_pool(entropy), len(tails))
 
 

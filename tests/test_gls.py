@@ -18,9 +18,10 @@ from conftest import benchmark_dataset, random_ragged_dataset
 def _gls_system(d, sigma2_u, sigma2_v):
     """The kernel's normal equations for the dataset's own responses, as
     a block of one world with the given variance components."""
+    aug = np.column_stack([np.ones(d.total), d.x])
     return normal_equations(
         d,
-        (d.y / d.s)[None],
+        ((d.design.w * d.y) @ aug)[None],
         (d.design.a * summarize(d, d.y))[None],
         np.array([sigma2_u]),
         np.array([sigma2_v]),

@@ -157,7 +157,7 @@ def test_world_maker_call_is_reported():
         "from .mspe import _draw_worlds\n"
         "def draw(d, states, laws):\n"
         "    rngs = list(streams.replay(states))\n"
-        "    return _draw_worlds(d, 0.0, 1.0, laws, rngs)\n"
+        "    return _draw_worlds(d, laws, rngs)\n"
     )
     assert _calls(source, WORLD_MAKERS) == [
         "line 4: replay",

@@ -3,7 +3,7 @@ import pytest
 
 import nerboot as nb
 from nerboot import mmdist
-from nerboot.moments import estimate_gamma_u, estimate_gamma_v
+from nerboot.moments import estimate_gamma_u, estimate_gamma_v, power_sums
 from nerboot.pipeline import fit_model
 
 import _brute
@@ -31,7 +31,7 @@ def test_pair_contrast_matches_double_loop_oracle():
         sigma2_v = 0.3
         want = (w4 - 6.0 * design.c_pair * sigma2_v**2) / (2.0 * design.a4_pair)
         assert want > sigma2_v**2  # the untruncated branch
-        got = estimate_gamma_v(d, resid, sigma2_v)
+        got = estimate_gamma_v(d, power_sums(d, resid), sigma2_v)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
@@ -54,7 +54,8 @@ def test_gamma_v_truncation_branch():
     d = benchmark_dataset(n=5, m=3, seed=2)
     fe = fit_model(d)
     # huge sigma2_v forces the raw expression negative
-    val = estimate_gamma_v(d, d.y - fe.mu - d.x @ fe.beta, sigma2_v=100.0)
+    sums = power_sums(d, d.y - fe.mu - d.x @ fe.beta)
+    val = estimate_gamma_v(d, sums, sigma2_v=100.0)
     assert val == 100.0**2
 
 
@@ -63,9 +64,9 @@ def test_floored_gamma_is_feasible_for_matching():
     # must be the value the matched-law check z4 >= z2**2 compares against
     sigma2 = np.array([0.7257929380218189])
     d = benchmark_dataset(n=5, m=3, seed=2)
-    resid = np.zeros((1, d.total))
-    gamma_v = estimate_gamma_v(d, resid, sigma2)
-    gamma_u = estimate_gamma_u(d, resid, sigma2, sigma2, gamma_v)
+    sums = power_sums(d, np.zeros((1, d.total)))
+    gamma_v = estimate_gamma_v(d, sums, sigma2)
+    gamma_u = estimate_gamma_u(d, sums, sigma2, sigma2, gamma_v)
     for gamma in (gamma_v, gamma_u):
         mmdist.make_three_point(float(sigma2[0]), float(gamma[0]))
 
@@ -137,7 +138,8 @@ def test_exact_error_fourth_moment_identity():
     errors = u + s * v
     d = nb.from_arrays(labels, x, errors, s)
     # known fixed effects mu = 0, beta = 0: the residuals are the errors
-    got = estimate_gamma_u(d, d.y, sigma2_u=1.0, sigma2_v=1.0, gamma_v=3.0)
+    sums = power_sums(d, d.y)
+    got = estimate_gamma_u(d, sums, sigma2_u=1.0, sigma2_v=1.0, gamma_v=3.0)
     # only the mean of errors^4 is random here; self-calibrated 4-sigma band
     se = (errors**4).std(ddof=1) / np.sqrt(errors.size)
     assert got == pytest.approx(3.0, abs=4 * se)

@@ -199,6 +199,68 @@ def test_double_bootstrap_across_blocks_matches_looped_oracle(monkeypatch, fitte
     np.testing.assert_allclose(res.mse_double, vacc / cfg.b2, rtol=1e-10)
 
 
+def _looped_double_bootstrap(d, fit, cfg):
+    """u-hat, v-hat and failure counts of ``mse_double`` by a loop over the
+    keyed worlds, each drawn around its fit's own (mu-hat, beta-hat)."""
+
+    def laws(fit):
+        return (
+            nb.make_distribution(fit.sigma2_u, fit.gamma_u, cfg.family),
+            nb.make_distribution(fit.sigma2_v, fit.gamma_v, cfg.family),
+        )
+
+    def refit(around, *key):
+        d_star, theta = _brute.draw_world(
+            d, around.mu, around.beta, *laws(around),
+            streams.substream(cfg.master_seed, *key),
+        )
+        try:
+            return fit_model(d_star), theta
+        except nb.RankDeficient:
+            return None, theta
+
+    failures = {"single": 0, "outer": 0, "inner": 0}
+    uacc = np.zeros(d.n)
+    for b in range(cfg.b1):
+        world, theta = refit(fit, streams.SINGLE, b)
+        failures["single"] += world is None
+        uacc += 0.0 if world is None else (world.theta_hat - theta) ** 2
+    vacc = np.zeros(d.n)
+    for b in range(cfg.b2):
+        outer, _ = refit(fit, streams.OUTER, b)
+        inner_keys = range(cfg.c) if outer else ()
+        inner = [refit(outer, streams.INNER, b, el) for el in inner_keys]
+        ok = [(world.theta_hat - theta) ** 2 for world, theta in inner if world]
+        failures["outer"] += not ok
+        failures["inner"] += len(inner) - len(ok)
+        vacc += np.mean(ok, axis=0) if ok else 0.0
+    u_hat = uacc / (cfg.b1 - failures["single"])
+    return u_hat, vacc / (cfg.b2 - failures["outer"]), failures
+
+
+@pytest.mark.parametrize(
+    "seed, family",
+    [(25, "three_point"), (31, "student_t")],
+    ids=["sigma2_u_truncated", "student_t"],
+)
+def test_mean_free_worlds_match_looped_oracle(seed, family):
+    # bootstrap worlds are drawn without the fit's mean mu + x' beta; the
+    # oracle draws every world around its fit's own (mu-hat, beta-hat)
+    d = random_ragged_dataset(seed, n=12, r=2)
+    fit = fit_model(d)
+    assert abs(fit.mu) + np.abs(fit.beta).sum() > 0.5
+    cfg = BootstrapConfig(b1=30, b2=8, c=6, family=family, master_seed=seed)
+    if family == "three_point":
+        assert fit.sigma2_u == 0.0
+    else:
+        assert {law.family for law in nerboot.mspe._laws(fit, family)} == {family}
+    res = mse_double(d, fit, cfg)
+    u_hat, v_hat, failures = _looped_double_bootstrap(d, fit, cfg)
+    assert res.failures == failures
+    np.testing.assert_allclose(res.mse_boot, u_hat, rtol=1e-12)
+    np.testing.assert_allclose(res.mse_double, v_hat, rtol=1e-12)
+
+
 def test_seed_stream_equivalence(fitted):
     # two disjoint seed streams at b1 = 2000 agree within combined MC error
     d, fit = fitted
@@ -236,13 +298,13 @@ def test_level_one_tracks_independent_truth_simulation():
     design = sim.make_design(scen, rng)
     acc = np.zeros(60)
     for _ in range(5000):
-        (y,), (theta,) = _draw_worlds(design, sim.MU, beta, laws, [rng])
+        (y,), (theta,) = _draw_worlds(design, laws, [rng], (sim.MU, beta))
         fit = fit_model(design.with_responses(y))
         acc += (fit.theta_hat - theta) ** 2
     smse = acc / 5000
 
     (y_one,), _ = _draw_worlds(
-        design, sim.MU, beta, laws, [np.random.default_rng(3141)]
+        design, laws, [np.random.default_rng(3141)], (sim.MU, beta)
     )
     d_one = design.with_responses(y_one)
     fit_one = fit_model(d_one)
@@ -377,9 +439,9 @@ def test_v_hat_does_not_depend_on_the_refit_block_size(monkeypatch):
     }
     real = nerboot.mspe._draw_worlds
 
-    def poisoned(d, mu, beta, laws, rngs):
+    def poisoned(d, laws, rngs, mean=None):
         rows = [k for k, rng in enumerate(rngs) if _pcg_state(rng) in bad]
-        y_star, theta_star = real(d, mu, beta, laws, rngs)
+        y_star, theta_star = real(d, laws, rngs, mean)
         y_star[rows, 0] = np.nan
         return y_star, theta_star
 

@@ -66,8 +66,7 @@ def test_design_is_built_once_shared_and_read_only():
     assert list(d._cache) == ["design"]
     arrays = {k: v for k, v in vars(design).items() if isinstance(v, np.ndarray)}
     assert set(arrays) == {
-        "w", "a", "x_bar", "x_under", "cluster", "p_bar_rows", "uncentered_basis",
-        "gram", "zmat", "zz", "within_basis",
+        "w", "a", "x_bar", "x_under", "cluster", "proj", "ru", "gram", "zmat", "zz",
     }
     for arr in arrays.values():
         assert not arr.flags.writeable

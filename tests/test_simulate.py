@@ -274,7 +274,7 @@ def test_pickled_design_gives_identical_replicates():
     assert prebuilt == {"design"}
     clone = pickle.loads(pickle.dumps(design))
     assert set(clone._cache) == prebuilt
-    assert not clone.design.within_basis.flags.writeable
+    assert not clone.design.proj.flags.writeable
 
     words = simulate._study_words(cfg.master_seed, 3)
     records = []

@@ -111,7 +111,7 @@ def test_block_draws_equal_looped_oracle(case):
     tails = np.array([key[3:] for key in keys])
     states = streams.substream_states(2**40 + 9, streams.INNER, 3, tails=tails)
     rngs = [_CountingGenerator(rng) for rng in streams.replay(states)]
-    y_star, theta_star = _draw_worlds(d, mu, beta, laws, rngs)
+    y_star, theta_star = _draw_worlds(d, laws, rngs, (mu, beta))
     assert [rng.calls for rng in rngs] == [CALLS_PER_WORLD[case]] * len(keys)
     # the oracle draws U and V with one ``sample`` call each
     for k, key in enumerate(keys):

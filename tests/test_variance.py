@@ -65,10 +65,19 @@ def test_sigma2_u_truncates_to_zero():
 
 
 def test_sigma2_v_invariant_to_linear_shift():
+    # adding c (1 + x gamma) to y leaves both variance components alone and
+    # moves theta-hat by c (1 + x_under gamma); c = 100 makes the uncentered
+    # sum of squares sum w y^2 - ||z_u||^2 cancel in about four more digits
     d = random_ragged_dataset(6)
-    y2 = d.y + 5.0 + 2.5 * d.x[:, 0]
-    sigma2_v2 = _variances(d.with_responses(y2)).sigma2_v
-    assert sigma2_v2 == pytest.approx(_variances(d).sigma2_v, rel=1e-8)
+    base = _variances(d)
+    assert base.sigma2_u > 0
+    gamma = 0.5
+    for c, rtol in ((5.0, 1e-8), (100.0, 1e-10)):
+        fit = _variances(d.with_responses(d.y + c * (1.0 + gamma * d.x[:, 0])))
+        assert fit.sigma2_v == pytest.approx(base.sigma2_v, rel=rtol)
+        assert fit.sigma2_u == pytest.approx(base.sigma2_u, rel=rtol)
+        moved = fit.theta_hat - c * (1.0 + gamma * d.design.x_under[:, 0])
+        np.testing.assert_allclose(moved, base.theta_hat, rtol=rtol)
 
 
 def test_unbiasedness_smoke_monte_carlo():
