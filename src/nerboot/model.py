@@ -194,12 +194,11 @@ class _Design:
             p_bar, "augmented design P-bar is not of full row rank"
         )
         self.r_aug = d.r + 1
-        self.k1 = float(np.sum(self.a))
         self.gram = p_bar.T @ p_bar  # sum_ij s^-2 x~ x~'
         # per-cluster outer products zmat_i zmat_i', flattened: (n, (r+1)^2)
         self.zz = (self.zmat[:, :, None] * self.zmat[:, None, :]).reshape(d.n, -1)
         sol = np.linalg.solve(self.gram, self.zmat.T)  # (r+1, n)
-        self.k = self.k1 - float(np.sum(self.zmat * sol.T))
+        self.k = float(np.sum(self.a)) - float(np.sum(self.zmat * sol.T))  # K1 - K2
         if self.k <= 0:
             raise NonPositiveK(f"K = K1 - K2 = {self.k} is not positive")
 
@@ -226,13 +225,6 @@ class _Design:
         for value in state.values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
-
-
-def summarize(d: Dataset, y: np.ndarray) -> np.ndarray:
-    """Per-cluster precision-weighted response means y_bar: shape (n,) for
-    responses (N,), (B, n) for a (B, N) block of response rows on ``d``."""
-    des = d.design
-    return np.add.reduceat(des.w * y, d.starts[:-1], axis=-1) / des.a
 
 
 # CSV ingestion: header ``cluster,y,s,x1,...,xr`` (s column optional, default 1);

@@ -19,10 +19,10 @@ Both branches agree at u = v and are strictly positive for u > 0.
 Every bootstrap world gets its own random substream keyed by
 (master_seed, level code, replicate index), with the level code always in
 second position, so results are reproducible and independent of execution
-order.  The seed words of many worlds are derived in one
-``streams.substream_states`` call -- all b1 level-one worlds, all b2 outer
-worlds, and per refit block of outer worlds the inner worlds of those that
-refit, ordered (b, l).  ``_draw_worlds`` hands each run of worlds' fresh
+order.  ``_level_states`` derives the seed words of a whole level in one
+``streams.substream_states`` call: the b1 level-one worlds, the b2 outer
+worlds, the inner worlds (b, l) of every outer world b that refits, and the
+study's replicate worlds.  ``_draw_worlds`` hands each run of worlds' fresh
 generators (``streams.replay``, bit for bit each world's
 ``streams.substream``) to ``mmdist.sample_worlds``, which draws U and then
 V from each; it builds the worlds of the study harness too.
@@ -33,13 +33,13 @@ bootstrap world carries no mean: GLS and the EBLUP are equivariant (Prasad
 & Rao, JASA 1990), so adding mu + x' beta to y* moves theta-hat* by
 mu + x_under' beta, as it moves theta*, and leaves the variance and
 fourth-moment estimates alone; theta-hat* - theta* and the failures do not
-depend on the fit's (mu, beta).  Level one and the outer level draw around
-the original fit.  The inner level is one pass per refit block of outer
-worlds: the inner worlds of the block's outer worlds that refit are drawn,
-each around its own outer fit, and refitted in blocks that may span outer
-worlds; ``squared_error`` sums them per outer world.
-Every level runs on the level engine of ``pipeline``: the outer level reads
-the block fits of ``refit_level``, the other levels take ``squared_error``.
+depend on the fit's (mu, beta).  The double bootstrap is three flat levels
+on the level engine of ``pipeline``.  Level one and the outer level draw
+around the original fit; the outer level reads the block fits of
+``refit_level`` and keeps which worlds refit and their matched laws.  The
+inner level is then one pass: each inner world is drawn around its own
+outer fit, and ``squared_error`` refits them in blocks that may span outer
+worlds and sums them per outer world.
 Worlds whose refit fails numerically are masked, skipped and counted; more
 than 1% failures at any level aborts the run, since under the ridge
 safeguard failures signal a pathological input.  ``mspe_report`` returns
@@ -49,6 +49,7 @@ the original fit and its ``DoubleBootstrapResult``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,6 +92,11 @@ class BootstrapConfig:
     ridge: tuple = DEFAULT_RIDGE
 
     def __post_init__(self):
+        for name in ("b1", "b2", "c", "master_seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if min(self.b1, self.b2, self.c) < 1:
             raise ValueError("replicate counts b1, b2, c must all be >= 1")
         if self.g_kind not in (G_ARCTAN, G_CLIPPED):
@@ -205,19 +211,20 @@ def _check_failures(failed: int, attempted: int, level: str) -> None:
         )
 
 
-def _level_states(cfg: BootstrapConfig, level: int, key_prefix: tuple, *axes):
+def _level_states(master_seed: int, level: int, key_prefix: tuple, *axes):
     """Seed words of the worlds keyed (level, *key_prefix, *index), one row
-    per index in the product of the ranges ``axes``, in row-major order."""
+    per index in the product of the integer axes ``axes`` (ranges or integer
+    arrays), in row-major order.  Every level keys its worlds here."""
     grid = np.meshgrid(*[np.asarray(axis) for axis in axes], indexing="ij")
     index = np.stack(grid, axis=-1).reshape(-1, len(axes))
-    return streams.substream_states(cfg.master_seed, level, *key_prefix, tails=index)
+    return streams.substream_states(master_seed, level, *key_prefix, tails=index)
 
 
 def mse_single(
     d: Dataset, fit: WorldFits, cfg: BootstrapConfig, key_prefix: tuple = ()
 ) -> tuple[np.ndarray, int]:
     """Level-one bootstrap estimate u-hat of MSE_i; returns (u_hat, failures)."""
-    states = _level_states(cfg, streams.SINGLE, key_prefix, range(cfg.b1))
+    states = _level_states(cfg.master_seed, streams.SINGLE, key_prefix, range(cfg.b1))
     draw = _keyed_draw(d, [_laws(fit, cfg.family)], states, cfg.b1)
     (acc,), (failed,) = squared_error(d, draw, cfg.b1, cfg.ridge)
     _check_failures(failed, cfg.b1, "level-one")
@@ -236,28 +243,27 @@ def mse_double(
     failed outer world.
     """
     u_hat, fail1 = mse_single(d, fit, cfg, key_prefix)
-    outer = _level_states(cfg, streams.OUTER, key_prefix, range(cfg.b2))
+    outer = _level_states(cfg.master_seed, streams.OUTER, key_prefix, range(cfg.b2))
     draw = _keyed_draw(d, [_laws(fit, cfg.family)], outer, cfg.b2)
-
-    vacc = np.zeros(d.n)
-    outer_failed = inner_attempted = inner_failed = 0
-    for lo, _, fits in refit_level(
+    ok, laws = [], []  # which outer worlds refit, and the laws of those that do
+    for _, _, fits in refit_level(
         d, draw, cfg.b2, cfg.ridge, with_fourth_moments=True
     ):
-        ks = np.flatnonzero(fits.ok)  # inner pass: worlds (b, l) of refitted b
-        inner = _level_states(cfg, streams.INNER, key_prefix, lo + ks, range(cfg.c))
-        laws = [_laws(fits, cfg.family, k) for k in ks]
-        draw_inner = _keyed_draw(d, laws, inner, cfg.c)
-        acc, failed = squared_error(d, draw_inner, len(inner), cfg.ridge, cfg.c)
-        refit = failed < cfg.c
-        outer_failed += len(fits.ok) - int(np.count_nonzero(refit))
-        inner_attempted += len(inner)
-        inner_failed += int(failed.sum())
-        vacc += np.sum(acc[refit] / (cfg.c - failed[refit, None]), axis=0)
+        ok.append(fits.ok)
+        laws += [_laws(fits, cfg.family, k) for k in np.flatnonzero(fits.ok)]
+    # the inner worlds (b, l), l < c, of every outer world b that refits
+    b = np.flatnonzero(np.concatenate(ok))
+    inner = _level_states(cfg.master_seed, streams.INNER, key_prefix, b, range(cfg.c))
+    draw = _keyed_draw(d, laws, inner, cfg.c)
+    acc, failed = squared_error(d, draw, len(inner), cfg.ridge, cfg.c)
+    refit = failed < cfg.c
+    outer_failed = cfg.b2 - int(np.count_nonzero(refit))
+    inner_failed = int(failed.sum())
     _check_failures(outer_failed, cfg.b2, "outer")
-    _check_failures(inner_failed, inner_attempted, "inner")
+    _check_failures(inner_failed, len(inner), "inner")
 
-    v_hat = vacc / (cfg.b2 - outer_failed)
+    inner_mse = acc[refit] / (cfg.c - failed[refit, None])
+    v_hat = np.sum(inner_mse, axis=0) / (cfg.b2 - outer_failed)
     return DoubleBootstrapResult(
         mse_boot=u_hat,
         mse_double=v_hat,

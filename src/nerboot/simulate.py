@@ -9,7 +9,7 @@ the larger component is 1.  Eight error models pair the study laws of
 analytically and scaled to the scenario variance).  Every world, of the
 truth simulation or of a study replicate, comes through ``mspe._keyed_draw``
 like a bootstrap world: replicate r from the seed words of key (STUDY, r),
-all derived in one ``streams.substream_states`` call.
+all derived in one ``mspe._level_states`` call, as for every bootstrap level.
 
 For each replicate the harness records the true and predicted mixed
 effects together with the MSPE estimates, so relative bias
@@ -37,7 +37,7 @@ from . import streams
 from .model import Dataset, from_arrays
 from .errors import RankDeficient
 from .mmdist import make_study_law, sample
-from .mspe import BootstrapConfig, _keyed_draw, mse_double, mse_single
+from .mspe import BootstrapConfig, _keyed_draw, _level_states, mse_double, mse_single
 from .pipeline import fit_model, squared_error
 
 # record-log columns, in file order
@@ -138,12 +138,6 @@ def _study_draw(design: Dataset, scenario: Scenario, model: ErrorModel, words):
     return _keyed_draw(design, laws, words, len(words), (MU, np.asarray(BETA)))
 
 
-def _study_words(master_seed: int, replicates: int) -> np.ndarray:
-    """Seed words of the keys (STUDY, r), r < replicates."""
-    reps = np.arange(replicates)[:, None]
-    return streams.substream_states(master_seed, streams.STUDY, tails=reps)
-
-
 def run_truth(
     scenario: Scenario, model: ErrorModel, replicates: int, master_seed: int
 ):
@@ -157,7 +151,8 @@ def run_truth(
     if replicates < 1:
         raise ValueError("need at least one replicate")
     design = make_design(scenario, streams.substream(master_seed, streams.DESIGN))
-    draw = _study_draw(design, scenario, model, _study_words(master_seed, replicates))
+    words = _level_states(master_seed, streams.STUDY, (), range(replicates))
+    draw = _study_draw(design, scenario, model, words)
     (acc,), (failed,) = squared_error(design, draw, replicates)
     if failed:
         raise RankDeficient("a truth-simulation refit failed")
@@ -274,7 +269,7 @@ def run_study(
     # them with the design, which a pool pickles
     design.design
 
-    words = _study_words(cfg.master_seed, replicates)
+    words = _level_states(cfg.master_seed, streams.STUDY, (), range(replicates))
     task = functools.partial(
         _one_replicate, (design, scenario, model, cfg, double, words)
     )

@@ -25,6 +25,8 @@ replicate index follows it when a bootstrap runs inside a study, and world
 indices come last.
 """
 
+import operator
+
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
@@ -63,7 +65,11 @@ def draw_master_seed():
 
 
 def _check_seed(master_seed) -> None:
-    if not 0 <= int(master_seed) <= MAX_SEED:
+    try:
+        seed = operator.index(master_seed)
+    except TypeError:
+        raise ValueError(f"master seed must be an int, got {master_seed!r}") from None
+    if not 0 <= seed <= MAX_SEED:
         raise ValueError(f"master seed must be in [0, 2**64), got {master_seed}")
 
 

@@ -3,8 +3,8 @@
 Everything here recomputes the estimators from their definitions with
 explicit loops and dense matrices: no block factorizations, no caching, no
 code shared with the library internals (the world draw calls
-``mmdist.sample`` and reads ``d.design.x_under``).  Tests compare the fast
-paths against these.
+``mmdist.sample`` and reads ``d.design.x_under``; ``summarize`` reads
+``d.design``'s weights and a_i).  Tests compare the fast paths against these.
 """
 
 from typing import NamedTuple
@@ -38,6 +38,13 @@ def summaries(d):
         ybar.append(np.sum(c.y * w) / np.sum(w))
         xunder.append(c.x.mean(axis=0))
     return np.array(a), np.array(xbar), np.array(ybar), np.array(xunder)
+
+
+def summarize(d, y):
+    """Per-cluster precision-weighted response means y_bar: shape (n,) for
+    responses (N,), (B, n) for a (B, N) block of response rows on ``d``."""
+    des = d.design
+    return np.add.reduceat(des.w * y, d.starts[:-1], axis=-1) / des.a
 
 
 def centered_dense(d, dropped=None):

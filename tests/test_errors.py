@@ -5,7 +5,7 @@ import nerboot as nb
 from nerboot.errors import NonPositiveK
 from nerboot.mspe import BootstrapConfig
 from nerboot.pipeline import ridge_floor
-from nerboot.streams import substream
+from nerboot.streams import substream, substream_states
 
 
 def test_non_positive_k_detected():
@@ -47,9 +47,25 @@ def test_bootstrap_config_validation():
     assert (desk.b1, desk.b2, desk.c) == (100, 50, 50)
 
 
+@pytest.mark.parametrize("name", ["b1", "b2", "c", "master_seed"])
+@pytest.mark.parametrize("value", [2.5, 2.0])
+def test_bootstrap_config_rejects_non_integers(name, value):
+    # a float seed would silently draw the streams of its integer part, and a
+    # float count would fail deep inside the bootstrap
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        BootstrapConfig(**{name: value})
+    cfg = BootstrapConfig(**{name: np.int64(2)})  # numpy integers are integers
+    assert getattr(cfg, name) == 2
+
+
 def test_substream_rejects_bad_seed():
     with pytest.raises(ValueError):
         substream(-5, 1)
+    for seed in (1.5, 1.0, "1"):
+        with pytest.raises(ValueError, match="master seed must be an int"):
+            substream(seed, 1)
+        with pytest.raises(ValueError, match="master seed must be an int"):
+            substream_states(seed, 1, tails=np.zeros((2, 1), int))
     a = substream(9, 1, 2).random(4)
     b = substream(9, 1, 2).random(4)
     np.testing.assert_array_equal(a, b)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import nerboot as nb
-from nerboot.model import summarize
 from nerboot.pipeline import (
     fit_model,
     normal_equations,
@@ -22,7 +21,7 @@ def _gls_system(d, sigma2_u, sigma2_v):
     return normal_equations(
         d,
         ((d.design.w * d.y) @ aug)[None],
-        (d.design.a * summarize(d, d.y))[None],
+        (d.design.a * _brute.summarize(d, d.y))[None],
         np.array([sigma2_u]),
         np.array([sigma2_v]),
     )

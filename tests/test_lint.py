@@ -1,7 +1,7 @@
 """Every name a library module imports, and every private name it defines at
 module level, is used in that module; only ``streams`` makes generators,
-only ``mspe`` replays keyed streams into worlds, and only ``mmdist`` draws
-from generators."""
+only ``mspe`` derives seed words and replays keyed streams into worlds, and
+only ``mmdist`` draws from generators."""
 
 import ast
 from pathlib import Path
@@ -137,8 +137,9 @@ def test_generator_call_is_reported():
     ]
 
 
-# the calls that turn seed words into generators and generators into worlds
-WORLD_MAKERS = {"replay", "_draw_worlds"}
+# the calls that derive seed words, turn them into generators and generators
+# into worlds
+WORLD_MAKERS = {"substream_states", "replay", "_draw_worlds"}
 
 
 @pytest.mark.parametrize(
@@ -147,7 +148,8 @@ WORLD_MAKERS = {"replay", "_draw_worlds"}
     ids=lambda path: path.name,
 )
 def test_only_mspe_replays_keyed_streams(path):
-    # every other module draws its worlds through ``mspe._keyed_draw``
+    # every other module keys its worlds through ``mspe._level_states`` and
+    # draws them through ``mspe._keyed_draw``
     assert _calls(path.read_text(), WORLD_MAKERS) == []
 
 
@@ -155,13 +157,15 @@ def test_world_maker_call_is_reported():
     source = (
         "from . import streams\n"
         "from .mspe import _draw_worlds\n"
-        "def draw(d, states, laws):\n"
+        "def draw(d, tails, laws):\n"
+        "    states = streams.substream_states(7, streams.STUDY, tails=tails)\n"
         "    rngs = list(streams.replay(states))\n"
         "    return _draw_worlds(d, laws, rngs)\n"
     )
     assert _calls(source, WORLD_MAKERS) == [
-        "line 4: replay",
-        "line 5: _draw_worlds",
+        "line 4: substream_states",
+        "line 5: replay",
+        "line 6: _draw_worlds",
     ]
 
 

@@ -420,6 +420,24 @@ def test_outer_world_whose_inner_worlds_all_fail_counts_once(monkeypatch, fitted
     np.testing.assert_allclose(res.mse_double, vacc / (cfg.b2 - 1), rtol=1e-10)
 
 
+def test_every_outer_world_failing_aborts(monkeypatch, fitted):
+    # the kernel's second call refits the one block of outer worlds; when
+    # none refits, the inner level has no worlds and the outer level aborts
+    d, fit = fitted
+    cfg = BootstrapConfig(b1=2, b2=100, c=2, master_seed=6)
+    assert cfg.b1 <= block_size(d) and cfg.b2 <= block_size(d)
+    real = nerboot.pipeline._positive_definite
+    calls = itertools.count()
+
+    def outer_block_fails(normal):
+        ok = real(normal)
+        return ok & (next(calls) != 1)
+
+    monkeypatch.setattr("nerboot.pipeline._positive_definite", outer_block_fails)
+    with pytest.raises(TooManyFailures, match="100/100 outer"):
+        mse_double(d, fit, cfg)
+
+
 def _pcg_state(rng):
     return rng.bit_generator.state["state"]["state"]
 

@@ -3,13 +3,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nerboot.model import summarize
 from nerboot.pipeline import predict, ridge_floor
+
+import _brute
 
 
 def eblup(d, fe, sigma2_u, sigma2_v):
     theta_hat, rho, naive_mse = predict(
-        d, summarize(d, d.y), fe.mu, fe.beta, sigma2_u, sigma2_v
+        d, _brute.summarize(d, d.y), fe.mu, fe.beta, sigma2_u, sigma2_v
     )
     return SimpleNamespace(theta_hat=theta_hat, rho=rho, naive_mse=naive_mse)
 
@@ -68,7 +69,7 @@ def test_endpoint_interpolation(benchmark_fixture):
     d = benchmark_fixture
     fe = SimpleNamespace(mu=0.1, beta=np.array([0.9]))
     synthetic = fe.mu + d.design.x_under @ fe.beta
-    direct_gap = summarize(d, d.y) - fe.mu - d.design.x_bar @ fe.beta
+    direct_gap = _brute.summarize(d, d.y) - fe.mu - d.design.x_bar @ fe.beta
 
     pred0 = eblup(d, fe, 0.0, 1.0)  # rho = 0 exactly
     np.testing.assert_allclose(pred0.theta_hat, synthetic, rtol=1e-12)

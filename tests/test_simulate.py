@@ -264,6 +264,7 @@ def test_pickled_design_gives_identical_replicates():
     import pickle
 
     from nerboot import simulate, streams
+    from nerboot.mspe import _level_states
 
     scen = Scenario.from_ratio(n=10, ratio=0.5)
     model = error_model("m3")
@@ -276,7 +277,7 @@ def test_pickled_design_gives_identical_replicates():
     assert set(clone._cache) == prebuilt
     assert not clone.design.proj.flags.writeable
 
-    words = simulate._study_words(cfg.master_seed, 3)
+    words = _level_states(cfg.master_seed, streams.STUDY, (), range(3))
     records = []
     for d in (design, clone):
         state = (d, scen, model, cfg, True, words)

@@ -48,7 +48,7 @@ def test_sse2_and_k_match_dense_oracle():
 
 def test_k1_equals_total_for_unit_scales(benchmark_fixture):
     d = benchmark_fixture
-    assert d.design.k1 == pytest.approx(d.total, rel=1e-12)
+    assert d.design.a.sum() == pytest.approx(d.total, rel=1e-12)
 
 
 def test_sigma2_u_truncates_to_zero():
