@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -30,7 +29,7 @@ from .errors import DataError, NumericalError
 from .model import Dataset, read_csv_dataset
 from .mspe import BootstrapConfig, DoubleBootstrapResult, mspe_report
 from .pipeline import WorldFits
-from .streams import MAX_SEED, draw_master_seed, substream
+from .streams import draw_master_seed, substream
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -97,13 +96,11 @@ def _config_defaults(sub: argparse.ArgumentParser, args) -> dict:
 
 
 def resolve_seed(seed) -> int:
-    if seed is not None:
-        if not 0 <= seed <= MAX_SEED:
-            raise UsageError(f"seed must be in [0, 2^64) (got {seed})")
-        return seed
-    drawn = draw_master_seed()
-    print(f"seed: {drawn}", file=sys.stderr)
-    return drawn
+    """``seed``, or a fresh one printed to stderr when none is given."""
+    if seed is None:
+        seed = draw_master_seed()
+        print(f"seed: {seed}", file=sys.stderr)
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +188,15 @@ def _report_csv(table: dict) -> str:
 
 def _bootstrap_config(args) -> BootstrapConfig:
     """The bootstrap settings, each checked before the seed is resolved, so a
-    usage error draws no seed."""
+    usage error draws no seed; a given seed is checked last."""
     try:
         cfg = BootstrapConfig(
             b1=args.b1, b2=args.b2, c=args.c, family=args.family, g_kind=args.g,
             c_clip=args.c_clip, ridge=(args.ridge_b1, args.ridge_b2),
         )
+        return replace(cfg, master_seed=resolve_seed(args.seed))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    return replace(cfg, master_seed=resolve_seed(args.seed))
 
 
 def cmd_fit(args) -> int:
@@ -294,7 +291,7 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    for name, least in (("replicates", 1), ("n", 2), ("jobs", 1)):
+    for name, least in (("replicates", 1), ("jobs", 1)):
         value = getattr(args, name)
         if value < least:
             raise UsageError(f"{name} must be at least {least} (got {value})")
@@ -306,9 +303,6 @@ def cmd_simulate(args) -> int:
             raise UsageError("--sigma-u and --sigma-v must be given together")
         if ratio is not None:
             raise UsageError("give either --ratio or --sigma-u/--sigma-v, not both")
-        if not (0 <= sigma_u < math.inf and 0 <= sigma_v < math.inf):
-            raise UsageError("--sigma-u and --sigma-v must be finite and >= 0")
-        scenario = simulate.Scenario(n=args.n, sigma2_u=sigma_u, sigma2_v=sigma_v)
     else:
         ratio = 1.0 if ratio is None else ratio
         if ratio not in STANDARD_RATIOS:
@@ -316,7 +310,13 @@ def cmd_simulate(args) -> int:
                 f"ratio must be one of {{0.5, 1, 2}} (got {ratio:g}); "
                 "custom ratios need --sigma-u/--sigma-v"
             )
-        scenario = simulate.Scenario.from_ratio(n=args.n, ratio=ratio)
+    try:
+        if ratio is None:
+            scenario = simulate.Scenario(n=args.n, sigma2_u=sigma_u, sigma2_v=sigma_v)
+        else:
+            scenario = simulate.Scenario.from_ratio(n=args.n, ratio=ratio)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     cfg = _bootstrap_config(args)
 
     summaries, records = [], {}
@@ -383,7 +383,11 @@ def cmd_dist(args) -> int:
         out.append(f"df: {_fmt(dist.params['df'])}")
         out.append(f"scale: {_fmt(dist.params['scale'])}")
 
-    draws = mmdist.sample(dist, substream(resolve_seed(args.seed)), args.count)
+    try:
+        rng = substream(resolve_seed(args.seed))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    draws = mmdist.sample(dist, rng, args.count)
     out.append(f"empirical moments of {args.count} draws (value +/- MC s.e.):")
     for label, power in (("mean", 1), ("variance", 2), ("fourth moment", 4)):
         vals = draws**power

@@ -92,7 +92,7 @@ class BootstrapConfig:
     ridge: tuple = DEFAULT_RIDGE
 
     def __post_init__(self):
-        for name in ("b1", "b2", "c", "master_seed"):
+        for name in ("b1", "b2", "c"):
             try:
                 operator.index(getattr(self, name))
             except TypeError:
@@ -105,8 +105,7 @@ class BootstrapConfig:
             raise ValueError(f"family must be one of {', '.join(FAMILIES)}")
         if self.g_kind == G_CLIPPED and not 0 < self.c_clip < math.inf:
             raise ValueError("c_clip must be finite and positive for the clipped g")
-        if not 0 <= self.master_seed <= streams.MAX_SEED:
-            raise ValueError("master_seed must fit in 64 bits")
+        streams._key(self.master_seed)  # raises ValueError for an invalid seed
         ridge_floor(2, self.ridge)  # raises ValueError for an invalid ridge
 
     @classmethod

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -105,6 +106,12 @@ class Scenario:
     n: int
     sigma2_u: float
     sigma2_v: float
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise ValueError(f"n must be at least 2 (got {self.n})")
+        if not (0 <= self.sigma2_u < math.inf and 0 <= self.sigma2_v < math.inf):
+            raise ValueError(f"variances must be finite and >= 0 (got {self})")
 
     @classmethod
     def from_ratio(cls, n: int, ratio: float) -> "Scenario":

@@ -11,13 +11,12 @@ contract that makes parallel runs bit-identical to serial ones.
 ``substream`` applies the rule to one key.  ``substream_states`` applies it
 to a whole level of bootstrap worlds at once: keys that share a prefix and
 differ in their trailing components go through ``SeedSequence``'s entropy
-mixing and state generation together: the shared words as Python ints,
-once, and from the first trailing word on as uint32 columns, one array
-operation per step for all keys, giving each world's
-``generate_state(4, uint64)`` words.  ``replay`` hands each row of words to
-numpy's own PCG64 seeding, so world b's generator draws exactly what
-``substream(*key_b)`` would.  This module is the only one that makes
-generators.
+mixing and state generation together, each word a uint32 array that wraps
+mod 2**32 (one element while all keys share it), so each step is one array
+operation for all keys.  ``replay`` hands each row of seed words to numpy's
+own PCG64 seeding, so world b's generator draws exactly what
+``substream(*key_b)`` would.  Only this module makes generators, and only
+its ``_key`` checks a seed and a key.
 
 Key layout: the component after the master seed is one of the purpose
 codes below, so streams of different purposes never share a key; a study
@@ -55,8 +54,7 @@ _MASK32 = 2**32 - 1
 
 def substream(master_seed, *key):
     """Independent generator for the given (master_seed, *key) tuple."""
-    _check_seed(master_seed)
-    return np.random.default_rng([int(master_seed), *[int(k) for k in key]])
+    return np.random.default_rng(_key(master_seed, *key))
 
 
 def draw_master_seed():
@@ -64,34 +62,26 @@ def draw_master_seed():
     return int(np.random.SeedSequence().entropy % (2**63))
 
 
-def _check_seed(master_seed) -> None:
+def _key(master_seed, *key) -> list:
+    """``[master_seed, *key]`` as Python ints, never truncated: the seed must
+    lie in [0, 2**64) and every component be a non-negative integer."""
     try:
-        seed = operator.index(master_seed)
+        words = [operator.index(k) for k in (master_seed, *key)]
     except TypeError:
-        raise ValueError(f"master seed must be an int, got {master_seed!r}") from None
-    if not 0 <= seed <= MAX_SEED:
-        raise ValueError(f"master seed must be in [0, 2**64), got {master_seed}")
-
-
-def _words(value: int) -> list:
-    """A non-negative integer as little-endian uint32 words, as SeedSequence
-    reads one entropy component (zero is one word)."""
-    if value < 0:
-        raise ValueError(f"key components must be non-negative, got {value}")
-    return [value >> k & _MASK32 for k in range(0, max(value.bit_length(), 1), 32)]
-
-
-def _u32(value):
-    """``value`` mod 2**32: a Python int is masked, a uint32 array already
-    wraps."""
-    return value & _MASK32 if isinstance(value, int) else value
+        raise ValueError(
+            f"seed and key components must be integers (got {master_seed!r}, {key!r})"
+        ) from None
+    if not 0 <= words[0] <= MAX_SEED:
+        raise ValueError(f"seed must be in [0, 2^64) (got {words[0]})")
+    if min(words) < 0:
+        raise ValueError(f"key components must be non-negative (got {key!r})")
+    return words
 
 
 class _Hash:
     """SeedSequence's hashmix with its running multiplier; (``_INIT_A``,
     ``_MULT_A``) mix the pool, (``_INIT_B``, ``_MULT_B``) generate the state.
-    A word is a Python int where every key shares it, a uint32 array over
-    the keys otherwise."""
+    A word is a uint32 array, of one element where every key shares it."""
 
     def __init__(self, init, mult):
         self.const = init
@@ -100,20 +90,22 @@ class _Hash:
     def __call__(self, value):
         value = value ^ self.const
         self.const = (self.const * self.mult) & _MASK32
-        value = _u32(value * self.const)
+        value = value * self.const
         return value ^ (value >> _XSHIFT)
 
 
 def _mix(x, y):
-    result = _u32(_u32(_MIX_MULT_L * x) - _u32(_MIX_MULT_R * y))
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
     return result ^ (result >> _XSHIFT)
 
 
-def _pool(entropy: list) -> list:
-    """SeedSequence's mixed entropy pool of the words ``entropy``, each an
-    int or a uint32 array (``_Hash``)."""
+def _generate_state(entropy: list) -> np.ndarray:
+    """SeedSequence's ``generate_state(4, uint64)`` of the uint32 words
+    ``entropy``, as (keys, 4) C-contiguous native uint64: a pool of four words
+    mixed from the entropy, then eight words hashed from it, read in pairs."""
     hashmix = _Hash(_INIT_A, _MULT_A)
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
+    padded = entropy + [np.zeros(1, np.uint32)] * (_POOL_SIZE - len(entropy))
+    pool = [hashmix(word) for word in padded[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
@@ -121,37 +113,34 @@ def _pool(entropy: list) -> list:
     for word in entropy[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], hashmix(word))
-    return pool
-
-
-def _generate_state(pool: list, rows: int) -> np.ndarray:
-    """``generate_state(4, uint64)`` of each row's pool, as (rows, 4)
-    C-contiguous native uint64: eight uint32 words read little-endian in
-    pairs, as SeedSequence reads them."""
     hashmix = _Hash(_INIT_B, _MULT_B)
-    halves = [np.broadcast_to(hashmix(pool[i % _POOL_SIZE]), rows) for i in range(8)]
+    halves = [hashmix(pool[i % _POOL_SIZE]) for i in range(8)]
     return np.stack(halves, axis=1).astype("<u4").view("<u8").astype(np.uint64)
 
 
 def substream_states(master_seed, *key_prefix, tails) -> np.ndarray:
     """Seed words of ``substream(master_seed, *key_prefix, *t)`` for every
-    row t of the (B, k) integer array ``tails``: a (B, 4) uint64 array whose
-    row b is that key's ``SeedSequence.generate_state(4, np.uint64)``.
+    row t of the (B, k) integer array ``tails``, k >= 1: a (B, 4) uint64
+    array whose row b is that key's ``SeedSequence.generate_state(4,
+    np.uint64)``.
 
     Trailing components must lie in [0, 2**32), so that each is one entropy
     word and every row shares one entropy layout; prefix components may be
-    any non-negative integer.  The prefix words are hashed as Python ints,
-    once for all rows; arrays start at the first trailing word.
+    any non-negative integer, read as SeedSequence reads one: little-endian
+    uint32 words, zero as one word.
     """
-    _check_seed(master_seed)
-    prefix = [w for k in (master_seed, *key_prefix) for w in _words(int(k))]
+    prefix = [
+        np.full(1, k >> shift & _MASK32, np.uint32)
+        for k in _key(master_seed, *key_prefix)
+        for shift in range(0, max(k.bit_length(), 1), 32)
+    ]
     tails = np.asarray(tails)
-    if tails.ndim != 2 or tails.dtype.kind not in "iu":
-        raise ValueError("tails must be a (B, k) integer array")
+    if tails.ndim != 2 or not tails.shape[1] or tails.dtype.kind not in "iu":
+        raise ValueError("tails must be a (B, k) integer array with k >= 1")
     if tails.size and (tails.min() < 0 or tails.max() > _MASK32):
         raise ValueError("trailing key components must be in [0, 2**32)")
     entropy = prefix + [tails[:, j].astype(np.uint32) for j in range(tails.shape[1])]
-    return _generate_state(_pool(entropy), len(tails))
+    return _generate_state(entropy)
 
 
 class _Seed(ISeedSequence):

@@ -5,6 +5,7 @@ import nerboot as nb
 from nerboot.errors import NonPositiveK
 from nerboot.mspe import BootstrapConfig
 from nerboot.pipeline import ridge_floor
+from nerboot.simulate import Scenario, error_model, run_truth
 from nerboot.streams import substream, substream_states
 
 
@@ -51,8 +52,10 @@ def test_bootstrap_config_validation():
 @pytest.mark.parametrize("value", [2.5, 2.0])
 def test_bootstrap_config_rejects_non_integers(name, value):
     # a float seed would silently draw the streams of its integer part, and a
-    # float count would fail deep inside the bootstrap
-    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+    # float count would fail deep inside the bootstrap; the seed is checked by
+    # the key rule of ``streams``
+    message = "seed and key components" if name == "master_seed" else name
+    with pytest.raises(ValueError, match=f"^{message} must be"):
         BootstrapConfig(**{name: value})
     cfg = BootstrapConfig(**{name: np.int64(2)})  # numpy integers are integers
     assert getattr(cfg, name) == 2
@@ -61,11 +64,19 @@ def test_bootstrap_config_rejects_non_integers(name, value):
 def test_substream_rejects_bad_seed():
     with pytest.raises(ValueError):
         substream(-5, 1)
+    message = "seed and key components must be integers"
+    scenario, model = Scenario.from_ratio(5, 1.0), error_model("m1")
     for seed in (1.5, 1.0, "1"):
-        with pytest.raises(ValueError, match="master seed must be an int"):
+        with pytest.raises(ValueError, match=message):
             substream(seed, 1)
-        with pytest.raises(ValueError, match="master seed must be an int"):
+        with pytest.raises(ValueError, match=message):
             substream_states(seed, 1, tails=np.zeros((2, 1), int))
+        with pytest.raises(ValueError, match=message):
+            run_truth(scenario, model, 2, master_seed=seed)
+    # a key component is never truncated to its integer part
+    for key in ((1.5,), (1, 2.0), (np.float64(3.0),)):
+        with pytest.raises(ValueError, match=message):
+            substream(3, *key)
     a = substream(9, 1, 2).random(4)
     b = substream(9, 1, 2).random(4)
     np.testing.assert_array_equal(a, b)

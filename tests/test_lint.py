@@ -1,7 +1,7 @@
 """Every name a library module imports, and every private name it defines at
-module level, is used in that module; only ``streams`` makes generators,
-only ``mspe`` derives seed words and replays keyed streams into worlds, and
-only ``mmdist`` draws from generators."""
+module level, is used in that module; only ``streams`` makes generators and
+reads the seed range, only ``mspe`` derives seed words and replays keyed
+streams into worlds, and only ``mmdist`` draws from generators."""
 
 import ast
 from pathlib import Path
@@ -134,6 +134,46 @@ def test_generator_call_is_reported():
         "line 4: PCG64",
         "line 4: default_rng",
         "line 5: SeedSequence",
+    ]
+
+
+def _reads(source: str, name: str) -> list:
+    """Where ``name`` is read: as a bare name, an attribute or an import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}"] * names.count(name)
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in Path(nerboot.__file__).parent.glob("*.py") if p.name != "streams.py"],
+    ids=lambda path: path.name,
+)
+def test_only_streams_reads_max_seed(path):
+    # a seed's range is checked by the key rule of ``streams`` alone
+    assert _reads(path.read_text(), "MAX_SEED") == []
+
+
+def test_max_seed_read_is_reported():
+    source = (
+        "from . import streams\n"
+        "from .streams import MAX_SEED, substream\n"
+        "def check(seed, MAX_SEED_BITS=64):\n"
+        "    return 0 <= seed <= MAX_SEED and seed != streams.MAX_SEED\n"
+    )
+    assert _reads(source, "MAX_SEED") == [
+        "line 2: MAX_SEED",
+        "line 4: MAX_SEED",
+        "line 4: MAX_SEED",
     ]
 
 

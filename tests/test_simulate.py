@@ -105,6 +105,17 @@ def test_scenario_ratio_normalization():
         Scenario.from_ratio(60, -1.0)
 
 
+@pytest.mark.parametrize(
+    "n, sigma2_u, sigma2_v",
+    [(6, math.nan, 1.0), (6, 1.0, math.inf), (6, -1.0, 1.0), (6, 1.0, -0.5), (1, 1.0, 1.0)],
+)
+def test_scenario_rejects_bad_inputs(n, sigma2_u, sigma2_v):
+    # unchecked, a nan or infinite variance reaches the study and fails there
+    # as a singular GLS system, with RuntimeWarnings
+    with pytest.raises(ValueError, match="at least 2|must be finite and >= 0"):
+        Scenario(n=n, sigma2_u=sigma2_u, sigma2_v=sigma2_v)
+
+
 def test_make_design_shape():
     scen = Scenario.from_ratio(n=12, ratio=1.0)
     d = make_design(scen, np.random.default_rng(0))

@@ -51,6 +51,14 @@ def test_batched_states_reject_what_default_rng_rejects():
         streams.substream_states(3, streams.SINGLE, tails=np.array([[0], [-1]]))
     with pytest.raises(ValueError):
         streams.substream_states(-3, streams.SINGLE, tails=np.zeros((2, 1), int))
+    # default_rng raises TypeError for a float component; it is not truncated
+    with pytest.raises(TypeError):
+        np.random.default_rng([3, 2.9])
+    with pytest.raises(ValueError):
+        streams.substream_states(3, 2.9, tails=np.zeros((2, 1), int))
+    # a key needs a trailing component, or every row would be the same key
+    with pytest.raises(ValueError):
+        streams.substream_states(3, streams.SINGLE, tails=np.zeros((2, 0), int))
     # a trailing component of two entropy words would change the layout
     with pytest.raises(ValueError):
         streams.substream_states(3, streams.SINGLE, tails=np.array([[1], [2**32]]))
