@@ -120,8 +120,14 @@ def _three_point_values(params, u):
 
 def _student_t_values(params, z, half_chi2):
     # gamma-mixture representation of t_df, exact for fractional df; the
-    # chi-square is twice a standard gamma of shape df/2
-    return params["scale"] * z / np.sqrt(2.0 * half_chi2 / params["df"])
+    # chi-square is twice a standard gamma of shape df/2.  In place on the
+    # draw buffers: scale z / sqrt(chi2 / df)
+    half_chi2 *= 2.0
+    half_chi2 /= params["df"]
+    np.sqrt(half_chi2, out=half_chi2)
+    z *= params["scale"]
+    z /= half_chi2
+    return z
 
 
 def _standard(center, spread, root=False):

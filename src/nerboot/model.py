@@ -174,6 +174,10 @@ class _Design:
     before the within rank: K <= 0 puts a cluster indicator in the span of
     (1, x), which also leaves the within design rank-deficient.
 
+    Worlds y = U_i + s V refit from their draws read ``q`` = s ``proj`` =
+    [Q_u | Q_w] and ``proj_sums``, the cluster sums of proj's Q_u columns
+    (n, r+1): y @ proj = U @ [proj_sums | 0] + V @ q.
+
     Fourth moments: the ordered-pair coefficients of ``moments``.
     """
 
@@ -206,7 +210,9 @@ class _Design:
         q_w, _ = _orthonormal_basis(
             p_rows, "centered design P T^-1 P' has rank below the covariate dimension"
         )
-        self.proj = np.column_stack([q_u, q_w]) / d.s[:, None]  # (N, 2r+1)
+        self.q = np.column_stack([q_u, q_w])  # (N, 2r+1)
+        self.proj = self.q / d.s[:, None]
+        self.proj_sums = np.add.reduceat(self.proj[:, : self.r_aug], lo, axis=0)
 
         s2 = d.s**2
         s2_sum = np.add.reduceat(s2, lo)

@@ -25,7 +25,10 @@ worlds, the inner worlds (b, l) of every outer world b that refits, and the
 study's replicate worlds.  ``_draw_worlds`` hands each run of worlds' fresh
 generators (``streams.replay``, bit for bit each world's
 ``streams.substream``) to ``mmdist.sample_worlds``, which draws U and then
-V from each; it builds the worlds of the study harness too.
+V from each; it draws the worlds of the study harness too.  Level-one and
+inner worlds are refitted from their draws (U, V) and never form y;
+``_responses`` forms y for the outer worlds, whose fourth moments read
+residuals, and for worlds with a mean (study and truth).
 
 Every fit is a ``pipeline.WorldFits``, and every world is drawn from the
 laws matched to one fit's second and fourth moments (``_keyed_draw``).  A
@@ -34,12 +37,12 @@ bootstrap world carries no mean: GLS and the EBLUP are equivariant (Prasad
 mu + x_under' beta, as it moves theta*, and leaves the variance and
 fourth-moment estimates alone; theta-hat* - theta* and the failures do not
 depend on the fit's (mu, beta).  The double bootstrap is three flat levels
-on the level engine of ``pipeline``.  Level one and the outer level draw
-around the original fit; the outer level reads the block fits of
-``refit_level`` and keeps which worlds refit and their matched laws.  The
+on the kernel of ``pipeline``.  Level one and the outer level draw around
+the original fit; the outer level refits its draw blocks with
+``refit_worlds`` and keeps which worlds refit and their matched laws.  The
 inner level is then one pass: each inner world is drawn around its own
-outer fit, and ``squared_error`` refits them in blocks that may span outer
-worlds and sums them per outer world.
+outer fit, and ``squared_error`` refits them in batches that may span
+outer worlds and sums them per outer world.
 Worlds whose refit fails numerically are masked, skipped and counted; more
 than 1% failures at any level aborts the run, since under the ridge
 safeguard failures signal a pathological input.  ``mspe_report`` returns
@@ -61,11 +64,14 @@ from .model import Dataset
 from .pipeline import (
     DEFAULT_RIDGE,
     WorldFits,
+    draw_blocks,
+    draw_statistics,
     fit_model,
-    refit_level,
+    refit_worlds,
     ridge_floor,
     runs,
     squared_error,
+    statistics,
 )
 
 FAILURE_TOLERANCE = 0.01  # max tolerated share of failed replicates per level
@@ -157,13 +163,20 @@ def robust_correction(
 # world generation
 # ---------------------------------------------------------------------------
 
-def _draw_worlds(d: Dataset, laws: tuple, rngs: list, mean=None):
-    """Synthetic response rows (B, N) on the same design and the true theta
-    (B, n); world b draws U before V, from ``laws`` (U, V), with the
-    generator ``rngs[b]``.  Every level builds its worlds here; only study
-    and truth worlds have a ``mean`` (mu, beta), and the theta of a world
-    without one is U itself."""
-    u_star, v_star = sample_worlds(*laws, rngs, d.n, d.total)
+def _draw_worlds(d: Dataset, laws: tuple, rngs: list):
+    """The draws U (B, n) and V (B, N) of a run of worlds: world b draws U
+    before V, from ``laws`` (U, V), with the generator ``rngs[b]``.  Every
+    level draws its worlds here."""
+    return sample_worlds(*laws, rngs, d.n, d.total)
+
+
+def _responses(d: Dataset, laws: tuple, rngs: list, mean=None):
+    """Response rows (B, N), y = U_i + s V around ``mean`` (mu, beta) if
+    given, and the true theta (B, n) of worlds of ``_draw_worlds``; the theta
+    of a world without a mean is U itself.  The one place a world's y is
+    formed: the outer level's fourth moments read residuals, and only study
+    and truth worlds have a mean."""
+    u_star, v_star = _draw_worlds(d, laws, rngs)
     y_star = u_star.take(d.design.cluster, axis=1)
     if mean is not None:
         mu, beta = mean
@@ -171,6 +184,12 @@ def _draw_worlds(d: Dataset, laws: tuple, rngs: list, mean=None):
         u_star = mu + d.design.x_under @ beta + u_star
     y_star += d.s * v_star
     return y_star, u_star
+
+
+def _keyed_responses(d: Dataset, laws: tuple, states: np.ndarray, mean=None):
+    """``_responses`` of the worlds keyed by ``states``, all drawn from
+    ``laws``."""
+    return _responses(d, laws, list(streams.replay(states)), mean)
 
 
 def _laws(fits: WorldFits, family: str, k=()):
@@ -186,17 +205,18 @@ def _laws(fits: WorldFits, family: str, k=()):
 
 def _keyed_draw(d: Dataset, laws: list, states: np.ndarray, per: int, mean=None):
     """The level engine's ``draw(lo, hi)`` for the worlds keyed by ``states``,
-    world i from ``laws[i // per]`` around ``mean``, one ``_draw_worlds``
-    call per run."""
+    world i from ``laws[i // per]`` around ``mean``: one part of statistics
+    and true theta per run.  Worlds without a mean never form y."""
 
-    def draw(lo, hi):
-        parts = []
-        for start, end in runs(lo, hi, per):
-            rngs = list(streams.replay(states[start:end]))
-            parts.append(_draw_worlds(d, laws[start // per], rngs, mean))
-        return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+    def run(start, end):
+        run_laws, keyed = laws[start // per], states[start:end]
+        if mean is not None:
+            y_star, theta = _keyed_responses(d, run_laws, keyed, mean)
+            return statistics(d, y_star), theta
+        u_star, v_star = _draw_worlds(d, run_laws, list(streams.replay(keyed)))
+        return draw_statistics(d, u_star, v_star), u_star
 
-    return draw
+    return lambda lo, hi: [run(*bounds) for bounds in runs(lo, hi, per)]
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +263,12 @@ def mse_double(
     """
     u_hat, fail1 = mse_single(d, fit, cfg, key_prefix)
     outer = _level_states(cfg.master_seed, streams.OUTER, key_prefix, range(cfg.b2))
-    draw = _keyed_draw(d, [_laws(fit, cfg.family)], outer, cfg.b2)
+    around_fit = _laws(fit, cfg.family)
     ok, laws = [], []  # which outer worlds refit, and the laws of those that do
-    for _, _, fits in refit_level(
-        d, draw, cfg.b2, cfg.ridge, with_fourth_moments=True
-    ):
+    for lo, hi in draw_blocks(d, 0, cfg.b2):
+        y_star, _ = _keyed_responses(d, around_fit, outer[lo:hi])
+        fits = refit_worlds(d, y_star, cfg.ridge, with_fourth_moments=True)
+        del y_star
         ok.append(fits.ok)
         laws += [_laws(fits, cfg.family, k) for k in np.flatnonzero(fits.ok)]
     # the inner worlds (b, l), l < c, of every outer world b that refits

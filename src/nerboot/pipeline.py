@@ -1,53 +1,69 @@
-"""The refit kernel: the whole estimation chain on a block of worlds.
+"""The refit kernel: the whole estimation chain on a batch of worlds, in
+two stages.
 
 Every estimate nerboot reports -- the original fit, the truth simulation,
-level one, the outer and the inner bootstrap worlds -- comes from
-``refit_worlds``: a fixed design ``d`` and a (B, N) block of response rows
-in, one ``WorldFits`` out, every field with a leading world axis.  It is
-the only fit type: ``fits.world(b)`` is the fit of world b alone.  Each
-stage is a few quadratic forms in the responses plus one small solve per
-world; everything that depends only on the design is built once in
-``d.design`` (``model._Design``).  In order:
+level one, the outer and the inner bootstrap worlds -- comes from the same
+two stages on a fixed design ``d``.  Every field of their ``WorldFits``
+has a leading world axis: it is the only fit type, and ``fits.world(b)``
+is the fit of world b alone.  Everything that depends only on the design
+is built once in ``d.design`` (``model._Design``).
 
-1. The weighted cluster means y_bar, one projection GEMM z = y @ ``proj``
-   and two weighted sums of squares: SSE2 = sum w y^2 - ||z_u||^2 and
-   SSE1 = sum w (y - y_bar)^2 - ||z_w||^2 (``model._Design``).
-2. Method-of-moments variance components (``estimate_variances``):
-       sigma_V^2-hat = max(SSE1, B1 n^-B2) / (N - n - r)
-       sigma_U^2-hat = max(K^-1 {SSE2 - (N - r_aug) sigma_V^2-hat}, 0)
-   The ridge floor B1 n^-B2 (defaults B1 = 1e-6, B2 = 2) keeps sigma_V^2-hat
-   positive, hence W_i = sigma_U^2 1 1' + sigma_V^2 diag(s_i^2) invertible.
-3. GLS for (mu, beta): the (r+1)-dimensional normal equations with design
-   (1, x_ij'), one stacked (B, r+1, r+1) system and one batched solve.
-   W_i^-1 is never formed: with D_i = sigma_V^2 diag(s_i^2),
-       W_i^-1 = D_i^-1 - lambda_i (s_i^-2)(s_i^-2)',
-       lambda_i = sigma_U^2 / (sigma_V^2 (sigma_V^2 + sigma_U^2 a_i)),
-   so the equations assemble from design cross-products in O(N r) per world.
-4. EBLUP and naive MSE (``predict``):
-       theta_i-hat = mu-hat + x_under_i' beta-hat
-                     + rho_i-hat (y_bar_i - mu-hat - x_bar_i' beta-hat),
-       rho_i-hat   = sigma_U^2 / (sigma_U^2 + a_i^-1 sigma_V^2);
-   the naive MSE is the leading term psi_0 = rho_i-hat a_i^-1 sigma_V^2 with
-   estimates plugged in, whose underestimation the bootstrap repairs.
-5. Optionally, the fourth moments (``moments``), from one set of
-   per-cluster power sums of the residuals.
+1. The N-level stage turns each world into its sufficient statistics
+   (``Statistics``): the cluster sums zy = a_i y_bar_i, the coordinates
+   z_u of s^-1 y on the uncentered design and the two sums of squares
+       SSE2 = sum w y^2 - ||z_u||^2,  SSE1 = sum w (y - y_bar)^2 - ||z_w||^2,
+   with both regressions' coordinates z = y @ ``proj`` from one GEMM.
+   ``statistics`` reads response rows y.  ``draw_statistics`` reads the
+   draws (U, V) of a mean-free world y_ij = U_i + s_ij V_ij and never forms
+   y: with w = s^-2, zv the cluster sums of V/s and s ``proj`` = [Q_u | Q_w],
+       zy = a U + zv,           sum w y^2 = sum a U^2 + 2 U.zv + sum V^2,
+       z = U @ (cluster sums of proj) + V @ [Q_u | Q_w],
+       sum w (y - y_bar)^2 = sum V^2 - sum zv^2 / a,
+   so U cancels from SSE1 exactly.
+2. The n-level stage, ``solve``, runs once per batch of worlds:
+   a. Method-of-moments variance components (``estimate_variances``):
+          sigma_V^2-hat = max(SSE1, B1 n^-B2) / (N - n - r)
+          sigma_U^2-hat = max(K^-1 {SSE2 - (N - r_aug) sigma_V^2-hat}, 0)
+      The ridge floor B1 n^-B2 (defaults B1 = 1e-6, B2 = 2) keeps
+      sigma_V^2-hat positive, hence W_i = sigma_U^2 1 1' + sigma_V^2
+      diag(s_i^2) invertible.
+   b. GLS for (mu, beta): the (r+1)-dimensional normal equations with
+      design (1, x_ij'), one stacked (B, r+1, r+1) system and one batched
+      solve.  W_i^-1 is never formed: with D_i = sigma_V^2 diag(s_i^2),
+          W_i^-1 = D_i^-1 - lambda_i (s_i^-2)(s_i^-2)',
+          lambda_i = sigma_U^2 / (sigma_V^2 (sigma_V^2 + sigma_U^2 a_i)),
+      so the equations assemble from z_u and zy in O(n r^2) per world.
+   c. EBLUP and naive MSE (``predict``):
+          theta_i-hat = mu-hat + x_under_i' beta-hat
+                        + rho_i-hat (y_bar_i - mu-hat - x_bar_i' beta-hat),
+          rho_i-hat   = sigma_U^2 / (sigma_U^2 + a_i^-1 sigma_V^2);
+      the naive MSE is the leading term psi_0 = rho_i-hat a_i^-1
+      sigma_V^2 with estimates plugged in, whose underestimation the
+      bootstrap repairs.
+``refit_worlds`` composes the two on response rows and optionally adds the
+fourth moments (``moments``), from one set of per-cluster power sums of
+the residuals.
 
 A world fails when its GLS normal matrix is not positive-definite or its
-EBLUP is not finite.  The kernel masks such worlds in ``ok`` and never
+EBLUP is not finite.  ``solve`` masks such worlds in ``ok`` and never
 raises for them; ``fit_model``, the kernel's ``world(0)`` on the dataset's
 own responses, raises RankDeficient when that one world fails.
 
-Every Monte Carlo level -- the truth simulation, level one, the outer and
-the inner level -- runs on the level engine ``refit_level``, which draws
-and refits a level's worlds one block at a time; ``squared_error`` sums
-(theta-hat - theta)^2 on top of it, per run of worlds that a block may
-span.  Levels differ only in their draws.
+The level engine ``refit_level`` runs the truth simulation, level one and
+the inner level: it draws a level's worlds one draw block at a time, keeps
+only their statistics and solves them one batch at a time;
+``squared_error`` sums (theta-hat - theta)^2 on top of it, per run of
+worlds that a batch may span.  Levels differ only in their draws.  The
+outer level refits its draw blocks with ``refit_worlds``, since its fourth
+moments need each world's residuals.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,20 +73,35 @@ from .moments import estimate_gamma_u, estimate_gamma_v, power_sums
 
 DEFAULT_RIDGE = (1e-6, 2.0)  # (B1, B2); B1 > 0, B2 >= 2
 
-# Worlds are drawn and refitted in blocks of max(1, CHUNK_ELEMENTS // N)
-# response rows, which bounds the kernel's working memory on large designs.
-# 2^14 keeps each (B, N) float64 temporary within glibc's default mmap
-# threshold of 128 KiB.  On the n = 60 study design, B = 182 cost 12% more
-# per world than B = 91.  On the ragged n = 600 design (N = 4,201) a block
-# holds 3 worlds; blocks of 8, 16 and 32 raised a desk-scale fit's peak RSS
-# from 44.7 MB to 46.5, 48.6 and 52.2 MB with no resolved time gain (2 cores,
-# one BLAS thread).  Do not raise it without a paired benchmark.
+# Worlds are drawn in blocks of max(1, CHUNK_ELEMENTS // N) worlds: 3 on the
+# ragged n = 600 design (N about 4,200), 91 on the n = 60 study design.
+# Larger draw blocks cost page faults and memory: in repeated desk-scale
+# reports on the n = 600 design (one BLAS thread), blocks of 12 and 24 worlds
+# raised the minor page faults from 14,800 to 21,000 and 26,000 per report,
+# and blocks of 12, 16 and 24 raised peak RSS by 1.6, 2.7 and 4.4 MB.  The
+# statistics of the draw blocks fill a batch of up to CHUNK_ELEMENTS // n
+# worlds, rounded down to whole draw blocks (27 and 273 on those designs), and
+# ``solve`` runs once per batch.  Do not raise it without a paired benchmark.
 CHUNK_ELEMENTS = 2**14
 
 
 def block_size(d: Dataset) -> int:
-    """Worlds per refit block on this design."""
+    """Worlds per draw block on this design."""
     return max(1, CHUNK_ELEMENTS // d.total)
+
+
+def batch_size(d: Dataset) -> int:
+    """Worlds per ``solve`` of the level engine: whole draw blocks, as many
+    as fit in CHUNK_ELEMENTS // n worlds, and at least one."""
+    step = block_size(d)
+    return max(step, CHUNK_ELEMENTS // d.n // step * step)
+
+
+def draw_blocks(d: Dataset, lo: int, hi: int):
+    """(start, end) of the draw blocks of worlds lo to hi - 1."""
+    step = block_size(d)
+    for start in range(lo, hi, step):
+        yield start, min(start + step, hi)
 
 
 def ridge_floor(n: int, ridge=DEFAULT_RIDGE) -> float:
@@ -79,6 +110,54 @@ def ridge_floor(n: int, ridge=DEFAULT_RIDGE) -> float:
     if not (0 < b1 < math.inf and 2 <= b2 < math.inf):
         raise ValueError("ridge parameters require finite B1 > 0 and B2 >= 2")
     return b1 * float(n) ** (-b2)
+
+
+class Statistics(NamedTuple):
+    """The sufficient statistics of a block of worlds, each with a leading
+    world axis: all that ``solve`` reads of a world."""
+
+    zy: np.ndarray    # (B, n) cluster sums a_i y_bar_i
+    zu: np.ndarray    # (B, r+1) coordinates on the uncentered design
+    sse1: np.ndarray  # (B,) >= 0
+    sse2: np.ndarray  # (B,) >= 0
+
+
+def _split(d: Dataset, z):
+    """The coordinates (z_u, z_w) of a projection product z (B, 2r+1)."""
+    return z[:, : d.design.r_aug], z[:, d.design.r_aug :]
+
+
+def _sse(ss, z):
+    """A weighted sum of squares less ||z||^2, per world, clipped at 0."""
+    return np.maximum(ss - np.einsum("bk,bk->b", z, z), 0.0)
+
+
+def statistics(d: Dataset, y: np.ndarray) -> Statistics:
+    """The statistics of the response rows ``y`` (B, N)."""
+    design = d.design
+    yw = y * design.w  # the block's one (B, N) temporary
+    zy = np.add.reduceat(yw, d.starts[:-1], axis=1)  # a_i y_bar_i
+    wy2 = np.einsum("bj,bj->b", yw, y)
+    zu, zw = _split(d, y @ design.proj)
+    # (y - y_bar)^2 in yw's buffer; mode "clip" lets take write there unbuffered
+    centred = np.take(zy / design.a, design.cluster, axis=1, out=yw, mode="clip")
+    centred = np.square(np.subtract(y, centred, out=yw), out=yw)
+    return Statistics(zy, zu, _sse(centred @ design.w, zw), _sse(wy2, zu))
+
+
+def draw_statistics(d: Dataset, u: np.ndarray, v: np.ndarray) -> Statistics:
+    """The statistics of the mean-free worlds y_ij = U_i + s_ij V_ij from
+    their draws ``u`` (B, n) and ``v`` (B, N), without forming y."""
+    design = d.design
+    zv = np.add.reduceat(v / d.s, d.starts[:-1], axis=1)  # cluster sums of V/s
+    v2 = np.einsum("bj,bj->b", v, v)
+    zu, zw = _split(d, v @ design.q)
+    zu += u @ design.proj_sums  # Q_w / s sums to 0 over every cluster
+    zy = design.a * u
+    zy += zv
+    wy2 = np.einsum("bi,bi->b", zy + zv, u) + v2
+    ss1 = v2 - np.einsum("bi,bi->b", zv, zv / design.a)
+    return Statistics(zy, zu, _sse(ss1, zw), _sse(wy2, zu))
 
 
 def estimate_variances(d: Dataset, sse1, sse2, ridge=DEFAULT_RIDGE):
@@ -100,7 +179,11 @@ def normal_equations(d: Dataset, xwy, zy, sigma2_u, sigma2_v):
     """
     design = d.design
     s2u, s2v = sigma2_u[:, None], sigma2_v[:, None]
-    lam = s2u / (s2v * (s2v + s2u * design.a))  # (B, n)
+    # lam = s2u / (s2v (s2v + s2u a)), (B, n), in one buffer
+    lam = s2u * design.a
+    lam += s2v
+    lam *= s2v
+    lam = np.divide(s2u, lam, out=lam)
     # sum_i lam_i z_i z_i' for every world at once: one (B, n) (n, (r+1)^2)
     # product with the per-cluster outer products of z_i = zmat[i]
     shrunk = (lam @ design.zz).reshape(-1, *design.gram.shape)
@@ -140,11 +223,16 @@ def predict(d: Dataset, y_bar, mu, beta, sigma2_u, sigma2_v):
     """
     design = d.design
     within = sigma2_v / design.a  # a_i^-1 sigma_V^2 > 0 under the ridge
-    rho = sigma2_u / (sigma2_u + within)
-    theta = y_bar - mu - beta @ design.x_bar.T  # the direct gap
+    rho = sigma2_u + within
+    rho = np.divide(sigma2_u, rho, out=rho)
+    theta = y_bar - mu
+    theta -= beta @ design.x_bar.T  # the direct gap
     theta *= rho
-    theta += mu + beta @ design.x_under.T
-    return theta, rho, rho * within  # psi_0 = rho_i a_i^-1 sigma_V^2
+    synthetic = beta @ design.x_under.T
+    synthetic += mu
+    theta += synthetic
+    within *= rho  # psi_0 = rho_i a_i^-1 sigma_V^2
+    return theta, rho, within
 
 
 @dataclass(frozen=True)
@@ -172,66 +260,63 @@ class WorldFits:
         )
 
 
-def refit_worlds(
-    d: Dataset, y: np.ndarray, ridge=DEFAULT_RIDGE, *, with_fourth_moments: bool = False
-) -> WorldFits:
-    """Fit every response row of ``y`` (B, N) on the design of ``d``."""
+def solve(d: Dataset, stats: Statistics, ridge=DEFAULT_RIDGE) -> WorldFits:
+    """The n-level stage: variance components, GLS and EBLUP of every world
+    of a batch from its ``statistics``, without fourth moments."""
     design = d.design
-    yw = y * design.w  # the block's one (B, N) temporary
-    zy = np.add.reduceat(yw, d.starts[:-1], axis=1)  # a_i y_bar_i
-    y_bar = zy / design.a
-    wy2 = np.einsum("bj,bj->b", yw, y)
-    zu, zw = np.split(y @ design.proj, [design.r_aug], axis=1)
-    # (y - y_bar)^2 in yw's buffer; mode "clip" lets take write there unbuffered
-    centred = np.take(y_bar, design.cluster, axis=1, out=yw, mode="clip")
-    centred = np.square(np.subtract(y, centred, out=yw), out=yw)
-    sse1 = np.maximum(centred @ design.w - np.einsum("bk,bk->b", zw, zw), 0.0)
-    sse2 = np.maximum(wy2 - np.einsum("bk,bk->b", zu, zu), 0.0)
-    sse1, sigma2_v, sigma2_u = estimate_variances(d, sse1, sse2, ridge)
-
-    normal, rhs = normal_equations(d, zu @ design.ru, zy, sigma2_u, sigma2_v)
+    sse1, sigma2_v, sigma2_u = estimate_variances(d, stats.sse1, stats.sse2, ridge)
+    normal, rhs = normal_equations(
+        d, stats.zu @ design.ru, stats.zy, sigma2_u, sigma2_v
+    )
     coef, ok = solve_normal_equations(normal, rhs)
     mu, beta = coef[:, 0], coef[:, 1:]
     theta, rho, naive = predict(
-        d, y_bar, mu[:, None], beta, sigma2_u[:, None], sigma2_v[:, None]
+        d, stats.zy / design.a, mu[:, None], beta, sigma2_u[:, None], sigma2_v[:, None]
     )
     ok &= np.isfinite(theta).all(axis=1)
-
-    gamma_u = gamma_v = None
-    if with_fourth_moments:
-        sums = power_sums(d, y - mu[:, None] - beta @ d.x.T)
-        gamma_v = estimate_gamma_v(d, sums, sigma2_v)
-        gamma_u = estimate_gamma_u(d, sums, sigma2_u, sigma2_v, gamma_v)
     return WorldFits(
         sigma2_u=sigma2_u,
         sigma2_v=sigma2_v,
         sse1=sse1,
-        sse2=sse2,
+        sse2=stats.sse2,
         mu=mu,
         beta=beta,
         theta_hat=theta,
         rho=rho,
         naive_mse=naive,
         ok=ok,
-        gamma_u=gamma_u,
-        gamma_v=gamma_v,
     )
 
 
-def refit_level(
-    d: Dataset, draw, count: int, ridge=DEFAULT_RIDGE, *, with_fourth_moments=False
-):
-    """The level engine: draw and refit ``count`` worlds, one block of
-    ``block_size`` worlds at a time, yielding (lo, theta, fits) per block.
+def refit_worlds(
+    d: Dataset, y: np.ndarray, ridge=DEFAULT_RIDGE, *, with_fourth_moments: bool = False
+) -> WorldFits:
+    """Fit every response row of ``y`` (B, N) on the design of ``d``: both
+    stages, and the fourth moments from the residuals if asked."""
+    fits = solve(d, statistics(d, y), ridge)
+    if not with_fourth_moments:
+        return fits
+    sums = power_sums(d, y - fits.mu[:, None] - fits.beta @ d.x.T)
+    gamma_v = estimate_gamma_v(d, sums, fits.sigma2_v)
+    gamma_u = estimate_gamma_u(d, sums, fits.sigma2_u, fits.sigma2_v, gamma_v)
+    return dataclasses.replace(fits, gamma_u=gamma_u, gamma_v=gamma_v)
 
-    ``draw(lo, hi)`` returns the response rows (hi - lo, N) and the true
-    theta (hi - lo, n) of worlds lo to hi - 1.
+
+def refit_level(d: Dataset, draw, count: int, ridge=DEFAULT_RIDGE):
+    """The level engine: draw ``count`` worlds one draw block at a time and
+    solve their statistics one ``batch_size`` batch at a time, yielding
+    (lo, theta, fits) per batch.
+
+    ``draw(lo, hi)`` returns the worlds lo to hi - 1 as a list of
+    (``Statistics``, true theta (B, n)) parts, in world order.
     """
-    step = block_size(d)
-    for lo in range(0, count, step):
-        y, theta = draw(lo, min(lo + step, count))
-        fits = refit_worlds(d, y, ridge, with_fourth_moments=with_fourth_moments)
-        del y  # hold no block while suspended or building the next one
+    per_batch = batch_size(d)
+    for lo in range(0, count, per_batch):
+        blocks = draw_blocks(d, lo, min(lo + per_batch, count))
+        stats, theta = zip(*[part for block in blocks for part in draw(*block)])
+        fits = solve(d, Statistics(*map(np.concatenate, zip(*stats))), ridge)
+        theta = np.concatenate(theta)
+        del stats  # hold no block while suspended or building the next batch
         yield lo, theta, fits
         del theta, fits
 
@@ -256,7 +341,7 @@ def squared_error(d: Dataset, draw, count: int, ridge=DEFAULT_RIDGE, per=None):
         for start, end in runs(lo, lo + len(theta), per):
             acc[start // per] += np.sum(err[start - lo : end - lo], axis=0)
             failed[start // per] += np.count_nonzero(~fits.ok[start - lo : end - lo])
-        del theta, fits, err  # not held while the next block is refitted
+        del theta, fits, err  # not held while the next batch is drawn
     return acc, failed
 
 

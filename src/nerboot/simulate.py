@@ -7,9 +7,10 @@ s = 1, and variance ratios sigma_U^2/sigma_V^2 in {1/2, 1, 2} normalized so
 the larger component is 1.  Eight error models pair the study laws of
 ``mmdist`` (normal, skewed, heavy-tailed and mixed-sign cases, each centered
 analytically and scaled to the scenario variance).  Every world, of the
-truth simulation or of a study replicate, comes through ``mspe._keyed_draw``
-like a bootstrap world: replicate r from the seed words of key (STUDY, r),
-all derived in one ``mspe._level_states`` call, as for every bootstrap level.
+truth simulation (``mspe._keyed_draw``) or of a study replicate
+(``mspe._keyed_responses``), is drawn like a bootstrap world: replicate r
+from the seed words of key (STUDY, r), all derived in one
+``mspe._level_states`` call, as for every bootstrap level.
 
 For each replicate the harness records the true and predicted mixed
 effects together with the MSPE estimates, so relative bias
@@ -29,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -38,7 +40,14 @@ from . import streams
 from .model import Dataset, from_arrays
 from .errors import RankDeficient
 from .mmdist import make_study_law, sample
-from .mspe import BootstrapConfig, _keyed_draw, _level_states, mse_double, mse_single
+from .mspe import (
+    BootstrapConfig,
+    _keyed_draw,
+    _keyed_responses,
+    _level_states,
+    mse_double,
+    mse_single,
+)
 from .pipeline import fit_model, squared_error
 
 # record-log columns, in file order
@@ -108,6 +117,10 @@ class Scenario:
     sigma2_v: float
 
     def __post_init__(self):
+        try:
+            operator.index(self.n)
+        except TypeError:
+            raise ValueError(f"n must be an integer (got {self.n!r})") from None
         if self.n < 2:
             raise ValueError(f"n must be at least 2 (got {self.n})")
         if not (0 <= self.sigma2_u < math.inf and 0 <= self.sigma2_v < math.inf):
@@ -117,8 +130,8 @@ class Scenario:
     def from_ratio(cls, n: int, ratio: float) -> "Scenario":
         """Variance pair from the ratio sigma_U^2/sigma_V^2, normalized so
         max(sigma_U^2, sigma_V^2) = 1."""
-        if ratio <= 0:
-            raise ValueError("ratio must be positive")
+        if not 0 < ratio < math.inf:
+            raise ValueError(f"ratio must be finite and positive (got {ratio})")
         return cls(n=n, sigma2_u=min(1.0, ratio), sigma2_v=min(1.0, 1.0 / ratio))
 
 
@@ -232,7 +245,8 @@ def metrics_from_records(records: np.ndarray, double: bool) -> tuple:
 def _one_replicate(state: tuple, rep: int) -> np.ndarray:
     """The record of replicate ``rep``; ``state`` is everything it reads."""
     design, scenario, model, cfg, double, words = state
-    (y,), (theta,) = _study_draw(design, scenario, model, words)(rep, rep + 1)
+    laws, mean = _laws(scenario, model), (MU, np.asarray(BETA))
+    (y,), (theta,) = _keyed_responses(design, laws, words[rep : rep + 1], mean)
     d_rep = design.with_responses(y)
     fit = fit_model(d_rep, cfg.ridge)
     rec = np.empty((scenario.n, len(RECORD_COLUMNS)))

@@ -12,7 +12,7 @@ import nerboot.streams as streams
 from nerboot.errors import DivisionGuard, TooManyFailures
 from nerboot.mspe import (
     BootstrapConfig,
-    _draw_worlds,
+    _responses,
     mse_double,
     mse_single,
     mspe_report,
@@ -298,12 +298,12 @@ def test_level_one_tracks_independent_truth_simulation():
     design = sim.make_design(scen, rng)
     acc = np.zeros(60)
     for _ in range(5000):
-        (y,), (theta,) = _draw_worlds(design, laws, [rng], (sim.MU, beta))
+        (y,), (theta,) = _responses(design, laws, [rng], (sim.MU, beta))
         fit = fit_model(design.with_responses(y))
         acc += (fit.theta_hat - theta) ** 2
     smse = acc / 5000
 
-    (y_one,), _ = _draw_worlds(
+    (y_one,), _ = _responses(
         design, laws, [np.random.default_rng(3141)], (sim.MU, beta)
     )
     d_one = design.with_responses(y_one)
@@ -334,7 +334,7 @@ def test_too_many_failures(monkeypatch, fitted):
 
 
 def test_failed_world_is_masked_and_excluded(monkeypatch, fitted):
-    # one world of a block gets a non-finite response, hence a non-finite
+    # one world of a block gets a non-finite draw of V, hence a non-finite
     # normal matrix: it is counted, left out of u-hat, and the rest of its
     # block is untouched
     d, fit = fitted
@@ -344,12 +344,12 @@ def test_failed_world_is_masked_and_excluded(monkeypatch, fitted):
     real = nerboot.mspe._draw_worlds
 
     def poisoned(*args):
-        y_star, theta_star = real(*args)
+        u_star, v_star = real(*args)
         lo = seen["worlds"]
-        seen["worlds"] += len(y_star)
+        seen["worlds"] += len(u_star)
         if lo <= bad < seen["worlds"]:
-            y_star[bad - lo, 0] = np.nan
-        return y_star, theta_star
+            v_star[bad - lo, 0] = np.nan
+        return u_star, v_star
 
     monkeypatch.setattr("nerboot.mspe._draw_worlds", poisoned)
     u_hat, failures = mse_single(d, fit, cfg)
@@ -373,14 +373,14 @@ def test_failed_world_is_masked_and_excluded(monkeypatch, fitted):
 
 def _poison_draws(monkeypatch, rows_by_call):
     """Give the worlds ``rows_by_call[j]`` of the j-th block draw a
-    non-finite response, so that they fail to refit."""
+    non-finite draw of V, so that they fail to refit."""
     real = nerboot.mspe._draw_worlds
     calls = itertools.count()
 
     def poisoned(*args):
-        y_star, theta_star = real(*args)
-        y_star[rows_by_call.get(next(calls), []), 0] = np.nan
-        return y_star, theta_star
+        u_star, v_star = real(*args)
+        v_star[rows_by_call.get(next(calls), []), 0] = np.nan
+        return u_star, v_star
 
     monkeypatch.setattr("nerboot.mspe._draw_worlds", poisoned)
 
@@ -457,11 +457,11 @@ def test_v_hat_does_not_depend_on_the_refit_block_size(monkeypatch):
     }
     real = nerboot.mspe._draw_worlds
 
-    def poisoned(d, laws, rngs, mean=None):
+    def poisoned(d, laws, rngs):
         rows = [k for k, rng in enumerate(rngs) if _pcg_state(rng) in bad]
-        y_star, theta_star = real(d, laws, rngs, mean)
-        y_star[rows, 0] = np.nan
-        return y_star, theta_star
+        u_star, v_star = real(d, laws, rngs)
+        v_star[rows, 0] = np.nan
+        return u_star, v_star
 
     monkeypatch.setattr("nerboot.mspe._draw_worlds", poisoned)
     default = mse_double(d, fit, cfg)

@@ -4,7 +4,18 @@ import numpy as np
 import pytest
 
 import nerboot
-from nerboot.pipeline import WorldFits, block_size, fit_model, refit_worlds
+from nerboot.pipeline import (
+    Statistics,
+    WorldFits,
+    block_size,
+    draw_statistics,
+    fit_model,
+    refit_worlds,
+    runs,
+    solve,
+    squared_error,
+    statistics,
+)
 
 import _brute
 from conftest import random_ragged_dataset
@@ -51,6 +62,85 @@ def test_block_matches_single_world_fits():
             )
 
 
+def _mean_free_draws(d, worlds, seed):
+    """U (worlds, n) and V (worlds, N) of mean-free worlds, and their
+    responses y = U_i + s V."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((worlds, d.n))
+    v = rng.standard_t(5.0, size=(worlds, d.total))
+    return u, v, u[:, d.design.cluster] + d.s * v
+
+
+def _assert_close(got, want, rtol=1e-12):
+    """Entries within rtol of ``want``, relative to its largest magnitude
+    (cross-products of mean-free worlds may sit near 0)."""
+    scale = np.max(np.abs(want))
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * scale)
+
+
+def test_draw_statistics_match_responses_and_dense_oracle():
+    # a ragged r = 2 design with unequal scales: the statistics read from
+    # (U, V) equal those of y = U_i + s V, and both equal the dense sums
+    d = random_ragged_dataset(17, n=12, r=2)
+    assert np.ptp(d.s) > 0.5 and np.ptp(d.sizes) > 0
+    u, v, y = _mean_free_draws(d, 6, 3)
+    from_draws, from_y = draw_statistics(d, u, v), statistics(d, y)
+    for got, want in zip(from_draws, from_y):
+        _assert_close(got, want)
+    aug = np.column_stack([np.ones(d.total), d.x])
+    for b in range(len(y)):
+        world = d.with_responses(y[b])
+        a, _, y_bar, _ = _brute.summaries(world)
+        for stats in (from_draws, from_y):
+            assert stats.sse1[b] == pytest.approx(_brute.sse1_dense(world), rel=1e-12)
+            assert stats.sse2[b] == pytest.approx(_brute.sse2_dense(world), rel=1e-12)
+            _assert_close(stats.zy[b], a * y_bar)
+            _assert_close(stats.zu[b] @ d.design.ru, (y[b] / d.s**2) @ aug)
+
+
+def test_one_batched_solve_equals_per_block_solves():
+    d = random_ragged_dataset(23, n=10, r=2)
+    u, v, _ = _mean_free_draws(d, 9, 5)
+    blocks = [draw_statistics(d, u[lo : lo + 3], v[lo : lo + 3]) for lo in (0, 3, 6)]
+    batch = solve(d, Statistics(*map(np.concatenate, zip(*blocks))))
+    per_block = [solve(d, stats) for stats in blocks]
+    assert batch.ok.all()
+    for f in dataclasses.fields(WorldFits):
+        got = getattr(batch, f.name)
+        if got is None:
+            assert all(getattr(fits, f.name) is None for fits in per_block)
+            continue
+        want = np.concatenate([getattr(fits, f.name) for fits in per_block])
+        np.testing.assert_allclose(got, want, rtol=1e-13, err_msg=f.name)
+
+
+def test_nan_in_one_inner_world_masks_that_world_only():
+    # inner worlds are mean-free and refitted from their draws: a NaN in one
+    # world's V fails that world alone, counted once in its run of c worlds,
+    # and every other world of the batch keeps its exact squared error
+    d = random_ragged_dataset(29, n=8, r=2)
+    c, bad = 4, 13
+    u, v, _ = _mean_free_draws(d, 6 * c, 7)
+    poisoned = v.copy()
+    poisoned[bad, 2] = np.nan
+
+    def draw(v):
+        return lambda lo, hi: [
+            (draw_statistics(d, u[a:b], v[a:b]), u[a:b]) for a, b in runs(lo, hi, c)
+        ]
+
+    clean, clean_failed = squared_error(d, draw(v), len(u), per=c)
+    per_world, _ = squared_error(d, draw(v), len(u), per=1)
+    assert not clean_failed.any()
+    acc, failed = squared_error(d, draw(poisoned), len(u), per=c)
+    np.testing.assert_array_equal(failed, np.eye(6, dtype=int)[bad // c])
+    others = np.arange(6) != bad // c
+    np.testing.assert_array_equal(acc[others], clean[others])
+    np.testing.assert_allclose(
+        acc[bad // c], clean[bad // c] - per_world[bad], rtol=1e-12
+    )
+
+
 def test_design_is_built_once_shared_and_read_only():
     d = random_ragged_dataset(5, n=12)
     fit_model(d)
@@ -67,6 +157,7 @@ def test_design_is_built_once_shared_and_read_only():
     arrays = {k: v for k, v in vars(design).items() if isinstance(v, np.ndarray)}
     assert set(arrays) == {
         "w", "a", "x_bar", "x_under", "cluster", "proj", "ru", "gram", "zmat", "zz",
+        "q", "proj_sums",
     }
     for arr in arrays.values():
         assert not arr.flags.writeable

@@ -107,13 +107,26 @@ def test_scenario_ratio_normalization():
 
 @pytest.mark.parametrize(
     "n, sigma2_u, sigma2_v",
-    [(6, math.nan, 1.0), (6, 1.0, math.inf), (6, -1.0, 1.0), (6, 1.0, -0.5), (1, 1.0, 1.0)],
+    [
+        (6, math.nan, 1.0), (6, 1.0, math.inf), (6, -1.0, 1.0), (6, 1.0, -0.5),
+        (1, 1.0, 1.0), (2.5, 1.0, 1.0),
+        # sigma2_v None: Scenario.from_ratio(n, ratio=sigma2_u)
+        pytest.param(60, math.nan, None, id="from_ratio-60-nan"),
+        pytest.param(60, math.inf, None, id="from_ratio-60-inf"),
+    ],
 )
 def test_scenario_rejects_bad_inputs(n, sigma2_u, sigma2_v):
     # unchecked, a nan or infinite variance reaches the study and fails there
-    # as a singular GLS system, with RuntimeWarnings
-    with pytest.raises(ValueError, match="at least 2|must be finite and >= 0"):
-        Scenario(n=n, sigma2_u=sigma2_u, sigma2_v=sigma2_v)
+    # as a singular GLS system, with RuntimeWarnings; a float n fails late,
+    # in make_design; a nan ratio ran as ratio 1 and an infinite one gave
+    # sigma_V^2 = 0
+    with pytest.raises(
+        ValueError, match="at least 2|must be finite and >= 0|integer|finite and positive"
+    ):
+        if sigma2_v is None:
+            Scenario.from_ratio(n, sigma2_u)
+        else:
+            Scenario(n=n, sigma2_u=sigma2_u, sigma2_v=sigma2_v)
 
 
 def test_make_design_shape():
