@@ -18,7 +18,8 @@ assumption.
 The study's eight error laws (``STUDY_LAWS``) share the table of laws: each
 is one generator call, centered and scaled analytically to unit variance,
 then to its sd.  ``sample_worlds`` draws a pair of ``Law``s for a block of
-worlds, one generator per world; ``sample`` is its one-world case.
+worlds, one generator per world, into the caller's buffers, and runs the
+transforms in place; ``sample`` is its one-world case.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KurtosisNotHeavy, MomentInfeasible
+from .pipeline import Buffers
 
 log = logging.getLogger(__name__)
 
@@ -110,29 +112,40 @@ def make_distribution(z2: float, z4: float, family: str = THREE_POINT) -> Law:
     return make_three_point(z2, z4)
 
 
-def _three_point_values(params, u):
+# Every transform works in place: it turns a block's uniform or standard
+# draws (its first argument) into the law's values, with any scratch array
+# from ``buffers``.
+
+def _three_point_values(params, buffers, u):
     # one table lookup: index 0 (atom) below p/2, 1 (-atom) below p, 2 (0) from p on
     p, atom = params["p"], params["atom"]
-    index = (u >= 0.5 * p).view(np.uint8)
-    index += u >= p
-    return np.array([atom, -atom, 0.0]).take(index)
+    index = np.greater_equal(u, 0.5 * p, out=buffers.take("index", u.shape, np.intp))
+    index += np.greater_equal(u, p, out=buffers.take("scratch", u.shape, bool))
+    values = buffers.take("scratch", u.shape)  # contiguous: take writes it unbuffered
+    u[...] = np.array([atom, -atom, 0.0]).take(index, out=values, mode="clip")
 
 
-def _student_t_values(params, z, half_chi2):
+def _student_t_values(params, buffers, z, half_chi2):
     # gamma-mixture representation of t_df, exact for fractional df; the
-    # chi-square is twice a standard gamma of shape df/2.  In place on the
-    # draw buffers: scale z / sqrt(chi2 / df)
+    # chi-square is twice a standard gamma of shape df/2: scale z / sqrt(chi2 / df)
     half_chi2 *= 2.0
     half_chi2 /= params["df"]
     np.sqrt(half_chi2, out=half_chi2)
     z *= params["scale"]
     z /= half_chi2
-    return z
 
 
 def _standard(center, spread, root=False):
     """A study law's transform: ((x, or its root) - center) / spread * sd."""
-    return lambda p, x: ((np.sqrt(x) if root else x) - center) / spread * p["sd"]
+
+    def transform(p, buffers, x):
+        if root:
+            np.sqrt(x, out=x)
+        x -= center
+        x /= spread
+        x *= p["sd"]
+
+    return transform
 
 
 _SQRT_CHI2_5_MEAN = math.sqrt(2.0) * math.gamma(3.0) / math.gamma(2.5)
@@ -173,43 +186,44 @@ def make_study_law(name: str, variance: float) -> Law:
 def sample(law: Law, rng: np.random.Generator, count: int):
     """``count`` i.i.d. draws; deterministic given the generator state.  The
     one-world case of ``sample_worlds``, with no V draws."""
-    return sample_worlds(law, law, [rng], count, 0)[0][0]
+    out = np.empty((1, count))
+    sample_worlds(law, law, [rng], count, out, Buffers())
+    return out[0]
 
 
-def sample_worlds(u_law: Law, v_law: Law, rngs: list, count_u: int, count_v: int):
+def sample_worlds(u_law: Law, v_law: Law, rngs: list, count_u: int, out, buffers):
     """U (B, count_u) and V (B, count_v) draws for a block of worlds, world b
     drawing from its own generator ``rngs[b]``: the only code that calls a
-    law's generator methods.
+    law's generator methods.  Returns U and V as the column blocks of
+    ``out`` (B, count_u + count_v), which it fills.
 
     Each world's draws equal those of ``sample(u_law, rng, count_u)`` and
     then ``sample(v_law, rng, count_v)`` bit for bit, though it makes U's
     last call and V's first as one call when they are the same method with
-    the same arguments: each method fills element by element and caches no
-    state.  Each world writes its own rows of preallocated buffers, and the
-    transforms run once on the whole block.
+    the same arguments into adjacent columns: each method fills element by
+    element and caches no state.  A law's first call fills its columns of
+    ``out`` and its second those of ``buffers``' "scratch2", of out's shape;
+    the transforms then run in place, once on the whole block.
     """
-    steps = []  # (call, the counts of the law calls it makes)
-    for law, count in ((u_law, count_u), (v_law, count_v)):
-        for call in law.calls:
-            if steps and steps[-1][0] == call:
-                steps[-1][1].append(count)
-            else:
-                steps.append((call, [count]))
-    buffers = [np.empty((len(rngs), sum(counts))) for _, counts in steps]
-    fills = [(m, a, m in _FILLS_OUT, buf) for ((m, a), _), buf in zip(steps, buffers)]
+    spans = ((u_law, 0, count_u), (v_law, count_u, out.shape[1]))
+    raw = [[], []]  # each law's call columns, in call order
+    fills = []  # [method, args, buffer, first column, end column]
+    for (law, lo, hi), columns in zip(spans, raw):
+        for j, (method, args) in enumerate(law.calls):
+            buffer = out if j == 0 else buffers.take(f"scratch{j + 1}", out.shape)
+            columns.append(buffer[:, lo:hi])
+            last = fills[-1] if fills else None
+            if last and last[2] is buffer and last[:2] == [method, args]:
+                last[4] = hi  # adjacent columns: U's last call is its first
+            elif hi > lo:
+                fills.append([method, args, buffer, lo, hi])
+    steps = [(m, a, m in _FILLS_OUT, buf[:, lo:hi]) for m, a, buf, lo, hi in fills]
     for b, rng in enumerate(rngs):
-        for method, args, in_place, buffer in fills:
+        for method, args, in_place, target in steps:
             if in_place:
-                getattr(rng, method)(*args, out=buffer[b])
+                getattr(rng, method)(*args, out=target[b])
             else:
-                buffer[b] = getattr(rng, method)(*args, buffer.shape[1])
-    raw = []  # each law call's columns of its step's buffer
-    for (_, counts), buffer in zip(steps, buffers):
-        for count in counts:
-            raw.append(buffer[:, :count])
-            buffer = buffer[:, count:]
-    first_v = len(u_law.calls)
-    return (
-        _LAWS[u_law.family](u_law.params, *raw[:first_v]),
-        _LAWS[v_law.family](v_law.params, *raw[first_v:]),
-    )
+                target[b] = getattr(rng, method)(*args, target.shape[1])
+    for (law, _, _), columns in zip(spans, raw):
+        _LAWS[law.family](law.params, buffers, *columns)
+    return out[:, :count_u], out[:, count_u:]

@@ -25,10 +25,11 @@ worlds, the inner worlds (b, l) of every outer world b that refits, and the
 study's replicate worlds.  ``_draw_worlds`` hands each run of worlds' fresh
 generators (``streams.replay``, bit for bit each world's
 ``streams.substream``) to ``mmdist.sample_worlds``, which draws U and then
-V from each; it draws the worlds of the study harness too.  Level-one and
-inner worlds are refitted from their draws (U, V) and never form y;
-``_responses`` forms y for the outer worlds, whose fourth moments read
-residuals, and for worlds with a mean (study and truth).
+V from each into the run's rows of the level's draw buffer; it draws the
+worlds of the study harness too.  Level-one and inner worlds are refitted
+from their draws (U, V) and never form y; ``_with_responses`` forms y, in
+place of V, for the outer worlds, whose fourth moments read residuals, and
+for worlds with a mean (study and truth).
 
 Every fit is a ``pipeline.WorldFits``, and every world is drawn from the
 laws matched to one fit's second and fourth moments (``_keyed_draw``).  A
@@ -41,7 +42,7 @@ on the kernel of ``pipeline``.  Level one and the outer level draw around
 the original fit; the outer level refits its draw blocks with
 ``refit_worlds`` and keeps which worlds refit and their matched laws.  The
 inner level is then one pass: each inner world is drawn around its own
-outer fit, and ``squared_error`` refits them in batches that may span
+outer fit, and ``squared_error`` refits them in draw blocks that may span
 outer worlds and sums them per outer world.
 Worlds whose refit fails numerically are masked, skipped and counted; more
 than 1% failures at any level aborts the run, since under the ridge
@@ -62,7 +63,9 @@ from .errors import DivisionGuard, TooManyFailures
 from .mmdist import FAMILIES, THREE_POINT, make_distribution, sample_worlds
 from .model import Dataset
 from .pipeline import (
+    ARENA_BYTES,
     DEFAULT_RIDGE,
+    Buffers,
     WorldFits,
     draw_blocks,
     draw_statistics,
@@ -163,33 +166,48 @@ def robust_correction(
 # world generation
 # ---------------------------------------------------------------------------
 
-def _draw_worlds(d: Dataset, laws: tuple, rngs: list):
-    """The draws U (B, n) and V (B, N) of a run of worlds: world b draws U
-    before V, from ``laws`` (U, V), with the generator ``rngs[b]``.  Every
-    level draws its worlds here."""
-    return sample_worlds(*laws, rngs, d.n, d.total)
+def _draw_worlds(d: Dataset, laws: tuple, rngs: list, out, buffers):
+    """The draws U (B, n) and V (B, N) of a run of worlds, as the column
+    blocks of ``out`` (B, n + N), which they fill: world b draws U before
+    V, from ``laws`` (U, V), with the generator ``rngs[b]``.  Every level
+    draws its worlds here."""
+    return sample_worlds(*laws, rngs, d.n, out, buffers)
 
 
-def _responses(d: Dataset, laws: tuple, rngs: list, mean=None):
+def _with_responses(d: Dataset, u_star, v_star, mean, buffers):
     """Response rows (B, N), y = U_i + s V around ``mean`` (mu, beta) if
-    given, and the true theta (B, n) of worlds of ``_draw_worlds``; the theta
-    of a world without a mean is U itself.  The one place a world's y is
-    formed: the outer level's fourth moments read residuals, and only study
-    and truth worlds have a mean."""
-    u_star, v_star = _draw_worlds(d, laws, rngs)
-    y_star = u_star.take(d.design.cluster, axis=1)
+    given, and the true theta (B, n), from the draws (U, V) of
+    ``_draw_worlds`` and in their place; the theta of a world without a
+    mean is U itself."""
+    u_rows = buffers.take("scratch2", u_star.shape)  # contiguous, for take
+    u_rows[...] = u_star
+    effects = buffers.take("scratch", v_star.shape)
+    effects = np.take(u_rows, d.design.cluster, axis=1, out=effects, mode="clip")
     if mean is not None:
         mu, beta = mean
-        y_star += mu + d.x @ beta
-        u_star = mu + d.design.x_under @ beta + u_star
-    y_star += d.s * v_star
-    return y_star, u_star
+        effects += mu + d.x @ beta
+        u_star += mu + d.design.x_under @ beta
+    v_star *= d.s
+    v_star += effects  # y in V's columns
+    return v_star, u_star
 
 
-def _keyed_responses(d: Dataset, laws: tuple, states: np.ndarray, mean=None):
+def _responses(d: Dataset, laws: tuple, rngs: list, mean=None, buffers=None):
+    """``_with_responses`` of worlds drawn by ``_draw_worlds``.  The one
+    place a world's y is formed: the outer level's fourth moments read
+    residuals, and only study and truth worlds have a mean."""
+    buffers = Buffers() if buffers is None else buffers
+    out = buffers.take("draws", (len(rngs), d.n + d.total))
+    u_star, v_star = _draw_worlds(d, laws, rngs, out, buffers)
+    return _with_responses(d, u_star, v_star, mean, buffers)
+
+
+def _keyed_responses(
+    d: Dataset, laws: tuple, states: np.ndarray, mean=None, buffers=None
+):
     """``_responses`` of the worlds keyed by ``states``, all drawn from
     ``laws``."""
-    return _responses(d, laws, list(streams.replay(states)), mean)
+    return _responses(d, laws, list(streams.replay(states)), mean, buffers)
 
 
 def _laws(fits: WorldFits, family: str, k=()):
@@ -204,19 +222,24 @@ def _laws(fits: WorldFits, family: str, k=()):
 
 
 def _keyed_draw(d: Dataset, laws: list, states: np.ndarray, per: int, mean=None):
-    """The level engine's ``draw(lo, hi)`` for the worlds keyed by ``states``,
-    world i from ``laws[i // per]`` around ``mean``: one part of statistics
-    and true theta per run.  Worlds without a mean never form y."""
+    """The level engine's ``draw(lo, hi, buffers)`` for the worlds keyed by
+    ``states``, world i from ``laws[i // per]`` around ``mean``: each run's
+    worlds fill their rows of the block's draws, and the block's statistics
+    come from one call.  Worlds without a mean never form y."""
 
-    def run(start, end):
-        run_laws, keyed = laws[start // per], states[start:end]
-        if mean is not None:
-            y_star, theta = _keyed_responses(d, run_laws, keyed, mean)
-            return statistics(d, y_star), theta
-        u_star, v_star = _draw_worlds(d, run_laws, list(streams.replay(keyed)))
-        return draw_statistics(d, u_star, v_star), u_star
+    def draw(lo, hi, buffers):
+        out = buffers.take("draws", (hi - lo, d.n + d.total))
+        for start, end in runs(lo, hi, per):
+            rngs = list(streams.replay(states[start:end]))
+            rows = out[start - lo : end - lo]
+            _draw_worlds(d, laws[start // per], rngs, rows, buffers)
+        u_star, v_star = out[:, : d.n], out[:, d.n :]
+        if mean is None:
+            return draw_statistics(d, u_star, v_star, buffers), u_star
+        y_star, theta = _with_responses(d, u_star, v_star, mean, buffers)
+        return statistics(d, y_star, buffers), theta
 
-    return lambda lo, hi: [run(*bounds) for bounds in runs(lo, hi, per)]
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +273,21 @@ def mse_single(
     return acc / (cfg.b1 - failed), int(failed)
 
 
+def _outer_level(d: Dataset, fit: WorldFits, cfg: BootstrapConfig, key_prefix: tuple):
+    """Which of the b2 outer worlds refit, and the matched laws (U, V) of
+    those that do, from their refits with fourth moments."""
+    outer = _level_states(cfg.master_seed, streams.OUTER, key_prefix, range(cfg.b2))
+    around_fit = _laws(fit, cfg.family)
+    ok, laws = [], []
+    buffers = Buffers(ARENA_BYTES)  # the level's, shared by its blocks
+    for lo, hi in draw_blocks(d, cfg.b2):
+        y_star, _ = _keyed_responses(d, around_fit, outer[lo:hi], buffers=buffers)
+        fits = refit_worlds(d, y_star, cfg.ridge, buffers)
+        ok.append(fits.ok)
+        laws += [_laws(fits, cfg.family, k) for k in np.flatnonzero(fits.ok)]
+    return np.concatenate(ok), laws
+
+
 def mse_double(
     d: Dataset, fit: WorldFits, cfg: BootstrapConfig, key_prefix: tuple = ()
 ) -> DoubleBootstrapResult:
@@ -262,17 +300,9 @@ def mse_double(
     failed outer world.
     """
     u_hat, fail1 = mse_single(d, fit, cfg, key_prefix)
-    outer = _level_states(cfg.master_seed, streams.OUTER, key_prefix, range(cfg.b2))
-    around_fit = _laws(fit, cfg.family)
-    ok, laws = [], []  # which outer worlds refit, and the laws of those that do
-    for lo, hi in draw_blocks(d, 0, cfg.b2):
-        y_star, _ = _keyed_responses(d, around_fit, outer[lo:hi])
-        fits = refit_worlds(d, y_star, cfg.ridge, with_fourth_moments=True)
-        del y_star
-        ok.append(fits.ok)
-        laws += [_laws(fits, cfg.family, k) for k in np.flatnonzero(fits.ok)]
+    ok, laws = _outer_level(d, fit, cfg, key_prefix)
     # the inner worlds (b, l), l < c, of every outer world b that refits
-    b = np.flatnonzero(np.concatenate(ok))
+    b = np.flatnonzero(ok)
     inner = _level_states(cfg.master_seed, streams.INNER, key_prefix, b, range(cfg.c))
     draw = _keyed_draw(d, laws, inner, cfg.c)
     acc, failed = squared_error(d, draw, len(inner), cfg.ridge, cfg.c)

@@ -1,4 +1,4 @@
-"""The refit kernel: the whole estimation chain on a batch of worlds, in
+"""The refit kernel: the whole estimation chain on a block of worlds, in
 two stages.
 
 Every estimate nerboot reports -- the original fit, the truth simulation,
@@ -20,7 +20,7 @@ is built once in ``d.design`` (``model._Design``).
        z = U @ (cluster sums of proj) + V @ [Q_u | Q_w],
        sum w (y - y_bar)^2 = sum V^2 - sum zv^2 / a,
    so U cancels from SSE1 exactly.
-2. The n-level stage, ``solve``, runs once per batch of worlds:
+2. The n-level stage, ``solve``, runs once per block of worlds:
    a. Method-of-moments variance components (``estimate_variances``):
           sigma_V^2-hat = max(SSE1, B1 n^-B2) / (N - n - r)
           sigma_U^2-hat = max(K^-1 {SSE2 - (N - r_aug) sigma_V^2-hat}, 0)
@@ -40,22 +40,26 @@ is built once in ``d.design`` (``model._Design``).
       the naive MSE is the leading term psi_0 = rho_i-hat a_i^-1
       sigma_V^2 with estimates plugged in, whose underestimation the
       bootstrap repairs.
-``refit_worlds`` composes the two on response rows and optionally adds the
-fourth moments (``moments``), from one set of per-cluster power sums of
-the residuals.
+``refit_worlds`` composes the two on response rows and adds the fourth
+moments (``moments``), from one set of per-cluster power sums of the
+residuals.
 
 A world fails when its GLS normal matrix is not positive-definite or its
 EBLUP is not finite.  ``solve`` masks such worlds in ``ok`` and never
 raises for them; ``fit_model``, the kernel's ``world(0)`` on the dataset's
 own responses, raises RankDeficient when that one world fails.
 
-The level engine ``refit_level`` runs the truth simulation, level one and
-the inner level: it draws a level's worlds one draw block at a time, keeps
-only their statistics and solves them one batch at a time;
-``squared_error`` sums (theta-hat - theta)^2 on top of it, per run of
-worlds that a batch may span.  Levels differ only in their draws.  The
-outer level refits its draw blocks with ``refit_worlds``, since its fourth
-moments need each world's residuals.
+The level engine ``squared_error`` runs the truth simulation, level one
+and the inner level: it draws a level's worlds one draw block at a time,
+keeps only their statistics, solves each block directly and sums
+(theta-hat - theta)^2 per run of worlds that a block may span.  Levels
+differ only in their draws.  The outer level refits its draw blocks with
+``refit_worlds``, since its fourth moments need each world's residuals.
+Every array whose size scales with the block -- the draws, the statistics
+rows, the (B, n) arrays of ``solve``, the error rows, the outer level's y
+and power sums -- comes from one ``Buffers`` per level call and is reused
+from block to block; each kernel function makes a fresh set when it is
+given none.
 """
 
 from __future__ import annotations
@@ -73,16 +77,21 @@ from .moments import estimate_gamma_u, estimate_gamma_v, power_sums
 
 DEFAULT_RIDGE = (1e-6, 2.0)  # (B1, B2); B1 > 0, B2 >= 2
 
-# Worlds are drawn in blocks of max(1, CHUNK_ELEMENTS // N) worlds: 3 on the
-# ragged n = 600 design (N about 4,200), 91 on the n = 60 study design.
-# Larger draw blocks cost page faults and memory: in repeated desk-scale
-# reports on the n = 600 design (one BLAS thread), blocks of 12 and 24 worlds
-# raised the minor page faults from 14,800 to 21,000 and 26,000 per report,
-# and blocks of 12, 16 and 24 raised peak RSS by 1.6, 2.7 and 4.4 MB.  The
-# statistics of the draw blocks fill a batch of up to CHUNK_ELEMENTS // n
-# worlds, rounded down to whole draw blocks (27 and 273 on those designs), and
-# ``solve`` runs once per batch.  Do not raise it without a paired benchmark.
-CHUNK_ELEMENTS = 2**14
+# A draw block is max(1, CHUNK_ELEMENTS // N) worlds: 15 on the ragged n = 600
+# design (N about 4,200), 364 on the n = 60 study design, and the level engine
+# solves each block directly.  A block's (B, N) float64 arrays are then about
+# 512 KiB, above glibc's 128 KiB mmap and trim thresholds, so allocated and
+# freed once per block each would fault in every 4 KiB page again.  Every
+# block-sized array comes from the level's ``Buffers`` instead.  Minor faults
+# per call, counted with getrusage after one warm-up call on the perfbench
+# inputs (one BLAS thread), against per-block arrays in blocks of 91 and
+# batches of 273 worlds: an 8-replicate serial study cell 28 against 14,800;
+# its two pool workers 3,400 against 18,000 (an idle two-worker pool costs
+# about 1,150); a desk-scale fit call 10 against 2,300-4,900.
+CHUNK_ELEMENTS = 2**16
+# the arena a level reserves; a level's block-sized arrays take at most about
+# 5.5 times CHUNK_ELEMENTS float64 (the outer level on the n = 600 design)
+ARENA_BYTES = 8 * CHUNK_ELEMENTS * 8
 
 
 def block_size(d: Dataset) -> int:
@@ -90,18 +99,56 @@ def block_size(d: Dataset) -> int:
     return max(1, CHUNK_ELEMENTS // d.total)
 
 
-def batch_size(d: Dataset) -> int:
-    """Worlds per ``solve`` of the level engine: whole draw blocks, as many
-    as fit in CHUNK_ELEMENTS // n worlds, and at least one."""
+def draw_blocks(d: Dataset, count: int):
+    """(start, end) of the draw blocks of worlds 0 to count - 1."""
     step = block_size(d)
-    return max(step, CHUNK_ELEMENTS // d.n // step * step)
+    for start in range(0, count, step):
+        yield start, min(start + step, count)
 
 
-def draw_blocks(d: Dataset, lo: int, hi: int):
-    """(start, end) of the draw blocks of worlds lo to hi - 1."""
-    step = block_size(d)
-    for start in range(lo, hi, step):
-        yield start, min(start + step, hi)
+class Buffers:
+    """The arrays of one level call whose size scales with its draw block,
+    reused from block to block.
+
+    ``take(key, shape, dtype)`` hands out an array in the key's memory,
+    holding whatever was last written there, so its caller writes before
+    it reads.  Two arrays live at once need two keys.  Only the keys
+    "scratch" and "scratch2" are shared between functions: a function
+    takes them for arrays that die before it returns, and holds neither
+    across a call that takes it.  Each level call makes its own set, as do
+    ``refit_worlds`` and ``fit_model``, so threads and pool workers share
+    none.
+
+    Every array is a slice of one arena of at least ``reserve`` bytes,
+    which doubles when a block needs more; untouched reserve costs no
+    memory.  A level reserves ARENA_BYTES: one allocation per level lifts
+    glibc's dynamic mmap and trim thresholds above the level's whole working
+    set, so a freed arena stays in the heap and the next level call finds
+    its pages mapped.
+    """
+
+    def __init__(self, reserve=0):
+        self._arena = np.empty(0, np.uint8)
+        self._slots = {}  # key -> (offset, bytes) in the arena
+        self._end = 0
+        self._reserve = reserve
+        self._views = {}  # (key, shape, dtype) -> the array handed out
+
+    def take(self, key, shape, dtype=np.float64):
+        view = self._views.get((key, shape, dtype))
+        if view is not None:
+            return view
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        offset, room = self._slots.get(key, (0, -1))
+        if room < nbytes:  # a new slot; arrays of the old one keep their memory
+            offset, room = self._end, -(-nbytes // 64) * 64
+            self._slots[key] = offset, room
+            self._end += room
+            if self._end > len(self._arena):  # earlier takes keep the old arena
+                self._arena = np.empty(max(self._reserve, 2 * self._end), np.uint8)
+        view = self._arena[offset : offset + nbytes].view(dtype).reshape(shape)
+        self._views[key, shape, dtype] = view
+        return view
 
 
 def ridge_floor(n: int, ridge=DEFAULT_RIDGE) -> float:
@@ -132,31 +179,44 @@ def _sse(ss, z):
     return np.maximum(ss - np.einsum("bk,bk->b", z, z), 0.0)
 
 
-def statistics(d: Dataset, y: np.ndarray) -> Statistics:
+def statistics(d: Dataset, y: np.ndarray, buffers=None) -> Statistics:
     """The statistics of the response rows ``y`` (B, N)."""
+    buffers = Buffers() if buffers is None else buffers
     design = d.design
-    yw = y * design.w  # the block's one (B, N) temporary
-    zy = np.add.reduceat(yw, d.starts[:-1], axis=1)  # a_i y_bar_i
+    per_cluster = (len(y), d.n)
+    yw = np.multiply(y, design.w, out=buffers.take("scratch", y.shape))
+    zy = np.add.reduceat(  # a_i y_bar_i
+        yw, d.starts[:-1], axis=1, out=buffers.take("zy", per_cluster)
+    )
     wy2 = np.einsum("bj,bj->b", yw, y)
     zu, zw = _split(d, y @ design.proj)
     # (y - y_bar)^2 in yw's buffer; mode "clip" lets take write there unbuffered
-    centred = np.take(zy / design.a, design.cluster, axis=1, out=yw, mode="clip")
+    y_bar = np.divide(zy, design.a, out=buffers.take("scratch2", per_cluster))
+    centred = np.take(y_bar, design.cluster, axis=1, out=yw, mode="clip")
     centred = np.square(np.subtract(y, centred, out=yw), out=yw)
     return Statistics(zy, zu, _sse(centred @ design.w, zw), _sse(wy2, zu))
 
 
-def draw_statistics(d: Dataset, u: np.ndarray, v: np.ndarray) -> Statistics:
+def draw_statistics(
+    d: Dataset, u: np.ndarray, v: np.ndarray, buffers=None
+) -> Statistics:
     """The statistics of the mean-free worlds y_ij = U_i + s_ij V_ij from
     their draws ``u`` (B, n) and ``v`` (B, N), without forming y."""
+    buffers = Buffers() if buffers is None else buffers
     design = d.design
-    zv = np.add.reduceat(v / d.s, d.starts[:-1], axis=1)  # cluster sums of V/s
+    v_s = np.divide(v, d.s, out=buffers.take("scratch", v.shape))
+    zv = np.add.reduceat(  # cluster sums of V/s
+        v_s, d.starts[:-1], axis=1, out=buffers.take("scratch2", u.shape)
+    )
     v2 = np.einsum("bj,bj->b", v, v)
     zu, zw = _split(d, v @ design.q)
     zu += u @ design.proj_sums  # Q_w / s sums to 0 over every cluster
-    zy = design.a * u
+    zy = np.multiply(design.a, u, out=buffers.take("zy", u.shape))
     zy += zv
-    wy2 = np.einsum("bi,bi->b", zy + zv, u) + v2
-    ss1 = v2 - np.einsum("bi,bi->b", zv, zv / design.a)
+    tmp = np.add(zy, zv, out=buffers.take("scratch", u.shape))
+    wy2 = np.einsum("bi,bi->b", tmp, u) + v2
+    tmp = np.divide(zv, design.a, out=tmp)
+    ss1 = v2 - np.einsum("bi,bi->b", zv, tmp)
     return Statistics(zy, zu, _sse(ss1, zw), _sse(wy2, zu))
 
 
@@ -170,17 +230,18 @@ def estimate_variances(d: Dataset, sse1, sse2, ridge=DEFAULT_RIDGE):
     return sse1, sigma2_v, sigma2_u
 
 
-def normal_equations(d: Dataset, xwy, zy, sigma2_u, sigma2_v):
+def normal_equations(d: Dataset, xwy, zy, sigma2_u, sigma2_v, buffers=None):
     """Stacked GLS normal matrices (B, r+1, r+1) and right-hand sides (B, r+1).
 
     Row b uses the weighted cross-products xwy[b] = sum_ij w_ij y_ij
     (1, x_ij'), the cluster sums zy[b] = a_i y_bar_i and the variance
     components sigma2_u[b], sigma2_v[b].
     """
+    buffers = Buffers() if buffers is None else buffers
     design = d.design
     s2u, s2v = sigma2_u[:, None], sigma2_v[:, None]
     # lam = s2u / (s2v (s2v + s2u a)), (B, n), in one buffer
-    lam = s2u * design.a
+    lam = np.multiply(s2u, design.a, out=buffers.take("scratch2", zy.shape))
     lam += s2v
     lam *= s2v
     lam = np.divide(s2u, lam, out=lam)
@@ -188,7 +249,8 @@ def normal_equations(d: Dataset, xwy, zy, sigma2_u, sigma2_v):
     # product with the per-cluster outer products of z_i = zmat[i]
     shrunk = (lam @ design.zz).reshape(-1, *design.gram.shape)
     normal = design.gram / s2v[:, :, None] - shrunk
-    rhs = xwy / s2v - (lam * zy) @ design.zmat
+    lam_zy = np.multiply(lam, zy, out=buffers.take("scratch", zy.shape))
+    rhs = xwy / s2v - lam_zy @ design.zmat
     return normal, rhs
 
 
@@ -215,20 +277,27 @@ def solve_normal_equations(normal: np.ndarray, rhs: np.ndarray):
     return np.linalg.solve(safe, rhs[:, :, None])[:, :, 0], ok
 
 
-def predict(d: Dataset, y_bar, mu, beta, sigma2_u, sigma2_v):
+def predict(d: Dataset, y_bar, mu, beta, sigma2_u, sigma2_v, buffers=None):
     """(EBLUP, shrinkage factor, naive MSE) per cluster of ``d``.
 
     Broadcasts over a leading world axis: with mu, sigma2_u and sigma2_v of
     shape (B, 1), beta (B, r) and y_bar (B, n), each is (B, n).
     """
+    buffers = Buffers() if buffers is None else buffers
     design = d.design
-    within = sigma2_v / design.a  # a_i^-1 sigma_V^2 > 0 under the ridge
-    rho = sigma2_u + within
+    shape = np.broadcast_shapes(
+        np.shape(y_bar), np.shape(mu), np.shape(sigma2_u), np.shape(sigma2_v),
+        design.a.shape,
+    )
+    # a_i^-1 sigma_V^2 > 0 under the ridge
+    within = np.divide(sigma2_v, design.a, out=buffers.take("naive", shape))
+    rho = np.add(sigma2_u, within, out=buffers.take("rho", shape))
     rho = np.divide(sigma2_u, rho, out=rho)
-    theta = y_bar - mu
-    theta -= beta @ design.x_bar.T  # the direct gap
+    theta = np.subtract(y_bar, mu, out=buffers.take("theta", shape))
+    product = buffers.take("scratch", np.shape(beta)[:-1] + design.a.shape)
+    theta -= np.matmul(beta, design.x_bar.T, out=product)  # the direct gap
     theta *= rho
-    synthetic = beta @ design.x_under.T
+    synthetic = np.matmul(beta, design.x_under.T, out=product)
     synthetic += mu
     theta += synthetic
     within *= rho  # psi_0 = rho_i a_i^-1 sigma_V^2
@@ -260,20 +329,26 @@ class WorldFits:
         )
 
 
-def solve(d: Dataset, stats: Statistics, ridge=DEFAULT_RIDGE) -> WorldFits:
+def solve(
+    d: Dataset, stats: Statistics, ridge=DEFAULT_RIDGE, buffers=None
+) -> WorldFits:
     """The n-level stage: variance components, GLS and EBLUP of every world
-    of a batch from its ``statistics``, without fourth moments."""
+    of a block from its ``statistics``, without fourth moments."""
+    buffers = Buffers() if buffers is None else buffers
     design = d.design
     sse1, sigma2_v, sigma2_u = estimate_variances(d, stats.sse1, stats.sse2, ridge)
     normal, rhs = normal_equations(
-        d, stats.zu @ design.ru, stats.zy, sigma2_u, sigma2_v
+        d, stats.zu @ design.ru, stats.zy, sigma2_u, sigma2_v, buffers
     )
     coef, ok = solve_normal_equations(normal, rhs)
     mu, beta = coef[:, 0], coef[:, 1:]
+    y_bar = buffers.take("scratch2", stats.zy.shape)
+    y_bar = np.divide(stats.zy, design.a, out=y_bar)
     theta, rho, naive = predict(
-        d, stats.zy / design.a, mu[:, None], beta, sigma2_u[:, None], sigma2_v[:, None]
+        d, y_bar, mu[:, None], beta, sigma2_u[:, None], sigma2_v[:, None], buffers
     )
-    ok &= np.isfinite(theta).all(axis=1)
+    finite = np.isfinite(theta, out=buffers.take("scratch", theta.shape, bool))
+    ok &= finite.all(axis=1)
     return WorldFits(
         sigma2_u=sigma2_u,
         sigma2_v=sigma2_v,
@@ -289,36 +364,18 @@ def solve(d: Dataset, stats: Statistics, ridge=DEFAULT_RIDGE) -> WorldFits:
 
 
 def refit_worlds(
-    d: Dataset, y: np.ndarray, ridge=DEFAULT_RIDGE, *, with_fourth_moments: bool = False
+    d: Dataset, y: np.ndarray, ridge=DEFAULT_RIDGE, buffers=None
 ) -> WorldFits:
     """Fit every response row of ``y`` (B, N) on the design of ``d``: both
-    stages, and the fourth moments from the residuals if asked."""
-    fits = solve(d, statistics(d, y), ridge)
-    if not with_fourth_moments:
-        return fits
-    sums = power_sums(d, y - fits.mu[:, None] - fits.beta @ d.x.T)
+    stages, and the fourth moments from the residuals."""
+    buffers = Buffers() if buffers is None else buffers
+    fits = solve(d, statistics(d, y, buffers), ridge, buffers)
+    resid = np.subtract(y, fits.mu[:, None], out=buffers.take("resid", y.shape))
+    resid -= np.matmul(fits.beta, d.x.T, out=buffers.take("scratch", y.shape))
+    sums = power_sums(d, resid, buffers)
     gamma_v = estimate_gamma_v(d, sums, fits.sigma2_v)
     gamma_u = estimate_gamma_u(d, sums, fits.sigma2_u, fits.sigma2_v, gamma_v)
     return dataclasses.replace(fits, gamma_u=gamma_u, gamma_v=gamma_v)
-
-
-def refit_level(d: Dataset, draw, count: int, ridge=DEFAULT_RIDGE):
-    """The level engine: draw ``count`` worlds one draw block at a time and
-    solve their statistics one ``batch_size`` batch at a time, yielding
-    (lo, theta, fits) per batch.
-
-    ``draw(lo, hi)`` returns the worlds lo to hi - 1 as a list of
-    (``Statistics``, true theta (B, n)) parts, in world order.
-    """
-    per_batch = batch_size(d)
-    for lo in range(0, count, per_batch):
-        blocks = draw_blocks(d, lo, min(lo + per_batch, count))
-        stats, theta = zip(*[part for block in blocks for part in draw(*block)])
-        fits = solve(d, Statistics(*map(np.concatenate, zip(*stats))), ridge)
-        theta = np.concatenate(theta)
-        del stats  # hold no block while suspended or building the next batch
-        yield lo, theta, fits
-        del theta, fits
 
 
 def runs(lo: int, hi: int, per: int):
@@ -328,27 +385,37 @@ def runs(lo: int, hi: int, per: int):
 
 
 def squared_error(d: Dataset, draw, count: int, ridge=DEFAULT_RIDGE, per=None):
-    """Per-cluster sums of (theta-hat - theta)^2 over the worlds of
-    ``refit_level`` that refit, and the numbers of worlds that failed, per
-    run of ``per`` worlds (``runs``; by default one run of all ``count``):
-    arrays (G, n) and (G,), G = ceil(count / per)."""
+    """The level engine: per-cluster sums of (theta-hat - theta)^2 over the
+    ``count`` worlds of ``draw`` that refit, and the numbers of worlds that
+    failed, per run of ``per`` worlds (``runs``; by default one run of all
+    ``count``): arrays (G, n) and (G,), G = ceil(count / per).
+
+    It draws the worlds one draw block at a time and solves each block
+    directly; ``draw(lo, hi, buffers)`` returns the ``Statistics`` and the
+    true theta (B, n) of worlds lo to hi - 1, in arrays of the level's
+    ``buffers``.
+    """
     per = per or count
     acc = np.zeros((-(-count // per), d.n))
     failed = np.zeros(len(acc), dtype=np.intp)
-    for lo, theta, fits in refit_level(d, draw, count, ridge):
-        err = np.where(fits.ok[:, None], fits.theta_hat - theta, 0.0)
+    buffers = Buffers(ARENA_BYTES)  # the level's, shared by its blocks
+    for lo, hi in draw_blocks(d, count):
+        stats, theta = draw(lo, hi, buffers)
+        fits = solve(d, stats, ridge, buffers)
+        err = buffers.take("scratch", theta.shape)
+        err = np.subtract(fits.theta_hat, theta, out=err)
+        err[~fits.ok] = 0.0
         err *= err
-        for start, end in runs(lo, lo + len(theta), per):
+        for start, end in runs(lo, hi, per):
             acc[start // per] += np.sum(err[start - lo : end - lo], axis=0)
             failed[start // per] += np.count_nonzero(~fits.ok[start - lo : end - lo])
-        del theta, fits, err  # not held while the next batch is drawn
     return acc, failed
 
 
 def fit_model(d: Dataset, ridge=DEFAULT_RIDGE) -> WorldFits:
     """Fit variance components, fixed effects, EBLUPs and fourth moments on
     a dataset: the kernel's fit of the dataset's own responses, as one world."""
-    fit = refit_worlds(d, d.y[None, :], ridge, with_fourth_moments=True)
+    fit = refit_worlds(d, d.y[None, :], ridge)
     if not fit.ok[0]:
         raise RankDeficient(
             "GLS normal equations are singular or the fit is not finite"

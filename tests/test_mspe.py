@@ -420,6 +420,46 @@ def test_outer_world_whose_inner_worlds_all_fail_counts_once(monkeypatch, fitted
     np.testing.assert_allclose(res.mse_double, vacc / (cfg.b2 - 1), rtol=1e-10)
 
 
+@pytest.mark.parametrize("family", ["three_point", "student_t"])
+def test_level_buffers_are_written_before_read_and_never_escape(monkeypatch, family):
+    # every array the level buffers hand out starts as garbage (NaN, -1 or
+    # True): a read before write changes a result, and no result may share
+    # memory with a buffer; blocks of 4 worlds straddle the runs of c worlds
+    import nerboot.simulate as sim
+
+    d = random_ragged_dataset(31, n=12, r=2)
+    fit = fit_model(d)
+    cfg = BootstrapConfig(b1=9, b2=5, c=3, master_seed=5, family=family)
+    scen, model = sim.Scenario.from_ratio(6, 0.5), sim.error_model("m3")
+    monkeypatch.setattr("nerboot.pipeline.block_size", lambda d: 4)
+
+    def run():
+        return mse_double(d, fit, cfg), sim.run_truth(scen, model, 11, 5)
+
+    default = run()
+    arenas = {}
+    real = nerboot.pipeline.Buffers.take
+
+    def garbage(self, key, shape, dtype=np.float64):
+        view = real(self, key, shape, dtype)
+        view.fill({"f": np.nan, "i": -1, "b": True}[view.dtype.kind])
+        root = view
+        while root.base is not None:
+            root = root.base
+        arenas[id(root)] = root
+        return view
+
+    monkeypatch.setattr("nerboot.pipeline.Buffers.take", garbage)
+    res, truth = run()
+    want, want_truth = default
+    assert arenas and res.failures == want.failures
+    arrays = [f.name for f in dataclasses.fields(res) if f.name != "failures"]
+    pairs = [(getattr(res, name), getattr(want, name)) for name in arrays]
+    for got, expected in pairs + [(truth, want_truth)]:
+        np.testing.assert_array_equal(got, expected)
+        assert not any(np.shares_memory(got, arena) for arena in arenas.values())
+
+
 def test_every_outer_world_failing_aborts(monkeypatch, fitted):
     # the kernel's second call refits the one block of outer worlds; when
     # none refits, the inner level has no worlds and the outer level aborts
@@ -457,9 +497,9 @@ def test_v_hat_does_not_depend_on_the_refit_block_size(monkeypatch):
     }
     real = nerboot.mspe._draw_worlds
 
-    def poisoned(d, laws, rngs):
+    def poisoned(d, laws, rngs, *out):
         rows = [k for k, rng in enumerate(rngs) if _pcg_state(rng) in bad]
-        u_star, v_star = real(d, laws, rngs)
+        u_star, v_star = real(d, laws, rngs, *out)
         v_star[rows, 0] = np.nan
         return u_star, v_star
 

@@ -11,7 +11,6 @@ from nerboot.pipeline import (
     draw_statistics,
     fit_model,
     refit_worlds,
-    runs,
     solve,
     squared_error,
     statistics,
@@ -36,7 +35,7 @@ def test_kernel_sse1_and_gamma_v_match_oracle(seed):
     # against the dense T-form SSE1 and the double-loop gamma_v
     d = random_ragged_dataset(seed, n=12, r=1 + seed % 2)
     y = _response_block(d, 4, seed)
-    fits = refit_worlds(d, y, with_fourth_moments=True)
+    fits = refit_worlds(d, y)
     assert fits.ok.all()
     for b in range(len(y)):
         world = d.with_responses(y[b])
@@ -49,7 +48,7 @@ def test_block_matches_single_world_fits():
     d = random_ragged_dataset(21, n=10, r=2)
     y = _response_block(d, 5, 3)
     y[2, 4] = np.nan  # a world whose normal matrix is not finite
-    fits = refit_worlds(d, y, with_fourth_moments=True)
+    fits = refit_worlds(d, y)
     np.testing.assert_array_equal(fits.ok, [True, True, False, True, True])
     for b in np.flatnonzero(fits.ok):
         one = fit_model(d.with_responses(y[b]))
@@ -125,9 +124,9 @@ def test_nan_in_one_inner_world_masks_that_world_only():
     poisoned[bad, 2] = np.nan
 
     def draw(v):
-        return lambda lo, hi: [
-            (draw_statistics(d, u[a:b], v[a:b]), u[a:b]) for a, b in runs(lo, hi, c)
-        ]
+        return lambda lo, hi, buffers: (
+            draw_statistics(d, u[lo:hi], v[lo:hi], buffers), u[lo:hi]
+        )
 
     clean, clean_failed = squared_error(d, draw(v), len(u), per=c)
     per_world, _ = squared_error(d, draw(v), len(u), per=1)
@@ -148,7 +147,7 @@ def test_design_is_built_once_shared_and_read_only():
     step = block_size(d)
     y = _response_block(d, 2 * step + 3, 9)
     for lo in range(0, len(y), step):  # three refit blocks
-        assert refit_worlds(d, y[lo : lo + step], with_fourth_moments=True).ok.all()
+        assert refit_worlds(d, y[lo : lo + step]).ok.all()
     copies = [d.with_responses(row) for row in y[:3]]
     for copy in copies:
         fit_model(copy)
