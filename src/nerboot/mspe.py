@@ -25,25 +25,25 @@ worlds, the inner worlds (b, l) of every outer world b that refits, and the
 study's replicate worlds.  ``_draw_worlds`` hands each run of worlds' fresh
 generators (``streams.replay``, bit for bit each world's
 ``streams.substream``) to ``mmdist.sample_worlds``, which draws U and then
-V from each into the run's rows of the level's draw buffer; it draws the
-worlds of the study harness too.  Level-one and inner worlds are refitted
-from their draws (U, V) and never form y; ``_with_responses`` forms y, in
-place of V, for the outer worlds, whose fourth moments read residuals, and
-for worlds with a mean (study and truth).
+V from each into the run's rows of the level's draw buffer.  Every world
+is drawn mean-free by ``_keyed_draw``, which returns a block's draws
+(U, V).  Truth, level-one and inner worlds differ only in their keys and
+laws: the level engine refits them from (U, V), with theta = U.
+``_with_responses`` is the one place y is formed: for the outer worlds,
+whose fourth moments read residuals, and for a study replicate, the one
+world with a mean.
 
-Every fit is a ``pipeline.WorldFits``, and every world is drawn from the
-laws matched to one fit's second and fourth moments (``_keyed_draw``).  A
-bootstrap world carries no mean: GLS and the EBLUP are equivariant (Prasad
-& Rao, JASA 1990), so adding mu + x' beta to y* moves theta-hat* by
-mu + x_under' beta, as it moves theta*, and leaves the variance and
-fourth-moment estimates alone; theta-hat* - theta* and the failures do not
-depend on the fit's (mu, beta).  The double bootstrap is three flat levels
-on the kernel of ``pipeline``.  Level one and the outer level draw around
-the original fit; the outer level refits its draw blocks with
-``refit_worlds`` and keeps which worlds refit and their matched laws.  The
-inner level is then one pass: each inner world is drawn around its own
-outer fit, and ``squared_error`` refits them in draw blocks that may span
-outer worlds and sums them per outer world.
+Every fit is a ``pipeline.WorldFits``.  No world needs a mean: GLS and
+the EBLUP are equivariant (Prasad & Rao, JASA 1990), so adding
+mu + x' beta to y moves theta-hat by mu + x_under' beta, as it moves
+theta, and leaves the variance and fourth-moment estimates alone;
+theta-hat - theta and the failures do not depend on (mu, beta).  The
+double bootstrap is three flat levels on the kernel of ``pipeline``.  Level
+one and the outer level draw around the original fit; the outer level
+refits its draw blocks with ``refit_worlds`` and keeps which worlds refit
+and their matched laws.  The inner level is then one pass: each inner world
+is drawn around its own outer fit, and ``squared_error`` refits them in
+draw blocks that may span outer worlds and sums them per outer world.
 Worlds whose refit fails numerically are masked, skipped and counted; more
 than 1% failures at any level aborts the run, since under the ridge
 safeguard failures signal a pathological input.  ``mspe_report`` returns
@@ -68,13 +68,11 @@ from .pipeline import (
     Buffers,
     WorldFits,
     draw_blocks,
-    draw_statistics,
     fit_model,
     refit_worlds,
     ridge_floor,
     runs,
     squared_error,
-    statistics,
 )
 
 FAILURE_TOLERANCE = 0.01  # max tolerated share of failed replicates per level
@@ -174,11 +172,11 @@ def _draw_worlds(d: Dataset, laws: tuple, rngs: list, out, buffers):
     return sample_worlds(*laws, rngs, d.n, out, buffers)
 
 
-def _with_responses(d: Dataset, u_star, v_star, mean, buffers):
+def _with_responses(d: Dataset, u_star, v_star, buffers, mean=None):
     """Response rows (B, N), y = U_i + s V around ``mean`` (mu, beta) if
-    given, and the true theta (B, n), from the draws (U, V) of
-    ``_draw_worlds`` and in their place; the theta of a world without a
-    mean is U itself."""
+    given, and the true theta (B, n), from the draws (U, V) of a block of
+    worlds and in their place; the theta of a world without a mean is U
+    itself.  The one place a world's y is formed."""
     u_rows = buffers.take("scratch2", u_star.shape)  # contiguous, for take
     u_rows[...] = u_star
     effects = buffers.take("scratch", v_star.shape)
@@ -192,24 +190,6 @@ def _with_responses(d: Dataset, u_star, v_star, mean, buffers):
     return v_star, u_star
 
 
-def _responses(d: Dataset, laws: tuple, rngs: list, mean=None, buffers=None):
-    """``_with_responses`` of worlds drawn by ``_draw_worlds``.  The one
-    place a world's y is formed: the outer level's fourth moments read
-    residuals, and only study and truth worlds have a mean."""
-    buffers = Buffers() if buffers is None else buffers
-    out = buffers.take("draws", (len(rngs), d.n + d.total))
-    u_star, v_star = _draw_worlds(d, laws, rngs, out, buffers)
-    return _with_responses(d, u_star, v_star, mean, buffers)
-
-
-def _keyed_responses(
-    d: Dataset, laws: tuple, states: np.ndarray, mean=None, buffers=None
-):
-    """``_responses`` of the worlds keyed by ``states``, all drawn from
-    ``laws``."""
-    return _responses(d, laws, list(streams.replay(states)), mean, buffers)
-
-
 def _laws(fits: WorldFits, family: str, k=()):
     """The laws (U, V) of worlds drawn around fit k of a block's fits (of a
     one-world fit by default), matched to its second and fourth moments."""
@@ -221,11 +201,11 @@ def _laws(fits: WorldFits, family: str, k=()):
     )
 
 
-def _keyed_draw(d: Dataset, laws: list, states: np.ndarray, per: int, mean=None):
+def _keyed_draw(d: Dataset, laws: list, states: np.ndarray, per: int):
     """The level engine's ``draw(lo, hi, buffers)`` for the worlds keyed by
-    ``states``, world i from ``laws[i // per]`` around ``mean``: each run's
-    worlds fill their rows of the block's draws, and the block's statistics
-    come from one call.  Worlds without a mean never form y."""
+    ``states``, world i from ``laws[i // per]``: the draws U (B, n) and V
+    (B, N) of worlds lo to hi - 1, each run's worlds in their rows of the
+    block's draw buffer.  Every world it draws is mean-free."""
 
     def draw(lo, hi, buffers):
         out = buffers.take("draws", (hi - lo, d.n + d.total))
@@ -233,11 +213,7 @@ def _keyed_draw(d: Dataset, laws: list, states: np.ndarray, per: int, mean=None)
             rngs = list(streams.replay(states[start:end]))
             rows = out[start - lo : end - lo]
             _draw_worlds(d, laws[start // per], rngs, rows, buffers)
-        u_star, v_star = out[:, : d.n], out[:, d.n :]
-        if mean is None:
-            return draw_statistics(d, u_star, v_star, buffers), u_star
-        y_star, theta = _with_responses(d, u_star, v_star, mean, buffers)
-        return statistics(d, y_star, buffers), theta
+        return out[:, : d.n], out[:, d.n :]
 
     return draw
 
@@ -277,11 +253,11 @@ def _outer_level(d: Dataset, fit: WorldFits, cfg: BootstrapConfig, key_prefix: t
     """Which of the b2 outer worlds refit, and the matched laws (U, V) of
     those that do, from their refits with fourth moments."""
     outer = _level_states(cfg.master_seed, streams.OUTER, key_prefix, range(cfg.b2))
-    around_fit = _laws(fit, cfg.family)
+    draw = _keyed_draw(d, [_laws(fit, cfg.family)], outer, cfg.b2)
     ok, laws = [], []
     buffers = Buffers(ARENA_BYTES)  # the level's, shared by its blocks
     for lo, hi in draw_blocks(d, cfg.b2):
-        y_star, _ = _keyed_responses(d, around_fit, outer[lo:hi], buffers=buffers)
+        y_star, _ = _with_responses(d, *draw(lo, hi, buffers), buffers)
         fits = refit_worlds(d, y_star, cfg.ridge, buffers)
         ok.append(fits.ok)
         laws += [_laws(fits, cfg.family, k) for k in np.flatnonzero(fits.ok)]

@@ -50,11 +50,12 @@ raises for them; ``fit_model``, the kernel's ``world(0)`` on the dataset's
 own responses, raises RankDeficient when that one world fails.
 
 The level engine ``squared_error`` runs the truth simulation, level one
-and the inner level: it draws a level's worlds one draw block at a time,
-keeps only their statistics, solves each block directly and sums
-(theta-hat - theta)^2 per run of worlds that a block may span.  Levels
-differ only in their draws.  The outer level refits its draw blocks with
-``refit_worlds``, since its fourth moments need each world's residuals.
+and the inner level: it draws a level's mean-free worlds (U, V) one draw
+block at a time, keeps only their ``draw_statistics``, solves each block
+directly and sums (theta-hat - theta)^2, theta = U, per run of worlds that
+a block may span.  Levels differ only in their draws.  The outer level
+refits its draw blocks with ``refit_worlds``, since its fourth moments
+need each world's residuals.
 Every array whose size scales with the block -- the draws, the statistics
 rows, the (B, n) arrays of ``solve``, the error rows, the outer level's y
 and power sums -- comes from one ``Buffers`` per level call and is reused
@@ -391,17 +392,17 @@ def squared_error(d: Dataset, draw, count: int, ridge=DEFAULT_RIDGE, per=None):
     ``count``): arrays (G, n) and (G,), G = ceil(count / per).
 
     It draws the worlds one draw block at a time and solves each block
-    directly; ``draw(lo, hi, buffers)`` returns the ``Statistics`` and the
-    true theta (B, n) of worlds lo to hi - 1, in arrays of the level's
-    ``buffers``.
+    directly from its ``draw_statistics``; ``draw(lo, hi, buffers)``
+    returns the draws U (B, n), also the true theta, and V (B, N) of the
+    mean-free worlds lo to hi - 1, in arrays of the level's ``buffers``.
     """
     per = per or count
     acc = np.zeros((-(-count // per), d.n))
     failed = np.zeros(len(acc), dtype=np.intp)
     buffers = Buffers(ARENA_BYTES)  # the level's, shared by its blocks
     for lo, hi in draw_blocks(d, count):
-        stats, theta = draw(lo, hi, buffers)
-        fits = solve(d, stats, ridge, buffers)
+        theta, v = draw(lo, hi, buffers)
+        fits = solve(d, draw_statistics(d, theta, v, buffers), ridge, buffers)
         err = buffers.take("scratch", theta.shape)
         err = np.subtract(fits.theta_hat, theta, out=err)
         err[~fits.ok] = 0.0

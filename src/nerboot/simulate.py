@@ -7,10 +7,11 @@ s = 1, and variance ratios sigma_U^2/sigma_V^2 in {1/2, 1, 2} normalized so
 the larger component is 1.  Eight error models pair the study laws of
 ``mmdist`` (normal, skewed, heavy-tailed and mixed-sign cases, each centered
 analytically and scaled to the scenario variance).  Every world, of the
-truth simulation (``mspe._keyed_draw``) or of a study replicate
-(``mspe._keyed_responses``), is drawn like a bootstrap world: replicate r
-from the seed words of key (STUDY, r), all derived in one
-``mspe._level_states`` call, as for every bootstrap level.
+truth simulation or of a study replicate, is drawn like a bootstrap world
+by ``mspe._keyed_draw``: replicate r from the seed words of key (STUDY, r),
+all derived in one ``mspe._level_states`` call, as for every bootstrap
+level.  Only a study replicate's data carry the mean (MU, BETA): the
+truth simulation refits its worlds mean-free on the level engine.
 
 For each replicate the harness records the true and predicted mixed
 effects together with the MSPE estimates, so relative bias
@@ -43,12 +44,12 @@ from .mmdist import make_study_law, sample
 from .mspe import (
     BootstrapConfig,
     _keyed_draw,
-    _keyed_responses,
     _level_states,
+    _with_responses,
     mse_double,
     mse_single,
 )
-from .pipeline import fit_model, squared_error
+from .pipeline import Buffers, fit_model, squared_error
 
 # record-log columns, in file order
 RECORD_COLUMNS = (
@@ -151,13 +152,6 @@ def _laws(scenario: Scenario, model: ErrorModel) -> tuple:
     )
 
 
-def _study_draw(design: Dataset, scenario: Scenario, model: ErrorModel, words):
-    """The level engine's ``draw(lo, hi)`` of the study's replicate worlds:
-    replicate r is drawn from the seed words ``words[r]`` of key (STUDY, r)."""
-    laws = [_laws(scenario, model)]
-    return _keyed_draw(design, laws, words, len(words), (MU, np.asarray(BETA)))
-
-
 def run_truth(
     scenario: Scenario, model: ErrorModel, replicates: int, master_seed: int
 ):
@@ -165,14 +159,14 @@ def run_truth(
 
     The worlds are those of ``run_study`` at the same master seed: the
     covariate design from key (DESIGN,), replicate r from key (STUDY, r).
-    The level engine draws and refits them in blocks, so the result equals
-    that study's ``smse`` up to rounding.
+    The level engine draws and refits them mean-free in blocks, so the
+    result equals that study's ``smse`` up to rounding, whatever MU and BETA.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
     design = make_design(scenario, streams.substream(master_seed, streams.DESIGN))
     words = _level_states(master_seed, streams.STUDY, (), range(replicates))
-    draw = _study_draw(design, scenario, model, words)
+    draw = _keyed_draw(design, [_laws(scenario, model)], words, replicates)
     (acc,), (failed,) = squared_error(design, draw, replicates)
     if failed:
         raise RankDeficient("a truth-simulation refit failed")
@@ -245,8 +239,9 @@ def metrics_from_records(records: np.ndarray, double: bool) -> tuple:
 def _one_replicate(state: tuple, rep: int) -> np.ndarray:
     """The record of replicate ``rep``; ``state`` is everything it reads."""
     design, scenario, model, cfg, double, words = state
-    laws, mean = _laws(scenario, model), (MU, np.asarray(BETA))
-    (y,), (theta,) = _keyed_responses(design, laws, words[rep : rep + 1], mean)
+    buffers, laws = Buffers(), [_laws(scenario, model)]
+    u, v = _keyed_draw(design, laws, words, len(words))(rep, rep + 1, buffers)
+    (y,), (theta,) = _with_responses(design, u, v, buffers, (MU, np.asarray(BETA)))
     d_rep = design.with_responses(y)
     fit = fit_model(d_rep, cfg.ridge)
     rec = np.empty((scenario.n, len(RECORD_COLUMNS)))

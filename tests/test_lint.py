@@ -179,7 +179,7 @@ def test_max_seed_read_is_reported():
 
 # the calls that derive seed words, turn them into generators and generators
 # into worlds
-WORLD_MAKERS = {"substream_states", "replay", "_draw_worlds", "_responses"}
+WORLD_MAKERS = {"substream_states", "replay", "_draw_worlds"}
 
 
 @pytest.mark.parametrize(
@@ -189,7 +189,7 @@ WORLD_MAKERS = {"substream_states", "replay", "_draw_worlds", "_responses"}
 )
 def test_only_mspe_replays_keyed_streams(path):
     # every other module keys its worlds through ``mspe._level_states`` and
-    # draws them through ``mspe._keyed_draw`` or ``mspe._keyed_responses``
+    # draws them through ``mspe._keyed_draw``
     assert _calls(path.read_text(), WORLD_MAKERS) == []
 
 

@@ -12,13 +12,14 @@ import nerboot.streams as streams
 from nerboot.errors import DivisionGuard, TooManyFailures
 from nerboot.mspe import (
     BootstrapConfig,
-    _responses,
+    _draw_worlds,
+    _with_responses,
     mse_double,
     mse_single,
     mspe_report,
     robust_correction,
 )
-from nerboot.pipeline import block_size, fit_model
+from nerboot.pipeline import Buffers, block_size, fit_model
 
 import _brute
 from conftest import benchmark_dataset, random_ragged_dataset
@@ -296,16 +297,21 @@ def test_level_one_tracks_independent_truth_simulation():
     beta = np.asarray(sim.BETA)
     rng = np.random.default_rng(314)
     design = sim.make_design(scen, rng)
+    buffers = Buffers()
+    out = np.empty((1, design.n + design.total))
+
+    def responses(rng):
+        u, v = _draw_worlds(design, laws, [rng], out, buffers)
+        return _with_responses(design, u, v, buffers, (sim.MU, beta))
+
     acc = np.zeros(60)
     for _ in range(5000):
-        (y,), (theta,) = _responses(design, laws, [rng], (sim.MU, beta))
+        (y,), (theta,) = responses(rng)
         fit = fit_model(design.with_responses(y))
         acc += (fit.theta_hat - theta) ** 2
     smse = acc / 5000
 
-    (y_one,), _ = _responses(
-        design, laws, [np.random.default_rng(3141)], (sim.MU, beta)
-    )
+    (y_one,), _ = responses(np.random.default_rng(3141))
     d_one = design.with_responses(y_one)
     fit_one = fit_model(d_one)
     cfg = BootstrapConfig(b1=2000, b2=1, c=1, master_seed=8)

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import nerboot
 from nerboot.pipeline import (
@@ -97,6 +99,49 @@ def test_draw_statistics_match_responses_and_dense_oracle():
             _assert_close(stats.zu[b] @ d.design.ru, (y[b] / d.s**2) @ aug)
 
 
+@st.composite
+def _ragged_worlds(draw):
+    """A random ragged design (3-10 clusters of 2-5 rows, r = 1-2, s in
+    [0.5, 2]), the draws U and V of three mean-free worlds on it, and a
+    mean (mu, beta) with entries up to 100 in magnitude."""
+    sizes = draw(st.lists(st.integers(2, 5), min_size=3, max_size=10))
+    r = draw(st.integers(1, 2))
+    shift = st.floats(-100.0, 100.0)
+    mu, beta = draw(shift), np.array(draw(st.lists(shift, min_size=r, max_size=r)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    x = rng.normal(size=(len(labels), r))
+    s = rng.uniform(0.5, 2.0, size=len(labels))
+    d = nerboot.from_arrays(labels, x, np.zeros(len(labels)), s)
+    u = rng.standard_normal((3, d.n))
+    v = rng.standard_t(5.0, size=(3, d.total))
+    return d, u, v, mu, beta
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(_ragged_worlds())
+def test_mean_free_worlds_refit_as_shifted_worlds(worlds):
+    # the statistics read from (U, V) are those of the formed y, and adding
+    # mu + x beta to y leaves the variance components and fourth moments
+    # alone and moves theta-hat by mu + x_under beta: the invariance that
+    # lets every truth and bootstrap world be drawn without a mean
+    d, u, v, mu, beta = worlds
+    y = u[:, d.design.cluster] + d.s * v
+    for got, want in zip(draw_statistics(d, u, v), statistics(d, y)):
+        _assert_close(got, want, rtol=1e-10)
+    fits = refit_worlds(d, y)
+    assume(fits.ok.all())
+    shifted = refit_worlds(d, y + mu + d.x @ beta)
+    assert shifted.ok.all()
+    scale = fits.sigma2_u + fits.sigma2_v
+    for name, unit in [("sigma2_u", scale), ("sigma2_v", scale),
+                       ("gamma_u", scale**2), ("gamma_v", scale**2)]:
+        gap = np.abs(getattr(shifted, name) - getattr(fits, name))
+        assert np.all(gap <= 1e-8 * unit), name
+    moved = shifted.theta_hat - (mu + d.design.x_under @ beta)
+    assert np.all(np.abs(moved - fits.theta_hat) <= 1e-8 * np.sqrt(scale)[:, None])
+
+
 def test_one_batched_solve_equals_per_block_solves():
     d = random_ragged_dataset(23, n=10, r=2)
     u, v, _ = _mean_free_draws(d, 9, 5)
@@ -124,9 +169,7 @@ def test_nan_in_one_inner_world_masks_that_world_only():
     poisoned[bad, 2] = np.nan
 
     def draw(v):
-        return lambda lo, hi, buffers: (
-            draw_statistics(d, u[lo:hi], v[lo:hi], buffers), u[lo:hi]
-        )
+        return lambda lo, hi, buffers: (u[lo:hi], v[lo:hi])
 
     clean, clean_failed = squared_error(d, draw(v), len(u), per=c)
     per_world, _ = squared_error(d, draw(v), len(u), per=1)

@@ -157,6 +157,16 @@ def test_run_truth_determinism():
     np.testing.assert_array_equal(a, b)
 
 
+def test_run_truth_ignores_the_study_mean(monkeypatch):
+    # theta-hat - theta does not depend on (mu, beta), so truth worlds are
+    # drawn mean-free: a huge mean cannot cancel into rounding error
+    scen, law = Scenario.from_ratio(n=20, ratio=0.5), error_model("m3")
+    default = run_truth(scen, law, replicates=40, master_seed=11)
+    monkeypatch.setattr("nerboot.simulate.MU", 1e6)
+    monkeypatch.setattr("nerboot.simulate.BETA", (1e6,))
+    np.testing.assert_array_equal(run_truth(scen, law, 40, 11), default)
+
+
 def test_run_truth_exceeds_leading_term():
     # true MSE is psi_0 + O(1/n) with a positive 1/n part; psi_0 = 0.25 here
     scen = Scenario.from_ratio(n=60, ratio=1.0)

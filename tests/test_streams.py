@@ -10,7 +10,8 @@ from nerboot.mmdist import (
     make_study_law,
     make_three_point,
 )
-from nerboot.mspe import _responses
+from nerboot.mspe import _draw_worlds, _with_responses
+from nerboot.pipeline import Buffers
 from nerboot.simulate import Scenario, _laws, error_model
 
 import _brute
@@ -119,7 +120,10 @@ def test_block_draws_equal_looped_oracle(case):
     tails = np.array([key[3:] for key in keys])
     states = streams.substream_states(2**40 + 9, streams.INNER, 3, tails=tails)
     rngs = [_CountingGenerator(rng) for rng in streams.replay(states)]
-    y_star, theta_star = _responses(d, laws, rngs, (mu, beta))
+    buffers = Buffers()
+    out = np.empty((len(rngs), d.n + d.total))
+    u_star, v_star = _draw_worlds(d, laws, rngs, out, buffers)
+    y_star, theta_star = _with_responses(d, u_star, v_star, buffers, (mu, beta))
     assert [rng.calls for rng in rngs] == [CALLS_PER_WORLD[case]] * len(keys)
     # the oracle draws U and V with one ``sample`` call each
     for k, key in enumerate(keys):
