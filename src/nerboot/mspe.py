@@ -1,9 +1,9 @@
 """Bootstrap estimation of mean-squared prediction error, with bias
 correction by the double bootstrap.
 
-Level one draws cluster effects and noise from matched distributions built
-on the fitted second and fourth moments, rebuilds responses on the original
-design, refits the whole pipeline and averages squared prediction errors:
+Level one draws worlds on the original design, with cluster effects and
+noise from matched distributions built on the fitted second and fourth
+moments, refits the whole pipeline and averages squared prediction errors:
 that Monte Carlo average u-hat estimates MSE_i with an O(n^-1) bias.  Level
 two repeats the construction around each level-one fit (re-estimating the
 fourth moments there too) to estimate that bias as v-hat - u-hat.  Besides
@@ -27,23 +27,19 @@ generators (``streams.replay``, bit for bit each world's
 ``streams.substream``) to ``mmdist.sample_worlds``, which draws U and then
 V from each into the run's rows of the level's draw buffer.  Every world
 is drawn mean-free by ``_keyed_draw``, which returns a block's draws
-(U, V).  Truth, level-one and inner worlds differ only in their keys and
-laws: the level engine refits them from (U, V), with theta = U.
-``_with_responses`` is the one place y is formed: for the outer worlds,
-whose fourth moments read residuals, and for a study replicate, the one
-world with a mean.
+(U, V), and is refitted from them; no bootstrap world forms y.  No world
+needs a mean: GLS and the EBLUP are equivariant (Prasad & Rao, JASA
+1990), so theta-hat - theta and the failures do not depend on (mu, beta).
 
-Every fit is a ``pipeline.WorldFits``.  No world needs a mean: GLS and
-the EBLUP are equivariant (Prasad & Rao, JASA 1990), so adding
-mu + x' beta to y moves theta-hat by mu + x_under' beta, as it moves
-theta, and leaves the variance and fourth-moment estimates alone;
-theta-hat - theta and the failures do not depend on (mu, beta).  The
-double bootstrap is three flat levels on the kernel of ``pipeline``.  Level
-one and the outer level draw around the original fit; the outer level
-refits its draw blocks with ``refit_worlds`` and keeps which worlds refit
-and their matched laws.  The inner level is then one pass: each inner world
-is drawn around its own outer fit, and ``squared_error`` refits them in
-draw blocks that may span outer worlds and sums them per outer world.
+The double bootstrap is three flat levels on the kernel of ``pipeline``,
+whose fits are ``WorldFits``.  Level one and the outer level draw around
+the original fit.  The outer level refits its draw blocks with
+``refit_worlds``, whose fourth moments read residuals, and keeps which
+worlds refit and their matched laws.  The inner level is then one pass:
+each inner world is drawn around its own outer fit.  Truth, level-one and
+inner worlds differ only in their keys and laws: the level engine
+``squared_error`` refits them with theta = U, in draw blocks that may span
+outer worlds, and sums them per outer world.
 Worlds whose refit fails numerically are masked, skipped and counted; more
 than 1% failures at any level aborts the run, since under the ridge
 safeguard failures signal a pathological input.  ``mspe_report`` returns
@@ -172,24 +168,6 @@ def _draw_worlds(d: Dataset, laws: tuple, rngs: list, out, buffers):
     return sample_worlds(*laws, rngs, d.n, out, buffers)
 
 
-def _with_responses(d: Dataset, u_star, v_star, buffers, mean=None):
-    """Response rows (B, N), y = U_i + s V around ``mean`` (mu, beta) if
-    given, and the true theta (B, n), from the draws (U, V) of a block of
-    worlds and in their place; the theta of a world without a mean is U
-    itself.  The one place a world's y is formed."""
-    u_rows = buffers.take("scratch2", u_star.shape)  # contiguous, for take
-    u_rows[...] = u_star
-    effects = buffers.take("scratch", v_star.shape)
-    effects = np.take(u_rows, d.design.cluster, axis=1, out=effects, mode="clip")
-    if mean is not None:
-        mu, beta = mean
-        effects += mu + d.x @ beta
-        u_star += mu + d.design.x_under @ beta
-    v_star *= d.s
-    v_star += effects  # y in V's columns
-    return v_star, u_star
-
-
 def _laws(fits: WorldFits, family: str, k=()):
     """The laws (U, V) of worlds drawn around fit k of a block's fits (of a
     one-world fit by default), matched to its second and fourth moments."""
@@ -257,8 +235,7 @@ def _outer_level(d: Dataset, fit: WorldFits, cfg: BootstrapConfig, key_prefix: t
     ok, laws = [], []
     buffers = Buffers(ARENA_BYTES)  # the level's, shared by its blocks
     for lo, hi in draw_blocks(d, cfg.b2):
-        y_star, _ = _with_responses(d, *draw(lo, hi, buffers), buffers)
-        fits = refit_worlds(d, y_star, cfg.ridge, buffers)
+        fits = refit_worlds(d, *draw(lo, hi, buffers), cfg.ridge, buffers)
         ok.append(fits.ok)
         laws += [_laws(fits, cfg.family, k) for k in np.flatnonzero(fits.ok)]
     return np.concatenate(ok), laws

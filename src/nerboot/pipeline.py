@@ -3,19 +3,22 @@ two stages.
 
 Every estimate nerboot reports -- the original fit, the truth simulation,
 level one, the outer and the inner bootstrap worlds -- comes from the same
-two stages on a fixed design ``d``.  Every field of their ``WorldFits``
-has a leading world axis: it is the only fit type, and ``fits.world(b)``
-is the fit of world b alone.  Everything that depends only on the design
-is built once in ``d.design`` (``model._Design``).
+two stages on a fixed design ``d``, from the draws (U, V) of mean-free
+worlds y_ij = U_i + s_ij V_ij.  Every field of their ``WorldFits`` has a
+leading world axis: it is the only fit type, and ``fits.world(b)`` is the
+fit of world b alone.  Everything that depends only on the design is
+built once in ``d.design`` (``model._Design``).  GLS and the EBLUP are
+equivariant (Prasad & Rao, JASA 1990), so ``fit_model`` fits a dataset's
+y as the world U = 0, V = r / s of its weighted least-squares residual
+r = y - (1, x') b0 and adds b0 back: its sums of squares lose nothing to
+the level of y.
 
-1. The N-level stage turns each world into its sufficient statistics
-   (``Statistics``): the cluster sums zy = a_i y_bar_i, the coordinates
-   z_u of s^-1 y on the uncentered design and the two sums of squares
-       SSE2 = sum w y^2 - ||z_u||^2,  SSE1 = sum w (y - y_bar)^2 - ||z_w||^2,
-   with both regressions' coordinates z = y @ ``proj`` from one GEMM.
-   ``statistics`` reads response rows y.  ``draw_statistics`` reads the
-   draws (U, V) of a mean-free world y_ij = U_i + s_ij V_ij and never forms
-   y: with w = s^-2, zv the cluster sums of V/s and s ``proj`` = [Q_u | Q_w],
+1. The N-level stage, ``draw_statistics``, turns each world into its
+   sufficient statistics (``Statistics``) without forming y: the cluster
+   sums zy = a_i y_bar_i, the coordinates z_u of s^-1 y on the uncentered
+   design and the two sums of squares
+       SSE2 = sum w y^2 - ||z_u||^2,  SSE1 = sum w (y - y_bar)^2 - ||z_w||^2.
+   With w = s^-2, zv the cluster sums of V/s and s ``proj`` = [Q_u | Q_w],
        zy = a U + zv,           sum w y^2 = sum a U^2 + 2 U.zv + sum V^2,
        z = U @ (cluster sums of proj) + V @ [Q_u | Q_w],
        sum w (y - y_bar)^2 = sum V^2 - sum zv^2 / a,
@@ -40,14 +43,14 @@ is built once in ``d.design`` (``model._Design``).
       the naive MSE is the leading term psi_0 = rho_i-hat a_i^-1
       sigma_V^2 with estimates plugged in, whose underestimation the
       bootstrap repairs.
-``refit_worlds`` composes the two on response rows and adds the fourth
-moments (``moments``), from one set of per-cluster power sums of the
-residuals.
+``refit_worlds`` composes the two on the draws of a block of worlds and
+adds the fourth moments (``moments``), from one set of per-cluster power
+sums of the residuals s V + U_i - mu-hat - x' beta-hat.
 
 A world fails when its GLS normal matrix is not positive-definite or its
 EBLUP is not finite.  ``solve`` masks such worlds in ``ok`` and never
-raises for them; ``fit_model``, the kernel's ``world(0)`` on the dataset's
-own responses, raises RankDeficient when that one world fails.
+raises for them; ``fit_model``, the kernel's fit of the dataset's own
+responses as one world, raises RankDeficient when that world fails.
 
 The level engine ``squared_error`` runs the truth simulation, level one
 and the inner level: it draws a level's mean-free worlds (U, V) one draw
@@ -57,10 +60,10 @@ a block may span.  Levels differ only in their draws.  The outer level
 refits its draw blocks with ``refit_worlds``, since its fourth moments
 need each world's residuals.
 Every array whose size scales with the block -- the draws, the statistics
-rows, the (B, n) arrays of ``solve``, the error rows, the outer level's y
-and power sums -- comes from one ``Buffers`` per level call and is reused
-from block to block; each kernel function makes a fresh set when it is
-given none.
+rows, the (B, n) arrays of ``solve``, the error rows, the outer level's
+residuals and power sums -- comes from one ``Buffers`` per level call and
+is reused from block to block; each kernel function makes a fresh set
+when it is given none.
 """
 
 from __future__ import annotations
@@ -170,32 +173,9 @@ class Statistics(NamedTuple):
     sse2: np.ndarray  # (B,) >= 0
 
 
-def _split(d: Dataset, z):
-    """The coordinates (z_u, z_w) of a projection product z (B, 2r+1)."""
-    return z[:, : d.design.r_aug], z[:, d.design.r_aug :]
-
-
 def _sse(ss, z):
     """A weighted sum of squares less ||z||^2, per world, clipped at 0."""
     return np.maximum(ss - np.einsum("bk,bk->b", z, z), 0.0)
-
-
-def statistics(d: Dataset, y: np.ndarray, buffers=None) -> Statistics:
-    """The statistics of the response rows ``y`` (B, N)."""
-    buffers = Buffers() if buffers is None else buffers
-    design = d.design
-    per_cluster = (len(y), d.n)
-    yw = np.multiply(y, design.w, out=buffers.take("scratch", y.shape))
-    zy = np.add.reduceat(  # a_i y_bar_i
-        yw, d.starts[:-1], axis=1, out=buffers.take("zy", per_cluster)
-    )
-    wy2 = np.einsum("bj,bj->b", yw, y)
-    zu, zw = _split(d, y @ design.proj)
-    # (y - y_bar)^2 in yw's buffer; mode "clip" lets take write there unbuffered
-    y_bar = np.divide(zy, design.a, out=buffers.take("scratch2", per_cluster))
-    centred = np.take(y_bar, design.cluster, axis=1, out=yw, mode="clip")
-    centred = np.square(np.subtract(y, centred, out=yw), out=yw)
-    return Statistics(zy, zu, _sse(centred @ design.w, zw), _sse(wy2, zu))
 
 
 def draw_statistics(
@@ -210,7 +190,8 @@ def draw_statistics(
         v_s, d.starts[:-1], axis=1, out=buffers.take("scratch2", u.shape)
     )
     v2 = np.einsum("bj,bj->b", v, v)
-    zu, zw = _split(d, v @ design.q)
+    z = v @ design.q  # the coordinates [z_u | z_w]
+    zu, zw = z[:, : design.r_aug], z[:, design.r_aug :]
     zu += u @ design.proj_sums  # Q_w / s sums to 0 over every cluster
     zy = np.multiply(design.a, u, out=buffers.take("zy", u.shape))
     zy += zv
@@ -334,7 +315,7 @@ def solve(
     d: Dataset, stats: Statistics, ridge=DEFAULT_RIDGE, buffers=None
 ) -> WorldFits:
     """The n-level stage: variance components, GLS and EBLUP of every world
-    of a block from its ``statistics``, without fourth moments."""
+    of a block from its ``Statistics``, without fourth moments."""
     buffers = Buffers() if buffers is None else buffers
     design = d.design
     sse1, sigma2_v, sigma2_u = estimate_variances(d, stats.sse1, stats.sse2, ridge)
@@ -365,14 +346,20 @@ def solve(
 
 
 def refit_worlds(
-    d: Dataset, y: np.ndarray, ridge=DEFAULT_RIDGE, buffers=None
+    d: Dataset, u: np.ndarray, v: np.ndarray, ridge=DEFAULT_RIDGE, buffers=None
 ) -> WorldFits:
-    """Fit every response row of ``y`` (B, N) on the design of ``d``: both
-    stages, and the fourth moments from the residuals."""
+    """Fit the mean-free worlds y_ij = U_i + s_ij V_ij from their draws ``u``
+    (B, n) and ``v`` (B, N): both stages, and the fourth moments from the
+    residuals."""
     buffers = Buffers() if buffers is None else buffers
-    fits = solve(d, statistics(d, y, buffers), ridge, buffers)
-    resid = np.subtract(y, fits.mu[:, None], out=buffers.take("resid", y.shape))
-    resid -= np.matmul(fits.beta, d.x.T, out=buffers.take("scratch", y.shape))
+    fits = solve(d, draw_statistics(d, u, v, buffers), ridge, buffers)
+    u_rows = buffers.take("scratch2", u.shape)  # contiguous, for take
+    u_rows[...] = u
+    resid = np.multiply(v, d.s, out=buffers.take("resid", v.shape))
+    scratch = buffers.take("scratch", v.shape)
+    resid += np.take(u_rows, d.design.cluster, axis=1, out=scratch, mode="clip")
+    resid -= fits.mu[:, None]
+    resid -= np.matmul(fits.beta, d.x.T, out=scratch)
     sums = power_sums(d, resid, buffers)
     gamma_v = estimate_gamma_v(d, sums, fits.sigma2_v)
     gamma_u = estimate_gamma_u(d, sums, fits.sigma2_u, fits.sigma2_v, gamma_v)
@@ -415,10 +402,17 @@ def squared_error(d: Dataset, draw, count: int, ridge=DEFAULT_RIDGE, per=None):
 
 def fit_model(d: Dataset, ridge=DEFAULT_RIDGE) -> WorldFits:
     """Fit variance components, fixed effects, EBLUPs and fourth moments on
-    a dataset: the kernel's fit of the dataset's own responses, as one world."""
-    fit = refit_worlds(d, d.y[None, :], ridge)
+    a dataset: its responses y refit as the world U = 0, V = r / s of their
+    weighted least-squares residual r = y - (1, x') b0, shifted back by b0."""
+    design = d.design
+    b0 = np.linalg.solve(design.ru, d.y @ design.proj[:, : design.r_aug])
+    v = (d.y - b0[0] - d.x @ b0[1:]) / d.s
+    fit = refit_worlds(d, np.zeros((1, d.n)), v[None, :], ridge)
     if not fit.ok[0]:
         raise RankDeficient(
             "GLS normal equations are singular or the fit is not finite"
         )
-    return fit.world(0)
+    fit, shift = fit.world(0), b0[0] + design.x_under @ b0[1:]
+    return dataclasses.replace(
+        fit, mu=fit.mu + b0[0], beta=fit.beta + b0[1:], theta_hat=fit.theta_hat + shift
+    )

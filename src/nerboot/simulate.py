@@ -10,8 +10,9 @@ analytically and scaled to the scenario variance).  Every world, of the
 truth simulation or of a study replicate, is drawn like a bootstrap world
 by ``mspe._keyed_draw``: replicate r from the seed words of key (STUDY, r),
 all derived in one ``mspe._level_states`` call, as for every bootstrap
-level.  Only a study replicate's data carry the mean (MU, BETA): the
-truth simulation refits its worlds mean-free on the level engine.
+level.  Only a study replicate's data carry the mean (MU, BETA), added to
+its draws by ``_with_responses``, the one place y is formed; the truth
+simulation refits its worlds mean-free on the level engine.
 
 For each replicate the harness records the true and predicted mixed
 effects together with the MSPE estimates, so relative bias
@@ -45,7 +46,6 @@ from .mspe import (
     BootstrapConfig,
     _keyed_draw,
     _level_states,
-    _with_responses,
     mse_double,
     mse_single,
 )
@@ -236,12 +236,20 @@ def metrics_from_records(records: np.ndarray, double: bool) -> tuple:
     return smse, metrics
 
 
+def _with_responses(d: Dataset, u, v):
+    """Response rows y = MU + x' BETA + U_i + s V (B, N) and the true theta
+    = MU + x_under' BETA + U (B, n) of study replicates from their draws
+    (U, V): the one place a world's y is formed."""
+    y = d.s * v + (u[:, d.design.cluster] + (MU + d.x @ BETA))
+    return y, u + (MU + d.design.x_under @ BETA)
+
+
 def _one_replicate(state: tuple, rep: int) -> np.ndarray:
     """The record of replicate ``rep``; ``state`` is everything it reads."""
     design, scenario, model, cfg, double, words = state
     buffers, laws = Buffers(), [_laws(scenario, model)]
     u, v = _keyed_draw(design, laws, words, len(words))(rep, rep + 1, buffers)
-    (y,), (theta,) = _with_responses(design, u, v, buffers, (MU, np.asarray(BETA)))
+    (y,), (theta,) = _with_responses(design, u, v)
     d_rep = design.with_responses(y)
     fit = fit_model(d_rep, cfg.ridge)
     rec = np.empty((scenario.n, len(RECORD_COLUMNS)))

@@ -13,7 +13,6 @@ from nerboot.errors import DivisionGuard, TooManyFailures
 from nerboot.mspe import (
     BootstrapConfig,
     _draw_worlds,
-    _with_responses,
     mse_double,
     mse_single,
     mspe_report,
@@ -294,7 +293,6 @@ def test_level_one_tracks_independent_truth_simulation():
 
     scen = sim.Scenario.from_ratio(n=60, ratio=1.0)
     laws = sim._laws(scen, sim.error_model("m1"))
-    beta = np.asarray(sim.BETA)
     rng = np.random.default_rng(314)
     design = sim.make_design(scen, rng)
     buffers = Buffers()
@@ -302,7 +300,7 @@ def test_level_one_tracks_independent_truth_simulation():
 
     def responses(rng):
         u, v = _draw_worlds(design, laws, [rng], out, buffers)
-        return _with_responses(design, u, v, buffers, (sim.MU, beta))
+        return sim._with_responses(design, u, v)
 
     acc = np.zeros(60)
     for _ in range(5000):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import nerboot as nb
-from nerboot import streams
+from nerboot import simulate, streams
 from nerboot.mmdist import (
     STUDENT_T,
     make_distribution,
@@ -10,7 +10,7 @@ from nerboot.mmdist import (
     make_study_law,
     make_three_point,
 )
-from nerboot.mspe import _draw_worlds, _with_responses
+from nerboot.mspe import _draw_worlds
 from nerboot.pipeline import Buffers
 from nerboot.simulate import Scenario, _laws, error_model
 
@@ -96,9 +96,11 @@ CALLS_PER_WORLD = {
     ["fallback_u", "three_point", "student_t", "t_then_tp", "m3", "m6", "m7", "m8",
      "point_mass_u", "chi2_5_10"],
 )
-def test_block_draws_equal_looped_oracle(case):
+def test_block_draws_equal_looped_oracle(case, monkeypatch):
     d = benchmark_dataset(n=12, m=3, seed=4)
     mu, beta = 0.3, np.array([1.2])
+    monkeypatch.setattr(simulate, "MU", mu)
+    monkeypatch.setattr(simulate, "BETA", tuple(beta))
     heavy_t = make_student_t(0.7, 0.7**2 * 6.0)
     laws = {
         # kurtosis 2 < 3: student_t falls back to three-point for U only
@@ -123,7 +125,7 @@ def test_block_draws_equal_looped_oracle(case):
     buffers = Buffers()
     out = np.empty((len(rngs), d.n + d.total))
     u_star, v_star = _draw_worlds(d, laws, rngs, out, buffers)
-    y_star, theta_star = _with_responses(d, u_star, v_star, buffers, (mu, beta))
+    y_star, theta_star = simulate._with_responses(d, u_star, v_star)
     assert [rng.calls for rng in rngs] == [CALLS_PER_WORLD[case]] * len(keys)
     # the oracle draws U and V with one ``sample`` call each
     for k, key in enumerate(keys):
