@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -28,7 +27,7 @@ from . import mmdist, simulate
 from .errors import DataError, NumericalError
 from .model import Dataset, read_csv_dataset
 from .mspe import BootstrapConfig, DoubleBootstrapResult, mspe_report
-from .pipeline import WorldFits
+from .pipeline import WorldFits, usable_cpus
 from .streams import draw_master_seed, substream
 
 EXIT_OK = 0
@@ -452,8 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--replicates", type=int, default=200, help="study replicates" + _DEFAULT
     )
     p_sim.add_argument(
-        "--jobs", type=int, default=os.cpu_count() or 1,
-        help="parallel workers (default %(default)s, the core count)",
+        "--jobs", type=int, default=usable_cpus(),
+        help="parallel workers (default %(default)s, the usable CPUs)",
     )
     p_sim.add_argument(
         "--single-only", action="store_true",

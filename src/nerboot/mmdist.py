@@ -117,12 +117,13 @@ def make_distribution(z2: float, z4: float, family: str = THREE_POINT) -> Law:
 # from ``buffers``.
 
 def _three_point_values(params, buffers, u):
-    # one table lookup: index 0 (atom) below p/2, 1 (-atom) below p, 2 (0) from p on
+    # atom below p/2, -atom below p, 0 from p on: atom times the int8 code
+    # 2 [u < p/2] - [u < p], in 1, -1 and 0, each product exact
     p, atom = params["p"], params["atom"]
-    index = np.greater_equal(u, 0.5 * p, out=buffers.take("index", u.shape, np.intp))
-    index += np.greater_equal(u, p, out=buffers.take("scratch", u.shape, bool))
-    values = buffers.take("scratch", u.shape)  # contiguous: take writes it unbuffered
-    u[...] = np.array([atom, -atom, 0.0]).take(index, out=values, mode="clip")
+    code = np.less(u, 0.5 * p, out=buffers.take("code", u.shape, bool)).view(np.int8)
+    code += code
+    code -= np.less(u, p, out=buffers.take("scratch", u.shape, bool)).view(np.int8)
+    np.multiply(code, atom, out=u)
 
 
 def _student_t_values(params, buffers, z, half_chi2):

@@ -157,15 +157,17 @@ def _orthonormal_basis(mat: np.ndarray, message: str):
 class _Design:
     """Every design-only array the refit kernel reads; all are read-only.
 
-    Summaries: w = s^-2, the cluster sums ``zmat`` = sum_j w_ij (1, x_ij')'
-    (a_i = sum_j w_ij and a_i x_bar_i), x_under, each row's cluster.
+    Summaries: with w = s^-2, the cluster sums ``zmat`` = sum_j w_ij
+    (1, x_ij')' (a_i = sum_j w_ij and a_i x_bar_i), x_under, each row's
+    cluster.
 
-    ``proj`` (N, 2r+1) = [Q_u | Q_w] / s holds orthonormal bases, so that
-    y @ proj gives both regressions' coordinates z of s^-1 y.  Q_u spans the
-    uncentered rows P-bar = s^-1 (1, x') = Q_u ``ru``: SSE2 = sum w y^2 -
-    ||z_u||^2 has E(SSE2) = K sigma_U^2 + (N - r_aug) sigma_V^2, K = K1 - K2
-    (K1 = sum_i a_i) from ``gram`` and ``zmat``, which GLS reuses with ``zz``
-    and the cross-products z_u ``ru``.  Q_w spans the within rows
+    ``q`` (N, 2r+1) = [Q_u | Q_w] holds orthonormal bases, so that with
+    proj = q / s, y @ proj gives both regressions' coordinates z of s^-1 y.
+    Q_u spans the uncentered rows P-bar = s^-1 (1, x') = Q_u ``ru``:
+    SSE2 = sum w y^2 - ||z_u||^2 has E(SSE2) = K sigma_U^2 + (N - r_aug)
+    sigma_V^2, K = K1 - K2 (K1 = sum_i a_i) from ``gram`` and ``zmat``,
+    which GLS reuses with ``zz`` and the cross-products z_u ``ru``.  Q_w
+    spans the within rows
     s^-1 (x - x_bar_i): centering at weighted cluster means leaves each
     cluster's residuals with covariance sigma_V^2 times a projection (the
     paper's T_i after one observation per cluster is dropped), so SSE1 =
@@ -174,9 +176,9 @@ class _Design:
     before the within rank: K <= 0 puts a cluster indicator in the span of
     (1, x), which also leaves the within design rank-deficient.
 
-    Worlds y = U_i + s V refit from their draws read ``q`` = s ``proj`` =
-    [Q_u | Q_w] and ``proj_sums``, the cluster sums of proj's Q_u columns
-    (n, r+1): y @ proj = U @ [proj_sums | 0] + V @ q.
+    Worlds y = U_i + s V refit from their draws read ``q`` and
+    ``proj_sums``, the cluster sums of proj's Q_u columns (n, r+1): y @ proj
+    = U @ [proj_sums | 0] + V @ q.
 
     Fourth moments: the ordered-pair coefficients of ``moments``.
     """
@@ -185,9 +187,9 @@ class _Design:
         lo = d.starts[:-1]
         sizes = d.sizes
 
-        self.w = d.s**-2
+        w = d.s**-2
         x_aug = np.column_stack([np.ones(d.total), d.x])  # (N, r+1)
-        self.zmat = np.add.reduceat(self.w[:, None] * x_aug, lo, axis=0)  # (n, r+1)
+        self.zmat = np.add.reduceat(w[:, None] * x_aug, lo, axis=0)  # (n, r+1)
         self.a = np.ascontiguousarray(self.zmat[:, 0])
         self.x_bar = self.zmat[:, 1:] / self.a[:, None]
         self.x_under = np.add.reduceat(d.x, lo, axis=0) / sizes[:, None]
@@ -211,8 +213,8 @@ class _Design:
             p_rows, "centered design P T^-1 P' has rank below the covariate dimension"
         )
         self.q = np.column_stack([q_u, q_w])  # (N, 2r+1)
-        self.proj = self.q / d.s[:, None]
-        self.proj_sums = np.add.reduceat(self.proj[:, : self.r_aug], lo, axis=0)
+        proj = self.q / d.s[:, None]
+        self.proj_sums = np.add.reduceat(proj[:, : self.r_aug], lo, axis=0)
 
         s2 = d.s**2
         s2_sum = np.add.reduceat(s2, lo)

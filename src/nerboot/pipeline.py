@@ -18,9 +18,9 @@ the level of y.
    sums zy = a_i y_bar_i, the coordinates z_u of s^-1 y on the uncentered
    design and the two sums of squares
        SSE2 = sum w y^2 - ||z_u||^2,  SSE1 = sum w (y - y_bar)^2 - ||z_w||^2.
-   With w = s^-2, zv the cluster sums of V/s and s ``proj`` = [Q_u | Q_w],
+   With w = s^-2, zv the cluster sums of V/s and ``q`` = [Q_u | Q_w],
        zy = a U + zv,           sum w y^2 = sum a U^2 + 2 U.zv + sum V^2,
-       z = U @ (cluster sums of proj) + V @ [Q_u | Q_w],
+       z = U @ (cluster sums of q / s) + V @ [Q_u | Q_w],
        sum w (y - y_bar)^2 = sum V^2 - sum zv^2 / a,
    so U cancels from SSE1 exactly.
 2. The n-level stage, ``solve``, runs once per block of worlds:
@@ -56,20 +56,28 @@ The level engine ``squared_error`` runs the truth simulation, level one
 and the inner level: it draws a level's mean-free worlds (U, V) one draw
 block at a time, keeps only their ``draw_statistics``, solves each block
 directly and sums (theta-hat - theta)^2, theta = U, per run of worlds that
-a block may span.  Levels differ only in their draws.  The outer level
-refits its draw blocks with ``refit_worlds``, since its fourth moments
-need each world's residuals.
+a block may span.  Levels differ only in their draws.  On designs whose
+draw block holds at most THREAD_BLOCK_WORLDS worlds, it runs the blocks on
+the calling thread plus a helper thread per further usable CPU
+(``level_threads``, ``_each_block``), each with its own ``Buffers``, and adds
+their sums in block order, so every output is that of one thread bit for
+bit; every helper is joined before the level returns.  The outer level
+refits its draw blocks with ``refit_worlds`` on the calling thread alone,
+since its fourth moments need each world's residuals.
 Every array whose size scales with the block -- the draws, the statistics
 rows, the (B, n) arrays of ``solve``, the error rows, the outer level's
-residuals and power sums -- comes from one ``Buffers`` per level call and
-is reused from block to block; each kernel function makes a fresh set
-when it is given none.
+residuals and power sums -- comes from one ``Buffers`` per thread of a
+level call and is reused from block to block; each kernel function makes
+a fresh set when it is given none.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import multiprocessing
+import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -96,11 +104,40 @@ CHUNK_ELEMENTS = 2**16
 # the arena a level reserves; a level's block-sized arrays take at most about
 # 5.5 times CHUNK_ELEMENTS float64 (the outer level on the n = 600 design)
 ARENA_BYTES = 8 * CHUNK_ELEMENTS * 8
+# The level engine runs its draw blocks on one thread per usable CPU, the
+# calling thread included, on designs whose draw block holds at most this many
+# worlds (N >= 2,048).  There a block's time goes to generator fills and numpy
+# loops over (B, N) arrays, which release the GIL; with more, smaller worlds
+# per block the per-world Python work holds it.  In the sweep over N in
+# BENCH_24.json (desk-scale double bootstrap, 2 CPUs), two threads made it
+# 1.47-1.73 times as fast with Student-t laws and 1.06-1.25 times with
+# three-point laws from 9 to 32 worlds per block; from 50 to 109 worlds
+# three-point runs took 0.83-1.0 times the speed, and from 218 (the n = 100
+# and n = 60 study designs) both families 0.66-0.79 times.
+THREAD_BLOCK_WORLDS = 32
 
 
 def block_size(d: Dataset) -> int:
     """Worlds per draw block on this design."""
     return max(1, CHUNK_ELEMENTS // d.total)
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def level_threads(d: Dataset, blocks: int) -> int:
+    """The threads that run a level's ``blocks`` draw blocks, the calling one
+    included: one per usable CPU on designs whose draw block holds at most
+    THREAD_BLOCK_WORLDS worlds, and one in a process that multiprocessing
+    started, whose pool already fills the CPUs."""
+    if block_size(d) > THREAD_BLOCK_WORLDS or multiprocessing.parent_process():
+        return 1
+    return max(1, min(usable_cpus(), blocks))
 
 
 def draw_blocks(d: Dataset, count: int):
@@ -119,38 +156,52 @@ class Buffers:
     it reads.  Two arrays live at once need two keys.  Only the keys
     "scratch" and "scratch2" are shared between functions: a function
     takes them for arrays that die before it returns, and holds neither
-    across a call that takes it.  Each level call makes its own set, as do
-    ``refit_worlds`` and ``fit_model``, so threads and pool workers share
-    none.
+    across a call that takes it.  Each level call makes one set per thread
+    that runs its blocks, as do ``refit_worlds`` and ``fit_model`` per call,
+    so no two threads and no pool workers share a set.
 
-    Every array is a slice of one arena of at least ``reserve`` bytes,
-    which doubles when a block needs more; untouched reserve costs no
-    memory.  A level reserves ARENA_BYTES: one allocation per level lifts
-    glibc's dynamic mmap and trim thresholds above the level's whole working
-    set, so a freed arena stays in the heap and the next level call finds
-    its pages mapped.
+    Every key's memory is a slot of an arena of at least ``reserve``
+    bytes; a slot that does not fit opens a new arena of at least twice the
+    size, and every earlier slot keeps its memory, so a set touches no more
+    than its slots.  Untouched reserve costs no memory.  A level reserves
+    ARENA_BYTES: one allocation per level lifts glibc's dynamic mmap and trim
+    thresholds above the level's whole working set, so a freed arena stays
+    in the heap and the next level call finds its pages mapped.  ``split``
+    carves the sets of a level's other threads out of that same arena.
     """
 
     def __init__(self, reserve=0):
         self._arena = np.empty(0, np.uint8)
-        self._slots = {}  # key -> (offset, bytes) in the arena
-        self._end = 0
+        self._slots = {}  # key -> its memory, a slice of an arena
+        self._end = 0  # bytes of the arena in slots
         self._reserve = reserve
         self._views = {}  # (key, shape, dtype) -> the array handed out
+
+    def split(self, count):
+        """``count`` new sets, each with an arena of its own slot of this
+        set's arena, as large as the part of it in slots so far: after one
+        block, a thread that takes what this set took allocates nothing."""
+        size, parts = self._end, []
+        for k in range(count):
+            part = Buffers()
+            part._arena = self.take(("split", k), (size // 8,)).view(np.uint8)
+            parts.append(part)
+        return parts
 
     def take(self, key, shape, dtype=np.float64):
         view = self._views.get((key, shape, dtype))
         if view is not None:
             return view
         nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-        offset, room = self._slots.get(key, (0, -1))
-        if room < nbytes:  # a new slot; arrays of the old one keep their memory
-            offset, room = self._end, -(-nbytes // 64) * 64
-            self._slots[key] = offset, room
+        slot = self._slots.get(key)
+        if slot is None or slot.nbytes < nbytes:  # arrays of the old slot keep it
+            room = -(-nbytes // 64) * 64
+            if self._end + room > len(self._arena):
+                size = max(self._reserve, 2 * len(self._arena), room)
+                self._arena, self._end = np.empty(size, np.uint8), 0
+            slot = self._slots[key] = self._arena[self._end : self._end + room]
             self._end += room
-            if self._end > len(self._arena):  # earlier takes keep the old arena
-                self._arena = np.empty(max(self._reserve, 2 * self._end), np.uint8)
-        view = self._arena[offset : offset + nbytes].view(dtype).reshape(shape)
+        view = slot[:nbytes].view(dtype).reshape(shape)
         self._views[key, shape, dtype] = view
         return view
 
@@ -185,9 +236,10 @@ def draw_statistics(
     their draws ``u`` (B, n) and ``v`` (B, N), without forming y."""
     buffers = Buffers() if buffers is None else buffers
     design = d.design
-    v_s = np.divide(v, d.s, out=buffers.take("scratch", v.shape))
+    # V/s in "scratch2", where a Student-t law's gamma draws were
+    v_s = np.divide(v, d.s, out=buffers.take("scratch2", v.shape))
     zv = np.add.reduceat(  # cluster sums of V/s
-        v_s, d.starts[:-1], axis=1, out=buffers.take("scratch2", u.shape)
+        v_s, d.starts[:-1], axis=1, out=buffers.take("scratch", u.shape)
     )
     v2 = np.einsum("bj,bj->b", v, v)
     z = v @ design.q  # the coordinates [z_u | z_w]
@@ -195,7 +247,7 @@ def draw_statistics(
     zu += u @ design.proj_sums  # Q_w / s sums to 0 over every cluster
     zy = np.multiply(design.a, u, out=buffers.take("zy", u.shape))
     zy += zv
-    tmp = np.add(zy, zv, out=buffers.take("scratch", u.shape))
+    tmp = np.add(zy, zv, out=buffers.take("scratch2", u.shape))
     wy2 = np.einsum("bi,bi->b", tmp, u) + v2
     tmp = np.divide(zv, design.a, out=tmp)
     ss1 = v2 - np.einsum("bi,bi->b", zv, tmp)
@@ -381,23 +433,94 @@ def squared_error(d: Dataset, draw, count: int, ridge=DEFAULT_RIDGE, per=None):
     It draws the worlds one draw block at a time and solves each block
     directly from its ``draw_statistics``; ``draw(lo, hi, buffers)``
     returns the draws U (B, n), also the true theta, and V (B, N) of the
-    mean-free worlds lo to hi - 1, in arrays of the level's ``buffers``.
+    mean-free worlds lo to hi - 1, in arrays of the thread's ``buffers``.
+    ``draw`` may run on several threads at once (``_each_block``), never
+    twice on one set of buffers.
     """
     per = per or count
     acc = np.zeros((-(-count // per), d.n))
     failed = np.zeros(len(acc), dtype=np.intp)
-    buffers = Buffers(ARENA_BYTES)  # the level's, shared by its blocks
-    for lo, hi in draw_blocks(d, count):
+
+    def block(lo, hi, buffers):
         theta, v = draw(lo, hi, buffers)
         fits = solve(d, draw_statistics(d, theta, v, buffers), ridge, buffers)
         err = buffers.take("scratch", theta.shape)
         err = np.subtract(fits.theta_hat, theta, out=err)
         err[~fits.ok] = 0.0
         err *= err
-        for start, end in runs(lo, hi, per):
-            acc[start // per] += np.sum(err[start - lo : end - lo], axis=0)
-            failed[start // per] += np.count_nonzero(~fits.ok[start - lo : end - lo])
+        return [
+            (
+                start // per,
+                np.sum(err[start - lo : end - lo], axis=0),
+                np.count_nonzero(~fits.ok[start - lo : end - lo]),
+            )
+            for start, end in runs(lo, hi, per)
+        ]
+
+    def add(sums):
+        for run, err, fails in sums:
+            acc[run] += err
+            failed[run] += fails
+
+    _each_block(d, count, block, add)
     return acc, failed
+
+
+def _each_block(d: Dataset, count: int, block, add) -> None:
+    """``add(block(lo, hi, buffers))`` for every draw block of worlds 0 to
+    count - 1, in block order, on ``level_threads`` threads.
+
+    The calling thread runs the first block alone with the level's
+    ``Buffers``; every other thread then gets a set ``split`` from it.  Each
+    thread takes the next block from a shared counter, and each result is
+    added as soon as every earlier block's is, so the sums are those of a
+    serial pass bit for bit and only blocks finished out of order wait.  A
+    block that raises stops every thread from taking more, and the caller
+    raises it once every thread has been joined.
+    """
+    blocks = list(draw_blocks(d, count))
+    if not blocks:
+        return
+    buffers = Buffers(ARENA_BYTES)  # the level's, shared by its blocks
+    add(block(*blocks[0], buffers))  # builds d.design before any thread starts
+    lock = threading.Lock()
+    taken = added = 1  # blocks taken by a thread; blocks added
+    done, errors = {}, []  # block -> result, until added; raised exceptions
+
+    def work(buffers):
+        nonlocal taken, added
+        while True:
+            with lock:
+                k = taken
+                if errors or k == len(blocks):
+                    return
+                taken += 1
+            try:
+                result = block(*blocks[k], buffers)
+            except BaseException as exc:
+                with lock:
+                    errors.append(exc)
+                return
+            with lock:
+                done[k] = result
+                while added in done:
+                    add(done.pop(added))
+                    added += 1
+
+    threads = level_threads(d, len(blocks) - 1)
+    helpers = [
+        threading.Thread(target=work, args=(part,), daemon=True)
+        for part in buffers.split(threads - 1)
+    ]
+    for helper in helpers:
+        helper.start()
+    try:
+        work(buffers)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
 
 
 def fit_model(d: Dataset, ridge=DEFAULT_RIDGE) -> WorldFits:
@@ -405,7 +528,10 @@ def fit_model(d: Dataset, ridge=DEFAULT_RIDGE) -> WorldFits:
     a dataset: its responses y refit as the world U = 0, V = r / s of their
     weighted least-squares residual r = y - (1, x') b0, shifted back by b0."""
     design = d.design
-    b0 = np.linalg.solve(design.ru, d.y @ design.proj[:, : design.r_aug])
+    # a column slice of the whole q / s: BLAS sums y @ proj over a contiguous
+    # (N, r+1) array in another order, which moves the fit's last bits
+    proj = design.q / d.s[:, None]
+    b0 = np.linalg.solve(design.ru, d.y @ proj[:, : design.r_aug])
     v = (d.y - b0[0] - d.x @ b0[1:]) / d.s
     fit = refit_worlds(d, np.zeros((1, d.n)), v[None, :], ridge)
     if not fit.ok[0]:

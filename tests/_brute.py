@@ -43,8 +43,7 @@ def summaries(d):
 def summarize(d, y):
     """Per-cluster precision-weighted response means y_bar: shape (n,) for
     responses (N,), (B, n) for a (B, N) block of response rows on ``d``."""
-    des = d.design
-    return np.add.reduceat(des.w * y, d.starts[:-1], axis=-1) / des.a
+    return np.add.reduceat(d.s**-2 * y, d.starts[:-1], axis=-1) / d.design.a
 
 
 def centered_dense(d, dropped=None):

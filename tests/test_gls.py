@@ -20,7 +20,7 @@ def _gls_system(d, sigma2_u, sigma2_v):
     aug = np.column_stack([np.ones(d.total), d.x])
     return normal_equations(
         d,
-        ((d.design.w * d.y) @ aug)[None],
+        ((d.s**-2 * d.y) @ aug)[None],
         (d.design.a * _brute.summarize(d, d.y))[None],
         np.array([sigma2_u]),
         np.array([sigma2_v]),

@@ -264,8 +264,8 @@ def test_design_is_built_once_shared_and_read_only():
     assert list(d._cache) == ["design"]
     arrays = {k: v for k, v in vars(design).items() if isinstance(v, np.ndarray)}
     assert set(arrays) == {
-        "w", "a", "x_bar", "x_under", "cluster", "proj", "ru", "gram", "zmat", "zz",
-        "q", "proj_sums",
+        "a", "x_bar", "x_under", "cluster", "ru", "gram", "zmat", "zz", "q",
+        "proj_sums",
     }
     for arr in arrays.values():
         assert not arr.flags.writeable

@@ -309,7 +309,7 @@ def test_pickled_design_gives_identical_replicates():
     assert prebuilt == {"design"}
     clone = pickle.loads(pickle.dumps(design))
     assert set(clone._cache) == prebuilt
-    assert not clone.design.proj.flags.writeable
+    assert not clone.design.q.flags.writeable
 
     words = _level_states(cfg.master_seed, streams.STUDY, (), range(3))
     records = []

@@ -1,0 +1,192 @@
+"""The level engine on several threads: the same sums, failure counts and
+aborts as on one, exceptions raised in the caller, and no thread left
+behind by a level call or started in a study's pool workers."""
+
+import os
+import threading
+import time
+
+import numpy as np
+import pytest
+
+import nerboot.mspe
+import nerboot.simulate
+from nerboot import streams
+from nerboot.cli import build_parser
+from nerboot.errors import TooManyFailures
+from nerboot.mspe import (
+    BootstrapConfig,
+    _keyed_draw,
+    _laws,
+    _level_states,
+    mse_double,
+)
+from nerboot.pipeline import (
+    THREAD_BLOCK_WORLDS,
+    block_size,
+    fit_model,
+    level_threads,
+    squared_error,
+    usable_cpus,
+)
+from nerboot.simulate import Scenario, error_model, make_design, run_study
+
+from conftest import random_ragged_dataset
+
+SERIAL, THREADED = 0, 10**9  # THREAD_BLOCK_WORLDS forcing one or all CPUs
+ONE_REPLICATE = nerboot.simulate._one_replicate
+
+
+@pytest.fixture
+def three_cpus_blocks_of_3(monkeypatch):
+    """Draw blocks of 3 worlds and three usable CPUs; returns a setter of
+    the engine's bound, SERIAL or THREADED."""
+    monkeypatch.setattr("nerboot.pipeline.block_size", lambda d: 3)
+    monkeypatch.setattr("nerboot.pipeline.usable_cpus", lambda: 3)
+    return lambda bound: monkeypatch.setattr(
+        "nerboot.pipeline.THREAD_BLOCK_WORLDS", bound
+    )
+
+
+def _logged(draw, bad=(), sleep=1e-3):
+    """``draw`` that gives the worlds ``bad`` a non-finite V draw, records
+    the threads that drew, and sleeps so that every thread takes blocks."""
+    drawn_by = set()
+
+    def logged(lo, hi, buffers):
+        drawn_by.add(threading.get_ident())
+        time.sleep(sleep)
+        u, v = draw(lo, hi, buffers)
+        v[[j - lo for j in bad if lo <= j < hi], 0] = np.nan
+        return u, v
+
+    return logged, drawn_by
+
+
+@pytest.mark.parametrize("family", ["three_point", "student_t"])
+def test_threaded_engine_equals_serial_bit_for_bit(three_cpus_blocks_of_3, family):
+    # runs of c = 4 worlds straddle blocks of 3; one world fails in each of
+    # runs 1 and 7
+    d = random_ragged_dataset(41, n=12, r=2)
+    fit = fit_model(d)
+    c, runs = 4, 10
+    states = _level_states(9, streams.INNER, (), range(runs), range(c))
+    draw = _keyed_draw(d, [_laws(fit, family)] * runs, states, c)
+    got = {}
+    for bound in (SERIAL, THREADED):
+        three_cpus_blocks_of_3(bound)
+        logged, drawn_by = _logged(draw, bad=(5, 29))
+        before = threading.active_count()
+        got[bound] = squared_error(d, logged, runs * c, per=c), len(drawn_by)
+        assert threading.active_count() == before
+    (serial, serial_threads), (threaded, threads) = got[SERIAL], got[THREADED]
+    assert serial_threads == 1 and threads > 1
+    np.testing.assert_array_equal(threaded[0], serial[0])
+    np.testing.assert_array_equal(threaded[1], serial[1])
+    assert serial[1].tolist() == [0, 1, 0, 0, 0, 0, 0, 1, 0, 0]
+
+
+@pytest.mark.parametrize("family", ["three_point", "student_t"])
+def test_threaded_double_bootstrap_equals_serial_and_aborts_alike(
+    monkeypatch, three_cpus_blocks_of_3, family
+):
+    d = random_ragged_dataset(43, n=12, r=2)
+    fit = fit_model(d)
+    cfg = BootstrapConfig(b1=10, b2=8, c=5, master_seed=77, family=family)
+    runs = {}
+    for bound in (SERIAL, THREADED):
+        three_cpus_blocks_of_3(bound)
+        before = threading.active_count()
+        runs[bound] = mse_double(d, fit, cfg)
+        assert threading.active_count() == before
+    for name in ("mse_boot", "mse_double", "corrected_robust"):
+        np.testing.assert_array_equal(
+            getattr(runs[THREADED], name), getattr(runs[SERIAL], name)
+        )
+
+    # one of the 40 inner worlds fails: 2.5% aborts the run on any thread count
+    real = nerboot.mspe._keyed_draw
+
+    def keyed_draw(d, laws, states, per):
+        draw = real(d, laws, states, per)
+        return _logged(draw, bad=(13,), sleep=0)[0] if per == cfg.c else draw
+
+    monkeypatch.setattr("nerboot.mspe._keyed_draw", keyed_draw)
+    for bound in (SERIAL, THREADED):
+        three_cpus_blocks_of_3(bound)
+        with pytest.raises(TooManyFailures, match="1/40 inner"):
+            mse_double(d, fit, cfg)
+
+
+def test_a_block_raising_on_a_helper_thread_raises_in_the_caller(
+    three_cpus_blocks_of_3,
+):
+    three_cpus_blocks_of_3(THREADED)
+    d = random_ragged_dataset(47, n=8, r=2)
+    rng = np.random.default_rng(3)
+    u, v = rng.standard_normal((60, d.n)), rng.standard_normal((60, d.total))
+    caller, drawn = threading.get_ident(), []
+
+    def draw(lo, hi, buffers):
+        drawn.append(lo)
+        time.sleep(1e-3)
+        if threading.get_ident() != caller:
+            raise LookupError(f"block at {lo}")
+        return u[lo:hi], v[lo:hi]
+
+    before = threading.active_count()
+    with pytest.raises(LookupError, match="block at"):
+        squared_error(d, draw, len(u))
+    assert threading.active_count() == before
+    assert len(drawn) < len(u) // 3  # no thread took every remaining block
+
+
+def _replicate_in_worker(state, rep):
+    """A study replicate that checks the worker runs its levels on one
+    thread and ends with the threads it started with."""
+    before = threading.active_count()
+    assert level_threads(state[0], 10) == 1
+    record = ONE_REPLICATE(state, rep)
+    assert threading.active_count() == before
+    return record
+
+
+def test_pool_workers_never_start_threads(monkeypatch):
+    # the forked workers inherit a bound that would thread their design
+    monkeypatch.setattr("nerboot.pipeline.THREAD_BLOCK_WORLDS", THREADED)
+    monkeypatch.setattr("nerboot.pipeline.usable_cpus", lambda: 2)
+    scen, model = Scenario.from_ratio(n=6, ratio=0.5), error_model("m3")
+    cfg = BootstrapConfig(b1=3, b2=2, c=2, master_seed=19)
+    serial = run_study(scen, model, cfg, replicates=4).records
+    monkeypatch.setattr("nerboot.simulate._one_replicate", _replicate_in_worker)
+    before = threading.active_count()
+    pooled = run_study(scen, model, cfg, replicates=4, jobs=2).records
+    assert threading.active_count() == before
+    np.testing.assert_array_equal(pooled, serial)
+
+
+def test_only_designs_with_small_blocks_use_threads(monkeypatch):
+    monkeypatch.setattr("nerboot.pipeline.usable_cpus", lambda: 2)
+    for n in (60, 100):  # the study designs stay serial
+        design = make_design(Scenario.from_ratio(n, 0.5), np.random.default_rng(n))
+        assert block_size(design) > THREAD_BLOCK_WORLDS
+        assert level_threads(design, 100) == 1
+    rng = np.random.default_rng(5)
+    sizes = rng.integers(2, 13, size=600)  # the ragged n = 600 fit design
+    labels, total = np.repeat(np.arange(600), sizes), int(sizes.sum())
+    x, y = rng.uniform(size=(total, 3)), rng.normal(size=total)
+    d = nerboot.from_arrays(labels, x, y)
+    assert block_size(d) <= THREAD_BLOCK_WORLDS
+    assert level_threads(d, 100) == 2
+    assert level_threads(d, 1) == 1  # never more threads than blocks
+
+
+def test_usable_cpus_read_the_affinity_set(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert usable_cpus() == 1
+    args = ["simulate", "--model", "m1"]
+    assert build_parser().parse_args(args).jobs == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert usable_cpus() == 8
+    assert build_parser().parse_args(args).jobs == 8

@@ -97,14 +97,15 @@ def test_uncentered_system_entries_and_rank():
     design = d.design
     assert design.r_aug == d.r + 1
     np.testing.assert_allclose(design.gram, p_bar @ p_bar.T, rtol=1e-12)
-    # the uncentered columns of ``proj``, times s, are an orthonormal basis
-    # Q_u with P-bar = Q_u ru
-    q_u = design.proj[:, : design.r_aug] * d.s[:, None]
+    # the uncentered columns of ``q`` are an orthonormal basis Q_u with
+    # P-bar = Q_u ru
+    q_u = design.q[:, : design.r_aug]
     np.testing.assert_allclose(q_u.T @ q_u, np.eye(design.r_aug), atol=1e-14)
     np.testing.assert_allclose(q_u @ design.ru, p_bar.T, rtol=1e-12, atol=1e-14)
-    # each within column sums to 0 over every cluster, so y @ proj needs no
-    # centred y
-    within = np.add.reduceat(design.proj[:, design.r_aug :], d.starts[:-1], axis=0)
+    # each within column of q / s sums to 0 over every cluster, so the
+    # within coordinates need no centred y
+    proj = design.q / d.s[:, None]
+    within = np.add.reduceat(proj[:, design.r_aug :], d.starts[:-1], axis=0)
     np.testing.assert_allclose(within, 0.0, atol=1e-14)
 
     # a constant covariate is collinear with the intercept row
@@ -117,7 +118,7 @@ def test_uncentered_system_entries_and_rank():
 def test_unit_scale_uncentered_columns():
     d = benchmark_dataset(n=3, m=3)
     design = d.design
-    p_bar_rows = design.proj[:, : design.r_aug] @ design.ru
+    p_bar_rows = (design.q[:, : design.r_aug] / d.s[:, None]) @ design.ru
     np.testing.assert_allclose(p_bar_rows[:, 0], np.ones(d.total), rtol=1e-14)
     np.testing.assert_allclose(p_bar_rows[:, 1], d.x[:, 0], rtol=1e-14)
 
