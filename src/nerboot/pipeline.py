@@ -57,18 +57,17 @@ and the inner level: it draws a level's mean-free worlds (U, V) one draw
 block at a time, keeps only their ``draw_statistics``, solves each block
 directly and sums (theta-hat - theta)^2, theta = U, per run of worlds that
 a block may span.  Levels differ only in their draws.  On designs whose
-draw block holds at most THREAD_BLOCK_WORLDS worlds, it runs the blocks on
-the calling thread plus a helper thread per further usable CPU
-(``level_threads``, ``_each_block``), each with its own ``Buffers``, and adds
-their sums in block order, so every output is that of one thread bit for
-bit; every helper is joined before the level returns.  The outer level
-refits its draw blocks with ``refit_worlds`` on the calling thread alone,
-since its fourth moments need each world's residuals.
+draw block holds at most THREAD_BLOCK_WORLDS worlds, a thread pool of one
+thread per usable CPU runs the blocks after the first (``level_threads``,
+``_each_block``), and the caller adds their sums in block order, so every
+output is that of one thread bit for bit.  The outer level refits its
+blocks with ``refit_worlds`` on the calling thread alone: its first block
+takes 2.4-3.0 MB on the fit design, too much to split the level's arena.
 Every array whose size scales with the block -- the draws, the statistics
 rows, the (B, n) arrays of ``solve``, the error rows, the outer level's
-residuals and power sums -- comes from one ``Buffers`` per thread of a
-level call and is reused from block to block; each kernel function makes
-a fresh set when it is given none.
+residuals and power sums -- comes from a level call's ``Buffers`` and is
+reused from block to block; each kernel function makes a fresh set when
+it is given none.
 """
 
 from __future__ import annotations
@@ -77,7 +76,8 @@ import dataclasses
 import math
 import multiprocessing
 import os
-import threading
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -104,9 +104,9 @@ CHUNK_ELEMENTS = 2**16
 # the arena a level reserves; a level's block-sized arrays take at most about
 # 5.5 times CHUNK_ELEMENTS float64 (the outer level on the n = 600 design)
 ARENA_BYTES = 8 * CHUNK_ELEMENTS * 8
-# The level engine runs its draw blocks on one thread per usable CPU, the
-# calling thread included, on designs whose draw block holds at most this many
-# worlds (N >= 2,048).  There a block's time goes to generator fills and numpy
+# The level engine runs its draw blocks on a pool of one thread per usable
+# CPU on designs whose draw block holds at most this many worlds
+# (N >= 2,048).  There a block's time goes to generator fills and numpy
 # loops over (B, N) arrays, which release the GIL; with more, smaller worlds
 # per block the per-world Python work holds it.  In the sweep over N in
 # BENCH_24.json (desk-scale double bootstrap, 2 CPUs), two threads made it
@@ -131,8 +131,8 @@ def usable_cpus() -> int:
 
 
 def level_threads(d: Dataset, blocks: int) -> int:
-    """The threads that run a level's ``blocks`` draw blocks, the calling one
-    included: one per usable CPU on designs whose draw block holds at most
+    """The threads that run a level's ``blocks`` draw blocks after its
+    first: one per usable CPU on designs whose draw block holds at most
     THREAD_BLOCK_WORLDS worlds, and one in a process that multiprocessing
     started, whose pool already fills the CPUs."""
     if block_size(d) > THREAD_BLOCK_WORLDS or multiprocessing.parent_process():
@@ -156,9 +156,9 @@ class Buffers:
     it reads.  Two arrays live at once need two keys.  Only the keys
     "scratch" and "scratch2" are shared between functions: a function
     takes them for arrays that die before it returns, and holds neither
-    across a call that takes it.  Each level call makes one set per thread
-    that runs its blocks, as do ``refit_worlds`` and ``fit_model`` per call,
-    so no two threads and no pool workers share a set.
+    across a call that takes it.  A level call makes one set, and one more
+    per further pool thread, as do ``refit_worlds`` and ``fit_model`` per
+    call, so no two threads and no pool workers use a set at once.
 
     Every key's memory is a slot of an arena of at least ``reserve``
     bytes; a slot that does not fit opens a new arena of at least twice the
@@ -167,7 +167,7 @@ class Buffers:
     ARENA_BYTES: one allocation per level lifts glibc's dynamic mmap and trim
     thresholds above the level's whole working set, so a freed arena stays
     in the heap and the next level call finds its pages mapped.  ``split``
-    carves the sets of a level's other threads out of that same arena.
+    carves the sets of a level's further pool threads out of that arena.
     """
 
     def __init__(self, reserve=0):
@@ -179,9 +179,11 @@ class Buffers:
 
     def split(self, count):
         """``count`` new sets, each with an arena of its own slot of this
-        set's arena, as large as the part of it in slots so far: after one
-        block, a thread that takes what this set took allocates nothing."""
-        size, parts = self._end, []
+        set's arena, as large as the part of it in slots so far and at least
+        an equal share of the whole: each set, this one included, keeps the
+        same spare room for arrays that later blocks add."""
+        size = max(self._end, len(self._arena) // (count + 1)) // 64 * 64
+        parts = []
         for k in range(count):
             part = Buffers()
             part._arena = self.take(("split", k), (size // 8,)).view(np.uint8)
@@ -433,9 +435,9 @@ def squared_error(d: Dataset, draw, count: int, ridge=DEFAULT_RIDGE, per=None):
     It draws the worlds one draw block at a time and solves each block
     directly from its ``draw_statistics``; ``draw(lo, hi, buffers)``
     returns the draws U (B, n), also the true theta, and V (B, N) of the
-    mean-free worlds lo to hi - 1, in arrays of the thread's ``buffers``.
+    mean-free worlds lo to hi - 1, in arrays of the block's ``buffers``.
     ``draw`` may run on several threads at once (``_each_block``), never
-    twice on one set of buffers.
+    twice at once on one set of buffers.
     """
     per = per or count
     acc = np.zeros((-(-count // per), d.n))
@@ -468,59 +470,39 @@ def squared_error(d: Dataset, draw, count: int, ridge=DEFAULT_RIDGE, per=None):
 
 def _each_block(d: Dataset, count: int, block, add) -> None:
     """``add(block(lo, hi, buffers))`` for every draw block of worlds 0 to
-    count - 1, in block order, on ``level_threads`` threads.
+    count - 1, in block order.
 
-    The calling thread runs the first block alone with the level's
-    ``Buffers``; every other thread then gets a set ``split`` from it.  Each
-    thread takes the next block from a shared counter, and each result is
-    added as soon as every earlier block's is, so the sums are those of a
-    serial pass bit for bit and only blocks finished out of order wait.  A
-    block that raises stops every thread from taking more, and the caller
-    raises it once every thread has been joined.
+    The calling thread runs the first block with the level's ``Buffers``,
+    which builds ``d.design`` and sizes ``split``.  The others run on that
+    set when ``level_threads`` gives one thread, else on a pool of that
+    many, each block on a set it borrows for its run.  ``map`` yields the
+    results in block order; once a block raises, it cancels the blocks not
+    started and raises in the caller after the pool joins every thread.
     """
     blocks = list(draw_blocks(d, count))
     if not blocks:
         return
     buffers = Buffers(ARENA_BYTES)  # the level's, shared by its blocks
-    add(block(*blocks[0], buffers))  # builds d.design before any thread starts
-    lock = threading.Lock()
-    taken = added = 1  # blocks taken by a thread; blocks added
-    done, errors = {}, []  # block -> result, until added; raised exceptions
-
-    def work(buffers):
-        nonlocal taken, added
-        while True:
-            with lock:
-                k = taken
-                if errors or k == len(blocks):
-                    return
-                taken += 1
-            try:
-                result = block(*blocks[k], buffers)
-            except BaseException as exc:
-                with lock:
-                    errors.append(exc)
-                return
-            with lock:
-                done[k] = result
-                while added in done:
-                    add(done.pop(added))
-                    added += 1
-
+    add(block(*blocks[0], buffers))
     threads = level_threads(d, len(blocks) - 1)
-    helpers = [
-        threading.Thread(target=work, args=(part,), daemon=True)
-        for part in buffers.split(threads - 1)
-    ]
-    for helper in helpers:
-        helper.start()
-    try:
-        work(buffers)
-    finally:
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[0]
+    if threads == 1:
+        for lo, hi in blocks[1:]:
+            add(block(lo, hi, buffers))
+        return
+    free = queue.SimpleQueue()  # a set per pool thread
+    for part in [buffers, *buffers.split(threads - 1)]:
+        free.put(part)
+
+    def borrowed(bounds):
+        part = free.get()
+        try:
+            return block(*bounds, part)
+        finally:
+            free.put(part)
+
+    with ThreadPoolExecutor(threads) as pool:
+        for result in pool.map(borrowed, blocks[1:]):
+            add(result)
 
 
 def fit_model(d: Dataset, ridge=DEFAULT_RIDGE) -> WorldFits:

@@ -1,7 +1,8 @@
 """Every name a library module imports, and every private name it defines at
 module level, is used in that module; only ``streams`` makes generators and
 reads the seed range, only ``mspe`` derives seed words and replays keyed
-streams into worlds, and only ``mmdist`` draws from generators."""
+streams into worlds, only ``mmdist`` draws from generators, only ``pipeline``
+starts threads and only ``simulate`` starts processes."""
 
 import ast
 from pathlib import Path
@@ -230,4 +231,36 @@ def test_law_draw_call_is_reported():
         "line 3: chisquare",
         "line 4: standard_gamma",
         "line 5: random",
+    ]
+
+
+# the calls that start threads, which only the level engine of ``pipeline``
+# makes, and processes, which only the study pool of ``simulate`` makes
+STARTERS = {
+    "pipeline.py": {"Thread", "ThreadPoolExecutor"},
+    "simulate.py": {"Process", "Pool", "ProcessPoolExecutor"},
+}
+
+
+@pytest.mark.parametrize(
+    "path", list(Path(nerboot.__file__).parent.glob("*.py")), ids=lambda path: path.name
+)
+def test_only_pipeline_starts_threads_and_only_simulate_processes(path):
+    others = [names for module, names in STARTERS.items() if module != path.name]
+    assert _calls(path.read_text(), set().union(*others)) == []
+
+
+def test_thread_or_process_start_is_reported():
+    source = (
+        "import threading\n"
+        "from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor\n"
+        "def run(work, jobs, pool: ThreadPoolExecutor):\n"
+        "    threading.Thread(target=work).start()\n"
+        "    with ThreadPoolExecutor(2) as pool, ProcessPoolExecutor(jobs) as procs:\n"
+        "        return pool, procs\n"
+    )
+    assert _calls(source, set().union(*STARTERS.values())) == [
+        "line 4: Thread",
+        "line 5: ProcessPoolExecutor",
+        "line 5: ThreadPoolExecutor",
     ]

@@ -1,6 +1,7 @@
 """The level engine on several threads: the same sums, failure counts and
-aborts as on one, exceptions raised in the caller, and no thread left
-behind by a level call or started in a study's pool workers."""
+aborts as on one, exceptions raised in the caller, buffer sets split with
+room for later blocks, and no thread left behind by a level call or
+started in a study's pool workers."""
 
 import os
 import threading
@@ -21,11 +22,16 @@ from nerboot.mspe import (
     _level_states,
     mse_double,
 )
+from nerboot.mmdist import make_distribution
 from nerboot.pipeline import (
+    ARENA_BYTES,
     THREAD_BLOCK_WORLDS,
+    Buffers,
     block_size,
+    draw_statistics,
     fit_model,
     level_threads,
+    solve,
     squared_error,
     usable_cpus,
 )
@@ -118,8 +124,13 @@ def test_threaded_double_bootstrap_equals_serial_and_aborts_alike(
             mse_double(d, fit, cfg)
 
 
+class _Halt(BaseException):
+    """Not an Exception: what a KeyboardInterrupt or SystemExit would do."""
+
+
+@pytest.mark.parametrize("error", [LookupError, _Halt])
 def test_a_block_raising_on_a_helper_thread_raises_in_the_caller(
-    three_cpus_blocks_of_3,
+    three_cpus_blocks_of_3, error
 ):
     three_cpus_blocks_of_3(THREADED)
     d = random_ragged_dataset(47, n=8, r=2)
@@ -131,11 +142,11 @@ def test_a_block_raising_on_a_helper_thread_raises_in_the_caller(
         drawn.append(lo)
         time.sleep(1e-3)
         if threading.get_ident() != caller:
-            raise LookupError(f"block at {lo}")
+            raise error(f"block at {lo}")
         return u[lo:hi], v[lo:hi]
 
     before = threading.active_count()
-    with pytest.raises(LookupError, match="block at"):
+    with pytest.raises(error, match="block at"):
         squared_error(d, draw, len(u))
     assert threading.active_count() == before
     assert len(drawn) < len(u) // 3  # no thread took every remaining block
@@ -165,17 +176,22 @@ def test_pool_workers_never_start_threads(monkeypatch):
     np.testing.assert_array_equal(pooled, serial)
 
 
+def _ragged_fit_design():
+    """A ragged n = 600 design as the fit workload's: 15 worlds a block."""
+    rng = np.random.default_rng(5)
+    sizes = rng.integers(2, 13, size=600)
+    labels, total = np.repeat(np.arange(600), sizes), int(sizes.sum())
+    x, y = rng.uniform(size=(total, 3)), rng.normal(size=total)
+    return nerboot.from_arrays(labels, x, y)
+
+
 def test_only_designs_with_small_blocks_use_threads(monkeypatch):
     monkeypatch.setattr("nerboot.pipeline.usable_cpus", lambda: 2)
     for n in (60, 100):  # the study designs stay serial
         design = make_design(Scenario.from_ratio(n, 0.5), np.random.default_rng(n))
         assert block_size(design) > THREAD_BLOCK_WORLDS
         assert level_threads(design, 100) == 1
-    rng = np.random.default_rng(5)
-    sizes = rng.integers(2, 13, size=600)  # the ragged n = 600 fit design
-    labels, total = np.repeat(np.arange(600), sizes), int(sizes.sum())
-    x, y = rng.uniform(size=(total, 3)), rng.normal(size=total)
-    d = nerboot.from_arrays(labels, x, y)
+    d = _ragged_fit_design()
     assert block_size(d) <= THREAD_BLOCK_WORLDS
     assert level_threads(d, 100) == 2
     assert level_threads(d, 1) == 1  # never more threads than blocks
@@ -190,3 +206,27 @@ def test_usable_cpus_read_the_affinity_set(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity")
     assert usable_cpus() == 8
     assert build_parser().parse_args(args).jobs == 8
+
+
+def test_split_sets_take_three_point_masks_after_a_student_t_block():
+    # an inner level whose first block draws Student-t worlds and a later
+    # block three-point ones, whose transform takes the "code" masks
+    d = _ragged_fit_design()
+    states = _level_states(5, streams.INNER, (), range(block_size(d)))
+
+    def solve_block(family, buffers):
+        law = make_distribution(1.0, 6.0, family)
+        draw = _keyed_draw(d, [(law, law)], states, len(states))
+        u, v = draw(0, len(states), buffers)
+        solve(d, draw_statistics(d, u, v, buffers), buffers=buffers)
+
+    level = Buffers(ARENA_BYTES)
+    solve_block("student_t", level)
+    sets = [level, *level.split(1)]
+    arenas = [part._arena for part in sets]
+    for part in sets[1:]:
+        solve_block("student_t", part)
+    for part in sets:
+        solve_block("three_point", part)
+    # every set keeps room for the masks: no arena opened after the split
+    assert all(part._arena is arena for part, arena in zip(sets, arenas))
