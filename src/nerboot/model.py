@@ -7,10 +7,9 @@ least two observations, all scale factors are positive, and the pooled
 degrees of freedom N - n exceed the covariate dimension r.
 
 Observations are stored concatenated, grouped by cluster in first-appearance
-order; ``Dataset.with_responses`` swaps the response vector while sharing
-the design, including ``Dataset.design``: every array the refit kernel
-derives from the design alone, built once.  That is what makes bootstrap
-refits on a fixed design cheap.
+order.  ``Dataset.design`` holds every array the refit kernel derives from
+the design alone, built once.  That is what makes bootstrap refits on a
+fixed design cheap.
 """
 
 from __future__ import annotations
@@ -40,8 +39,7 @@ class Dataset:
 
     ``starts`` holds n+1 offsets into the concatenated arrays; cluster i
     occupies rows starts[i]:starts[i+1].  Instances are immutable; the
-    ``_cache`` dict holds the memoized ``design`` and is shared by every
-    response-swapped copy of the same design.
+    ``_cache`` dict holds the memoized ``design``.
     """
 
     y: np.ndarray            # (N,)
@@ -76,15 +74,6 @@ class Dataset:
         if design is None:
             design = self._cache["design"] = _Design(self)
         return design
-
-    def with_responses(self, y: np.ndarray) -> "Dataset":
-        """Same design (x, s, clustering), new responses; caches are shared."""
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape != self.y.shape:
-            raise DimensionMismatch(
-                f"responses must have shape {self.y.shape}, got {y.shape}"
-            )
-        return Dataset(y, self.x, self.s, self.starts, self.cluster_ids, self._cache)
 
 
 def _validate(d: Dataset) -> Dataset:

@@ -27,19 +27,20 @@ generators (``streams.replay``, bit for bit each world's
 ``streams.substream``) to ``mmdist.sample_worlds``, which draws U and then
 V from each into the run's rows of the level's draw buffer.  Every world
 is drawn mean-free by ``_keyed_draw``, which returns a block's draws
-(U, V), and is refitted from them; no bootstrap world forms y.  No world
-needs a mean: GLS and the EBLUP are equivariant (Prasad & Rao, JASA
-1990), so theta-hat - theta and the failures do not depend on (mu, beta).
+(U, V), and is refitted from them; no world forms y.  No world needs a
+mean: GLS and the EBLUP are equivariant (Prasad & Rao, JASA 1990), so
+theta-hat - theta and the failures do not depend on (mu, beta).
 
 The double bootstrap is three flat levels on the kernel of ``pipeline``,
 whose fits are ``WorldFits``.  Level one and the outer level draw around
 the original fit.  The outer level refits its draw blocks with
-``refit_worlds``, whose fourth moments read residuals, and keeps which
-worlds refit and their matched laws.  The inner level is then one pass:
-each inner world is drawn around its own outer fit.  Truth, level-one and
-inner worlds differ only in their keys and laws: the level engine
-``squared_error`` refits them with theta = U, in draw blocks that may span
-outer worlds, and sums them per outer world.
+``refit_worlds``, whose fourth moments read residuals, through
+``_refit_level``, and keeps which worlds refit and their matched laws; a
+study refits its replicate worlds through the same generator.  The inner
+level is then one pass: each inner world is drawn around its own outer
+fit.  Truth, level-one and inner worlds differ only in their keys and
+laws: the level engine ``squared_error`` refits them with theta = U, in
+draw blocks that may span outer worlds, and sums them per outer world.
 Worlds whose refit fails numerically are masked, skipped and counted; more
 than 1% failures at any level aborts the run, since under the ridge
 safeguard failures signal a pathological input.  ``mspe_report`` returns
@@ -227,15 +228,24 @@ def mse_single(
     return acc / (cfg.b1 - failed), int(failed)
 
 
+def _refit_level(d: Dataset, draw, count: int, ridge=DEFAULT_RIDGE):
+    """The draws U (B, n) and the ``refit_worlds`` fits, fourth moments
+    included, of each draw block of the ``count`` worlds of ``draw``, in
+    block order.  They live in the level's ``Buffers``, so a caller copies
+    what it keeps before it asks for the next block."""
+    buffers = Buffers(ARENA_BYTES)  # the level's, shared by its blocks
+    for lo, hi in draw_blocks(d, count):
+        u, v = draw(lo, hi, buffers)
+        yield u, refit_worlds(d, u, v, ridge, buffers)
+
+
 def _outer_level(d: Dataset, fit: WorldFits, cfg: BootstrapConfig, key_prefix: tuple):
     """Which of the b2 outer worlds refit, and the matched laws (U, V) of
     those that do, from their refits with fourth moments."""
     outer = _level_states(cfg.master_seed, streams.OUTER, key_prefix, range(cfg.b2))
     draw = _keyed_draw(d, [_laws(fit, cfg.family)], outer, cfg.b2)
     ok, laws = [], []
-    buffers = Buffers(ARENA_BYTES)  # the level's, shared by its blocks
-    for lo, hi in draw_blocks(d, cfg.b2):
-        fits = refit_worlds(d, *draw(lo, hi, buffers), cfg.ridge, buffers)
+    for _, fits in _refit_level(d, draw, cfg.b2, cfg.ridge):
         ok.append(fits.ok)
         laws += [_laws(fits, cfg.family, k) for k in np.flatnonzero(fits.ok)]
     return np.concatenate(ok), laws

@@ -60,9 +60,10 @@ a block may span.  Levels differ only in their draws.  On designs whose
 draw block holds at most THREAD_BLOCK_WORLDS worlds, a thread pool of one
 thread per usable CPU runs the blocks after the first (``level_threads``,
 ``_each_block``), and the caller adds their sums in block order, so every
-output is that of one thread bit for bit.  The outer level refits its
-blocks with ``refit_worlds`` on the calling thread alone: its first block
-takes 2.4-3.0 MB on the fit design, too much to split the level's arena.
+output is that of one thread bit for bit.  The outer level and a study's
+replicate worlds are refitted with ``refit_worlds`` on the calling thread
+alone: an outer level's first block takes 2.4-3.0 MB on the fit design,
+too much to split the level's arena.
 Every array whose size scales with the block -- the draws, the statistics
 rows, the (B, n) arrays of ``solve``, the error rows, the outer level's
 residuals and power sums -- comes from a level call's ``Buffers`` and is
@@ -359,9 +360,10 @@ class WorldFits:
     gamma_v: np.ndarray | None = None
 
     def world(self, b: int) -> "WorldFits":
-        """The fit of world b alone: every field without the world axis."""
+        """The fit of world b alone: every field without the world axis, in
+        memory of its own, so it outlives the buffers of its block."""
         return WorldFits(
-            **{k: None if v is None else v[b] for k, v in vars(self).items()}
+            **{k: None if v is None else v[b].copy() for k, v in vars(self).items()}
         )
 
 
@@ -515,7 +517,9 @@ def fit_model(d: Dataset, ridge=DEFAULT_RIDGE) -> WorldFits:
     proj = design.q / d.s[:, None]
     b0 = np.linalg.solve(design.ru, d.y @ proj[:, : design.r_aug])
     v = (d.y - b0[0] - d.x @ b0[1:]) / d.s
-    fit = refit_worlds(d, np.zeros((1, d.n)), v[None, :], ridge)
+    # one arena: 3 rows of N and 9 of n float64 in 12 slots, each padded to 64 B
+    buffers = Buffers(8 * (3 * d.total + 9 * d.n) + 12 * 64)
+    fit = refit_worlds(d, np.zeros((1, d.n)), v[None, :], ridge, buffers)
     if not fit.ok[0]:
         raise RankDeficient(
             "GLS normal equations are singular or the fit is not finite"

@@ -7,12 +7,14 @@ s = 1, and variance ratios sigma_U^2/sigma_V^2 in {1/2, 1, 2} normalized so
 the larger component is 1.  Eight error models pair the study laws of
 ``mmdist`` (normal, skewed, heavy-tailed and mixed-sign cases, each centered
 analytically and scaled to the scenario variance).  Every world, of the
-truth simulation or of a study replicate, is drawn like a bootstrap world
-by ``mspe._keyed_draw``: replicate r from the seed words of key (STUDY, r),
-all derived in one ``mspe._level_states`` call, as for every bootstrap
-level.  Only a study replicate's data carry the mean (MU, BETA), added to
-its draws by ``_with_responses``, the one place y is formed; the truth
-simulation refits its worlds mean-free on the level engine.
+truth simulation or of a study replicate, is drawn mean-free like a
+bootstrap world by ``mspe._keyed_draw``: replicate r from the seed words
+of key (STUDY, r), all derived in one ``mspe._level_states`` call.  No
+world forms y, since GLS and the EBLUP are equivariant.  A study refits
+its replicate worlds in one pass with fourth moments (``mspe._refit_level``)
+and raises RankDeficient if any fails, before any bootstrap starts; each
+replicate's task then bootstraps from its fit alone on the shared design.
+Records add the mean MU + x_under' BETA back to theta and theta-hat.
 
 For each replicate the harness records the true and predicted mixed
 effects together with the MSPE estimates, so relative bias
@@ -46,10 +48,11 @@ from .mspe import (
     BootstrapConfig,
     _keyed_draw,
     _level_states,
+    _refit_level,
     mse_double,
     mse_single,
 )
-from .pipeline import Buffers, fit_model, squared_error
+from .pipeline import squared_error
 
 # record-log columns, in file order
 RECORD_COLUMNS = (
@@ -236,36 +239,14 @@ def metrics_from_records(records: np.ndarray, double: bool) -> tuple:
     return smse, metrics
 
 
-def _with_responses(d: Dataset, u, v):
-    """Response rows y = MU + x' BETA + U_i + s V (B, N) and the true theta
-    = MU + x_under' BETA + U (B, n) of study replicates from their draws
-    (U, V): the one place a world's y is formed."""
-    y = d.s * v + (u[:, d.design.cluster] + (MU + d.x @ BETA))
-    return y, u + (MU + d.design.x_under @ BETA)
-
-
-def _one_replicate(state: tuple, rep: int) -> np.ndarray:
-    """The record of replicate ``rep``; ``state`` is everything it reads."""
-    design, scenario, model, cfg, double, words = state
-    buffers, laws = Buffers(), [_laws(scenario, model)]
-    u, v = _keyed_draw(design, laws, words, len(words))(rep, rep + 1, buffers)
-    (y,), (theta,) = _with_responses(design, u, v)
-    d_rep = design.with_responses(y)
-    fit = fit_model(d_rep, cfg.ridge)
-    rec = np.empty((scenario.n, len(RECORD_COLUMNS)))
-    rec[:, 0] = theta
-    rec[:, 1] = fit.theta_hat
-    rec[:, 2] = fit.naive_mse
+def _bootstrap(state: tuple, rep: int, fit) -> tuple:
+    """The bootstrap columns of replicate ``rep``'s record from its fit;
+    ``state`` is everything else it reads."""
+    design, cfg, double = state
     if double:
-        res = mse_double(d_rep, fit, cfg, key_prefix=(rep,))
-        rec[:, 3] = res.mse_boot
-        rec[:, 4] = res.mse_double
-        rec[:, 5] = res.corrected_robust
-    else:
-        rec[:, 3], _ = mse_single(d_rep, fit, cfg, key_prefix=(rep,))
-        rec[:, 4] = np.nan
-        rec[:, 5] = np.nan
-    return rec
+        res = mse_double(design, fit, cfg, key_prefix=(rep,))
+        return res.mse_boot, res.mse_double, res.corrected_robust
+    return (mse_single(design, fit, cfg, key_prefix=(rep,))[0],)
 
 
 def run_study(
@@ -289,26 +270,32 @@ def run_study(
     if jobs < 1:
         raise ValueError(f"need at least one job, got {jobs}")
     design = make_design(scenario, streams.substream(cfg.master_seed, streams.DESIGN))
-    # build the design arrays of the refit kernel once; every task carries
-    # them with the design, which a pool pickles
-    design.design
-
     words = _level_states(cfg.master_seed, streams.STUDY, (), range(replicates))
-    task = functools.partial(
-        _one_replicate, (design, scenario, model, cfg, double, words)
-    )
+    draw = _keyed_draw(design, [_laws(scenario, model)], words, replicates)
+    records = np.full((replicates, scenario.n, len(RECORD_COLUMNS)), np.nan)
+    shift = MU + design.design.x_under @ BETA
+    fits = []
+    for u, block in _refit_level(design, draw, replicates, cfg.ridge):
+        if not block.ok.all():
+            raise RankDeficient("a study replicate's refit failed")
+        rows = records[len(fits) : len(fits) + len(u)]
+        rows[:, :, 0] = u + shift
+        rows[:, :, 1] = block.theta_hat + shift
+        rows[:, :, 2] = block.naive_mse
+        fits += map(block.world, range(len(u)))
+
+    # every task carries the design with its kernel arrays, which a pool pickles
+    task = functools.partial(_bootstrap, (design, cfg, double))
     jobs = min(jobs, replicates)  # a fork pool starts all its workers at once
-    pool = ProcessPoolExecutor(jobs) if jobs > 1 else contextlib.nullcontext()
-    records = np.empty((replicates, scenario.n, len(RECORD_COLUMNS)))
-    with pool:
+    with ProcessPoolExecutor(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
         reps = range(replicates)
-        recs = (
-            pool.map(task, reps, chunksize=max(1, replicates // (jobs * 8)))
-            if jobs > 1
-            else map(task, reps)
+        columns = (
+            pool.map(task, reps, fits, chunksize=max(1, replicates // (jobs * 8)))
+            if pool
+            else map(task, reps, fits)
         )
-        for rep, rec in enumerate(recs):
-            records[rep] = rec
+        for rep, cols in enumerate(columns):
+            records[rep, :, 3 : 3 + len(cols)] = np.transpose(cols)
             if progress is not None:
                 progress(rep + 1, replicates)
 

@@ -5,13 +5,17 @@ explicit loops and dense matrices: no block factorizations, no caching, no
 code shared with the library internals (the world draw calls
 ``mmdist.sample`` and reads ``d.design.x_under``; ``summarize`` reads
 ``d.design``'s weights and a_i).  Tests compare the fast paths against these.
+Only here is a world's y formed, and only here does a dataset swap its
+responses (``with_responses``).
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
+from nerboot.errors import DimensionMismatch
 from nerboot.mmdist import sample
+from nerboot.model import Dataset
 
 
 class Cluster(NamedTuple):
@@ -120,15 +124,29 @@ def rank_one_inverse(s, sigma2_u, sigma2_v):
     return np.diag(d_inv) - (sigma2_u / denom) * np.outer(d_inv, d_inv)
 
 
+def with_responses(d, y):
+    """The dataset of ``d``'s design (x, s, clustering) with responses ``y``;
+    it shares ``d``'s design cache."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != d.y.shape:
+        raise DimensionMismatch(f"responses must have shape {d.y.shape}, got {y.shape}")
+    return Dataset(y, d.x, d.s, d.starts, d.cluster_ids, d._cache)
+
+
+def draw_errors(d, u_dist, v_dist, rng):
+    """The draws (U (n,), V (N,)) of one world on the design of ``d``, U
+    drawn before V with one ``sample`` call each: the looped reference for
+    the block draws of every level."""
+    return sample(u_dist, rng, d.n), sample(v_dist, rng, d.total)
+
+
 def draw_world(d, mu, beta, u_dist, v_dist, rng):
     """One synthetic world with fixed effects (mu, beta) on the design of
-    ``d``, U drawn before V with ``sample``: (dataset, true theta).  The
-    looped reference for the block draws of every level."""
-    u = sample(u_dist, rng, d.n)
-    v = sample(v_dist, rng, d.total)
+    ``d`` from ``draw_errors``: (dataset, true theta)."""
+    u, v = draw_errors(d, u_dist, v_dist, rng)
     y = mu + d.x @ beta + np.repeat(u, d.sizes) + d.s * v
     theta = mu + d.design.x_under @ beta + u
-    return d.with_responses(y), theta
+    return with_responses(d, y), theta
 
 
 def gls_dense(d, sigma2_u, sigma2_v):

@@ -52,7 +52,7 @@ def sse_identity_run():
         u = rng.standard_normal(n)
         v = rng.standard_normal(n * m)
         y = design.x[:, 0] + np.repeat(u, m) + v
-        fit = fit_model(design.with_responses(y))
+        fit = fit_model(_brute.with_responses(design, y))
         s2v[k] = fit.sigma2_v
         sse2[k] = fit.sse2
     return design, s2v, sse2

@@ -2,7 +2,8 @@
 module level, is used in that module; only ``streams`` makes generators and
 reads the seed range, only ``mspe`` derives seed words and replays keyed
 streams into worlds, only ``mmdist`` draws from generators, only ``pipeline``
-starts threads and only ``simulate`` starts processes."""
+starts threads, only ``simulate`` starts processes and only ``mspe`` fits a
+dataset's responses."""
 
 import ast
 from pathlib import Path
@@ -264,3 +265,24 @@ def test_thread_or_process_start_is_reported():
         "line 5: ProcessPoolExecutor",
         "line 5: ThreadPoolExecutor",
     ]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in Path(nerboot.__file__).parent.glob("*.py") if p.name != "mspe.py"],
+    ids=lambda path: path.name,
+)
+def test_only_mspe_fits_a_dataset(path):
+    # every other fit is of worlds refitted from their draws; a dataset's y
+    # is fitted once, by ``mspe_report``
+    assert _calls(path.read_text(), {"fit_model"}) == []
+
+
+def test_fit_model_call_is_reported():
+    source = (
+        "import nerboot\n"
+        "from .pipeline import fit_model\n"
+        "def fit(d, fit_model=fit_model):\n"
+        "    return fit_model(d), nerboot.fit_model(d)\n"
+    )
+    assert _calls(source, {"fit_model"}) == ["line 4: fit_model", "line 4: fit_model"]

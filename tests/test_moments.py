@@ -97,7 +97,7 @@ def _gamma_estimates(n, seed, reps=200):
         u = rng.standard_normal(n)
         v = rng.standard_normal(3 * n)
         y = design.x[:, 0] + np.repeat(u, 3) + v
-        fit = fit_model(design.with_responses(y))
+        fit = fit_model(_brute.with_responses(design, y))
         gus.append(fit.gamma_u)
         gvs.append(fit.gamma_v)
     return np.array(gus), np.array(gvs)
@@ -120,7 +120,7 @@ def test_gamma_concentrates_for_three_point_noise():
         u = rng.standard_normal(n)
         v = mmdist.sample(dist, rng, n * m)
         y = design.x[:, 0] + np.repeat(u, m) + v
-        fit = fit_model(design.with_responses(y))
+        fit = fit_model(_brute.with_responses(design, y))
         vals.append(fit.gamma_v)
     assert abs(np.mean(vals) - 3.0) < 0.2
 

@@ -12,13 +12,12 @@ import nerboot.streams as streams
 from nerboot.errors import DivisionGuard, TooManyFailures
 from nerboot.mspe import (
     BootstrapConfig,
-    _draw_worlds,
     mse_double,
     mse_single,
     mspe_report,
     robust_correction,
 )
-from nerboot.pipeline import Buffers, block_size, fit_model
+from nerboot.pipeline import block_size, fit_model
 
 import _brute
 from conftest import benchmark_dataset, random_ragged_dataset
@@ -295,22 +294,15 @@ def test_level_one_tracks_independent_truth_simulation():
     laws = sim._laws(scen, sim.error_model("m1"))
     rng = np.random.default_rng(314)
     design = sim.make_design(scen, rng)
-    buffers = Buffers()
-    out = np.empty((1, design.n + design.total))
-
-    def responses(rng):
-        u, v = _draw_worlds(design, laws, [rng], out, buffers)
-        return sim._with_responses(design, u, v)
+    mean = (sim.MU, np.array(sim.BETA))
 
     acc = np.zeros(60)
     for _ in range(5000):
-        (y,), (theta,) = responses(rng)
-        fit = fit_model(design.with_responses(y))
-        acc += (fit.theta_hat - theta) ** 2
+        d_star, theta = _brute.draw_world(design, *mean, *laws, rng)
+        acc += (fit_model(d_star).theta_hat - theta) ** 2
     smse = acc / 5000
 
-    (y_one,), _ = responses(np.random.default_rng(3141))
-    d_one = design.with_responses(y_one)
+    d_one, _ = _brute.draw_world(design, *mean, *laws, np.random.default_rng(3141))
     fit_one = fit_model(d_one)
     cfg = BootstrapConfig(b1=2000, b2=1, c=1, master_seed=8)
     u_hat, _ = mse_single(d_one, fit_one, cfg)

@@ -6,6 +6,7 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 import nerboot
+import nerboot.pipeline
 from nerboot.errors import RankDeficient
 from nerboot.pipeline import (
     Statistics,
@@ -47,7 +48,7 @@ def test_kernel_sse1_and_gamma_v_match_oracle(seed):
     fits = _refit_rows(d, y)
     assert fits.ok.all()
     for b in range(len(y)):
-        world = d.with_responses(y[b])
+        world = _brute.with_responses(d, y[b])
         want = _brute.full_pipeline_dense(world)
         assert fits.sse1[b] == pytest.approx(_brute.sse1_dense(world), rel=1e-12)
         assert fits.gamma_v[b] == pytest.approx(want["gamma_v"], rel=1e-12)
@@ -60,7 +61,7 @@ def test_block_matches_single_world_fits():
     fits = _refit_rows(d, y)
     np.testing.assert_array_equal(fits.ok, [True, True, False, True, True])
     for b in np.flatnonzero(fits.ok):
-        one = fit_model(d.with_responses(y[b]))
+        one = fit_model(_brute.with_responses(d, y[b]))
         world = fits.world(b)
         for f in dataclasses.fields(WorldFits):
             got, want = getattr(world, f.name), getattr(one, f.name)
@@ -99,7 +100,7 @@ def test_draw_statistics_match_responses_and_dense_oracle():
         _assert_close(got, want)
     aug = np.column_stack([np.ones(d.total), d.x])
     for b in range(len(y)):
-        world = d.with_responses(y[b])
+        world = _brute.with_responses(d, y[b])
         a, _, y_bar, _ = _brute.summaries(world)
         for stats in (from_draws, from_y):
             assert stats.sse1[b] == pytest.approx(_brute.sse1_dense(world), rel=1e-12)
@@ -131,7 +132,7 @@ def _fits(d, y):
     """``fit_model`` of each response row of y; the example is rejected
     when one fails."""
     try:
-        return [fit_model(d.with_responses(row)) for row in y]
+        return [fit_model(_brute.with_responses(d, row)) for row in y]
     except RankDeficient:
         reject()
 
@@ -164,7 +165,7 @@ def test_mean_free_worlds_refit_as_shifted_worlds(worlds):
         _assert_close(got, want, rtol=1e-10)
     offset = mu + d.design.x_under @ beta
     for row, fit in zip(y, _fits(d, y)):
-        shifted = fit_model(d.with_responses(row + mu + d.x @ beta))
+        shifted = fit_model(_brute.with_responses(d, row + mu + d.x @ beta))
         _assert_same_fit(shifted, fit, 1e-8, offset)
 
 
@@ -175,7 +176,7 @@ def test_original_fit_survives_a_large_response_offset(seed):
     d = random_ragged_dataset(seed, n=12, r=1 + seed % 2)
     gamma = np.random.default_rng(seed).uniform(-1.0, 1.0, d.r)
     c = 1e8
-    shifted = fit_model(d.with_responses(d.y + c * (1.0 + d.x @ gamma)))
+    shifted = fit_model(_brute.with_responses(d, d.y + c * (1.0 + d.x @ gamma)))
     offset = c * (1.0 + d.design.x_under @ gamma)
     _assert_same_fit(shifted, fit_model(d), 1e-6, offset)
 
@@ -191,7 +192,7 @@ def test_fit_scales_with_responses_and_ignores_row_order(worlds, c, seed):
     labels = np.repeat(np.arange(d.n), d.sizes)
     perm = np.random.default_rng(seed).permutation(d.total)
     for row, fit in zip(y, _fits(d, y)):
-        scaled = fit_model(d.with_responses(c * row))
+        scaled = fit_model(_brute.with_responses(d, c * row))
         assume(min(fit.sse1, scaled.sse1) > ridge_floor(d.n))
         want = dataclasses.replace(
             fit,
@@ -257,7 +258,7 @@ def test_design_is_built_once_shared_and_read_only():
     y = _response_block(d, 2 * step + 3, 9)
     for lo in range(0, len(y), step):  # three refit blocks
         assert _refit_rows(d, y[lo : lo + step]).ok.all()
-    copies = [d.with_responses(row) for row in y[:3]]
+    copies = [_brute.with_responses(d, row) for row in y[:3]]
     for copy in copies:
         fit_model(copy)
         assert copy._cache is d._cache and copy.design is design
@@ -271,6 +272,30 @@ def test_design_is_built_once_shared_and_read_only():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr.flat[0] = 0.0
+
+
+def test_fit_model_opens_one_arena_per_call(monkeypatch):
+    # the fit reserves its one world's arrays from the design; unreserved,
+    # each slot that outgrew the last opened a new arena (three on a ragged
+    # n = 600 design)
+    arenas = []
+    real = nerboot.pipeline.Buffers.take
+
+    def logged(self, key, shape, dtype=np.float64):
+        view = real(self, key, shape, dtype)
+        arenas.append(self._arena)
+        return view
+
+    monkeypatch.setattr("nerboot.pipeline.Buffers.take", logged)
+    rng = np.random.default_rng(5)
+    sizes = rng.integers(2, 13, size=600)
+    labels, total = np.repeat(np.arange(600), sizes), int(sizes.sum())
+    x, y = rng.uniform(size=(total, 3)), rng.normal(size=total)
+    designs = [random_ragged_dataset(3, n=2), random_ragged_dataset(8, n=40, r=3)]
+    for d in [nerboot.from_arrays(labels, x, y), *designs]:
+        arenas.clear()
+        fit_model(d)
+        assert arenas and all(arena is arenas[0] for arena in arenas)
 
 
 def test_every_export_resolves():

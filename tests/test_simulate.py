@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 import nerboot.pipeline
 from nerboot.errors import RankDeficient
 from nerboot.mmdist import STUDY_LAWS
-from nerboot.mspe import BootstrapConfig
+from nerboot.mspe import BootstrapConfig, mse_double
+from nerboot.pipeline import fit_model
 from nerboot.simulate import (
     RECORD_COLUMNS,
     Scenario,
@@ -18,6 +20,8 @@ from nerboot.simulate import (
     run_study,
     run_truth,
 )
+
+import _brute
 
 
 def test_error_model_table():
@@ -270,8 +274,8 @@ class _FakePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items, chunksize=1):
-        return map(fn, items)
+    def map(self, fn, *items, chunksize=1):
+        return map(fn, *items)
 
 
 @pytest.mark.parametrize(
@@ -292,32 +296,98 @@ def test_run_study_pool_has_at_most_one_worker_per_replicate(
     np.testing.assert_array_equal(pooled.records, serial.records)
 
 
-def test_pickled_design_gives_identical_replicates():
-    # spawn and forkserver workers receive the design pickled: the prebuilt
-    # kernel caches must travel with it and give bit-identical records
+def test_pickled_design_gives_identical_replicates(monkeypatch):
+    # spawn and forkserver workers receive a task's payload pickled: the
+    # design with its prebuilt kernel caches, and the replicate's fit, in
+    # memory of its own; they must give bit-identical records
     import pickle
 
-    from nerboot import simulate, streams
-    from nerboot.mspe import _level_states
+    from nerboot import simulate
 
     scen = Scenario.from_ratio(n=10, ratio=0.5)
     model = error_model("m3")
     cfg = BootstrapConfig(b1=4, b2=2, c=3, master_seed=17)
-    design = make_design(scen, streams.substream(cfg.master_seed, streams.DESIGN))
-    design.design  # run_study's prebuild
-    prebuilt = set(design._cache)
-    assert prebuilt == {"design"}
-    clone = pickle.loads(pickle.dumps(design))
-    assert set(clone._cache) == prebuilt
-    assert not clone.design.q.flags.writeable
+    want = run_study(scen, model, cfg, replicates=3).records
+    real, payloads = simulate._bootstrap, []
 
-    words = _level_states(cfg.master_seed, streams.STUDY, (), range(3))
-    records = []
-    for d in (design, clone):
-        state = (d, scen, model, cfg, True, words)
-        records.append([simulate._one_replicate(state, rep) for rep in range(3)])
-        assert set(d._cache) == prebuilt  # nothing left to build in a worker
-    np.testing.assert_array_equal(records[0], records[1])
+    def pickled(state, rep, fit):
+        assert all(
+            value.base is None
+            for value in vars(fit).values()
+            if isinstance(value, np.ndarray)
+        )
+        state, fit = pickle.loads(pickle.dumps((state, fit)))
+        design = state[0]
+        assert set(design._cache) == {"design"}
+        assert not design.design.q.flags.writeable
+        payloads.append(rep)
+        columns = real(state, rep, fit)
+        assert set(design._cache) == {"design"}  # nothing left to build in a worker
+        return columns
+
+    monkeypatch.setattr("nerboot.simulate._bootstrap", pickled)
+    got = run_study(scen, model, cfg, replicates=3).records
+    assert payloads == [0, 1, 2]
+    np.testing.assert_array_equal(got, want)
+
+
+def test_a_failed_replicate_refit_raises_before_any_bootstrap(monkeypatch):
+    # replicates refit in draw blocks of 2; the last, in the third block,
+    # fails: no pool starts and no bootstrap task runs
+    monkeypatch.setattr("nerboot.pipeline.block_size", lambda d: 2)
+    real = nerboot.pipeline._positive_definite
+    calls = itertools.count()
+
+    def third_block_fails(normal):
+        ok = real(normal)
+        if next(calls) == 2:
+            ok[-1] = False
+        return ok
+
+    monkeypatch.setattr("nerboot.pipeline._positive_definite", third_block_fails)
+    monkeypatch.setattr(_FakePool, "made", [])
+    monkeypatch.setattr("nerboot.simulate.ProcessPoolExecutor", _FakePool)
+    started = []
+    monkeypatch.setattr("nerboot.simulate._bootstrap", lambda *task: started.append(1))
+    scen = Scenario.from_ratio(n=8, ratio=1.0)
+    cfg = BootstrapConfig(b1=3, b2=2, c=2, master_seed=12)
+    with pytest.raises(RankDeficient, match="study replicate"):
+        run_study(scen, error_model("m1"), cfg, replicates=5, jobs=2)
+    assert next(calls) == 3  # the refit pass reached the third block
+    assert started == [] and _FakePool.made == []
+
+
+@pytest.mark.parametrize("ratio, model", [(0.5, "m3"), (2.0, "m7")])
+def test_records_equal_the_looped_oracle(ratio, model):
+    # the oracle forms each replicate's y around (MU, BETA) from its keyed
+    # draws and fits it as a dataset; at ratio 0.5 some fits truncate
+    # sigma_U^2 to 0
+    from nerboot import simulate, streams
+
+    scen, law = Scenario.from_ratio(n=10, ratio=ratio), error_model(model)
+    cfg = BootstrapConfig(b1=6, b2=3, c=4, master_seed=23)
+    replicates = 40
+    study = run_study(scen, law, cfg, replicates)
+    design = make_design(scen, streams.substream(cfg.master_seed, streams.DESIGN))
+    mean, laws = (simulate.MU, np.array(simulate.BETA)), simulate._laws(scen, law)
+    want, truncated = [], 0
+    for rep in range(replicates):
+        rng = streams.substream(cfg.master_seed, streams.STUDY, rep)
+        d_rep, theta = _brute.draw_world(design, *mean, *laws, rng)
+        fit = fit_model(d_rep, cfg.ridge)
+        truncated += fit.sigma2_u == 0.0
+        res = mse_double(d_rep, fit, cfg, key_prefix=(rep,))
+        want.append(
+            [theta, fit.theta_hat, fit.naive_mse, res.mse_boot, res.mse_double,
+             res.corrected_robust]
+        )
+    want = np.transpose(want, (0, 2, 1))
+    assert truncated > 0 or ratio > 1
+    for col in range(len(RECORD_COLUMNS)):
+        scale = np.abs(want[:, :, col]).max()
+        np.testing.assert_allclose(
+            study.records[:, :, col], want[:, :, col], rtol=0, atol=1e-12 * scale
+        )
 
 
 def test_study_started_from_a_progress_callback_leaves_the_outer_study_intact():

@@ -40,7 +40,7 @@ from nerboot.simulate import Scenario, error_model, make_design, run_study
 from conftest import random_ragged_dataset
 
 SERIAL, THREADED = 0, 10**9  # THREAD_BLOCK_WORLDS forcing one or all CPUs
-ONE_REPLICATE = nerboot.simulate._one_replicate
+BOOTSTRAP = nerboot.simulate._bootstrap
 
 
 @pytest.fixture
@@ -152,14 +152,14 @@ def test_a_block_raising_on_a_helper_thread_raises_in_the_caller(
     assert len(drawn) < len(u) // 3  # no thread took every remaining block
 
 
-def _replicate_in_worker(state, rep):
-    """A study replicate that checks the worker runs its levels on one
-    thread and ends with the threads it started with."""
+def _bootstrap_in_worker(state, rep, fit):
+    """A study replicate's bootstrap that checks the worker runs its levels
+    on one thread and ends with the threads it started with."""
     before = threading.active_count()
     assert level_threads(state[0], 10) == 1
-    record = ONE_REPLICATE(state, rep)
+    columns = BOOTSTRAP(state, rep, fit)
     assert threading.active_count() == before
-    return record
+    return columns
 
 
 def test_pool_workers_never_start_threads(monkeypatch):
@@ -169,7 +169,7 @@ def test_pool_workers_never_start_threads(monkeypatch):
     scen, model = Scenario.from_ratio(n=6, ratio=0.5), error_model("m3")
     cfg = BootstrapConfig(b1=3, b2=2, c=2, master_seed=19)
     serial = run_study(scen, model, cfg, replicates=4).records
-    monkeypatch.setattr("nerboot.simulate._one_replicate", _replicate_in_worker)
+    monkeypatch.setattr("nerboot.simulate._bootstrap", _bootstrap_in_worker)
     before = threading.active_count()
     pooled = run_study(scen, model, cfg, replicates=4, jobs=2).records
     assert threading.active_count() == before

@@ -73,7 +73,7 @@ def test_sigma2_v_invariant_to_linear_shift():
     assert base.sigma2_u > 0
     gamma = 0.5
     for c, rtol in ((5.0, 1e-8), (100.0, 1e-10)):
-        fit = _variances(d.with_responses(d.y + c * (1.0 + gamma * d.x[:, 0])))
+        fit = _variances(_brute.with_responses(d, d.y + c * (1.0 + gamma * d.x[:, 0])))
         assert fit.sigma2_v == pytest.approx(base.sigma2_v, rel=rtol)
         assert fit.sigma2_u == pytest.approx(base.sigma2_u, rel=rtol)
         moved = fit.theta_hat - c * (1.0 + gamma * d.design.x_under[:, 0])
@@ -90,7 +90,7 @@ def test_unbiasedness_smoke_monte_carlo():
         u = rng.standard_normal(30)
         v = rng.standard_normal(90)
         y = design.x[:, 0] + np.repeat(u, 3) + v
-        fit = fit_model(design.with_responses(y))
+        fit = fit_model(_brute.with_responses(design, y))
         vals[k] = fit.sigma2_v
     se = vals.std(ddof=1) / np.sqrt(reps)
     assert abs(vals.mean() - 1.0) < 3 * se
@@ -107,7 +107,7 @@ def test_consistency_sweep_rmse_nonincreasing():
             u = rng.standard_normal(n)
             v = rng.standard_normal(3 * n)
             y = design.x[:, 0] + np.repeat(u, 3) + v
-            fit = fit_model(design.with_responses(y))
+            fit = fit_model(_brute.with_responses(design, y))
             errs.append(
                 (fit.sigma2_u - 1.0) ** 2 + (fit.sigma2_v - 1.0) ** 2
             )
