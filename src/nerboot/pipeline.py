@@ -102,9 +102,12 @@ DEFAULT_RIDGE = (1e-6, 2.0)  # (B1, B2); B1 > 0, B2 >= 2
 # its two pool workers 3,400 against 18,000 (an idle two-worker pool costs
 # about 1,150); a desk-scale fit call 10 against 2,300-4,900.
 CHUNK_ELEMENTS = 2**16
-# the arena a level reserves; a level's block-sized arrays take at most about
-# 5.5 times CHUNK_ELEMENTS float64 (the outer level on the n = 600 design)
-ARENA_BYTES = 8 * CHUNK_ELEMENTS * 8
+# The arena a level reserves: a whole draw block refitted with fourth moments
+# takes 2.4-3.0 MB on the ragged n = 600 design and 4.01-4.06 MB on the n = 60
+# and n = 100 study designs.  numpy advises MADV_HUGEPAGE on allocations of
+# 2**22 bytes or more (alloc.c); under THP mode "madvise" the first touch of
+# such an arena faults a whole 2 MB page, even in a level that uses 84 KB.
+ARENA_BYTES = 2**22 - 2**16
 # The level engine runs its draw blocks on a pool of one thread per usable
 # CPU on designs whose draw block holds at most this many worlds
 # (N >= 2,048).  There a block's time goes to generator fills and numpy
@@ -164,8 +167,9 @@ class Buffers:
     Every key's memory is a slot of an arena of at least ``reserve``
     bytes; a slot that does not fit opens a new arena of at least twice the
     size, and every earlier slot keeps its memory, so a set touches no more
-    than its slots.  Untouched reserve costs no memory.  A level reserves
-    ARENA_BYTES: one allocation per level lifts glibc's dynamic mmap and trim
+    than its slots.  Below numpy's huge-page threshold of 2**22 bytes,
+    untouched reserve costs no memory.  A level reserves ARENA_BYTES, just
+    under it: one allocation per level lifts glibc's dynamic mmap and trim
     thresholds above the level's whole working set, so a freed arena stays
     in the heap and the next level call finds its pages mapped.  ``split``
     carves the sets of a level's further pool threads out of that arena.

@@ -1,7 +1,8 @@
 """The level engine on several threads: the same sums, failure counts and
 aborts as on one, exceptions raised in the caller, buffer sets split with
-room for later blocks, and no thread left behind by a level call or
-started in a study's pool workers."""
+room for later blocks, one arena per level call below numpy's huge-page
+threshold, and no thread left behind by a level call or started in a
+study's pool workers."""
 
 import os
 import threading
@@ -20,6 +21,7 @@ from nerboot.mspe import (
     _keyed_draw,
     _laws,
     _level_states,
+    _refit_level,
     mse_double,
 )
 from nerboot.mmdist import make_distribution
@@ -37,6 +39,7 @@ from nerboot.pipeline import (
 )
 from nerboot.simulate import Scenario, error_model, make_design, run_study
 
+import _brute
 from conftest import random_ragged_dataset
 
 SERIAL, THREADED = 0, 10**9  # THREAD_BLOCK_WORLDS forcing one or all CPUs
@@ -230,3 +233,80 @@ def test_split_sets_take_three_point_masks_after_a_student_t_block():
         solve_block("three_point", part)
     # every set keeps room for the masks: no arena opened after the split
     assert all(part._arena is arena for part, arena in zip(sets, arenas))
+
+
+@pytest.fixture
+def opened_arenas(monkeypatch):
+    """Logs ``Buffers.take``: a dict from every set that took an array to
+    the sizes of the arenas its takes opened, in order."""
+    opened = {}
+    real = Buffers.take
+
+    def logged(self, key, shape, dtype=np.float64):
+        arena = self._arena
+        view = real(self, key, shape, dtype)
+        opened.setdefault(self, [])
+        if self._arena is not arena:
+            opened[self].append(len(self._arena))
+        return view
+
+    monkeypatch.setattr("nerboot.pipeline.Buffers.take", logged)
+    return opened
+
+
+def _design(n):
+    """The ragged n = 600 fit design, or the study design of n clusters."""
+    if n == 600:
+        return _ragged_fit_design()
+    return make_design(Scenario.from_ratio(n, 0.5), np.random.default_rng(n))
+
+
+def _t_fit(d, seed):
+    """The fit of ``d``'s design to heavy-tailed responses: t5 cluster
+    effects and t6 noise, whose fitted kurtoses keep Student-t laws."""
+    rng = np.random.default_rng(seed)
+    y = np.repeat(rng.standard_t(5, size=d.n), d.sizes)
+    y += d.s * rng.standard_t(6, size=d.total)
+    return fit_model(_brute.with_responses(d, y))
+
+
+@pytest.mark.parametrize("family", ["three_point", "student_t"])
+@pytest.mark.parametrize("n", [600, 60, 100])
+def test_the_level_arena_holds_an_outer_block_below_the_huge_page_rule(
+    opened_arenas, n, family
+):
+    # numpy advises MADV_HUGEPAGE on every allocation of 2**22 bytes or more
+    # (the huge-page rule of numpy/_core/src/multiarray/alloc.c); under the
+    # kernel's THP mode "madvise" the first touch of such an arena faults a
+    # whole 2 MB page, however little of it a level uses
+    assert ARENA_BYTES < 2**22
+    # and the reserve still holds a whole outer block refitted: 2.8 MB on
+    # the ragged n = 600 design, 4.0-4.1 MB on the study designs
+    d = _design(n)
+    fit = _t_fit(d, n)
+    states = _level_states(3, streams.OUTER, (), range(block_size(d)))
+    draw = _keyed_draw(d, [_laws(fit, family)], states, len(states))
+    opened_arenas.clear()
+    next(_refit_level(d, draw, len(states)))
+    assert list(opened_arenas.values()) == [[ARENA_BYTES]]
+
+
+@pytest.mark.parametrize("n", [600, 60, 100])
+def test_a_desk_double_bootstrap_opens_one_arena_per_level(
+    monkeypatch, opened_arenas, n
+):
+    # level one, the outer and the inner level each open one arena, and no
+    # set split from one for a second thread opens another: the ragged
+    # n = 600 design under Student-t laws, where level one and the inner
+    # level run on two threads, and the study designs under three-point laws
+    monkeypatch.setattr("nerboot.pipeline.usable_cpus", lambda: 2)
+    d = _design(n)
+    family, sets = ("student_t", 5) if n == 600 else ("three_point", 3)
+    fit = _t_fit(d, n)
+    assert {law.family for law in _laws(fit, family)} == {family}
+    opened_arenas.clear()
+    cfg = BootstrapConfig.desk_scale(master_seed=n, family=family)
+    mse_double(d, fit, cfg)
+    assert len(opened_arenas) == sets
+    arenas = [size for sizes in opened_arenas.values() for size in sizes]
+    assert arenas == [ARENA_BYTES] * 3
