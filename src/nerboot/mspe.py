@@ -35,11 +35,11 @@ The double bootstrap is three flat levels on the kernel of ``pipeline``,
 whose fits are ``WorldFits``.  Level one and the outer level draw around
 the original fit.  The outer level refits its draw blocks with
 ``refit_worlds``, whose fourth moments read residuals, through
-``_refit_level``, and keeps which worlds refit and their matched laws; a
-study refits its replicate worlds through the same generator.  The inner
-level is then one pass: each inner world is drawn around its own outer
-fit.  Truth, level-one and inner worlds differ only in their keys and
-laws: the level engine ``squared_error`` refits them with theta = U, in
+``pipeline.refit_level``, and keeps which worlds refit and their matched
+laws; a study refits its replicate worlds through the same generator.
+The inner level is then one pass: each inner world is drawn around its
+own outer fit.  Truth, level-one and inner worlds differ only in their keys
+and laws: the level engine ``squared_error`` refits them with theta = U, in
 draw blocks that may span outer worlds, and sums them per outer world.
 Worlds whose refit fails numerically are masked, skipped and counted; more
 than 1% failures at any level aborts the run, since under the ridge
@@ -60,13 +60,10 @@ from .errors import DivisionGuard, TooManyFailures
 from .mmdist import FAMILIES, THREE_POINT, make_distribution, sample_worlds
 from .model import Dataset
 from .pipeline import (
-    ARENA_BYTES,
     DEFAULT_RIDGE,
-    Buffers,
     WorldFits,
-    draw_blocks,
     fit_model,
-    refit_worlds,
+    refit_level,
     ridge_floor,
     runs,
     squared_error,
@@ -228,24 +225,13 @@ def mse_single(
     return acc / (cfg.b1 - failed), int(failed)
 
 
-def _refit_level(d: Dataset, draw, count: int, ridge=DEFAULT_RIDGE):
-    """The draws U (B, n) and the ``refit_worlds`` fits, fourth moments
-    included, of each draw block of the ``count`` worlds of ``draw``, in
-    block order.  They live in the level's ``Buffers``, so a caller copies
-    what it keeps before it asks for the next block."""
-    buffers = Buffers(ARENA_BYTES)  # the level's, shared by its blocks
-    for lo, hi in draw_blocks(d, count):
-        u, v = draw(lo, hi, buffers)
-        yield u, refit_worlds(d, u, v, ridge, buffers)
-
-
 def _outer_level(d: Dataset, fit: WorldFits, cfg: BootstrapConfig, key_prefix: tuple):
     """Which of the b2 outer worlds refit, and the matched laws (U, V) of
     those that do, from their refits with fourth moments."""
     outer = _level_states(cfg.master_seed, streams.OUTER, key_prefix, range(cfg.b2))
     draw = _keyed_draw(d, [_laws(fit, cfg.family)], outer, cfg.b2)
     ok, laws = [], []
-    for _, fits in _refit_level(d, draw, cfg.b2, cfg.ridge):
+    for _, fits in refit_level(d, draw, cfg.b2, cfg.ridge):
         ok.append(fits.ok)
         laws += [_laws(fits, cfg.family, k) for k in np.flatnonzero(fits.ok)]
     return np.concatenate(ok), laws

@@ -60,15 +60,16 @@ a block may span.  Levels differ only in their draws.  On designs whose
 draw block holds at most THREAD_BLOCK_WORLDS worlds, a thread pool of one
 thread per usable CPU runs the blocks after the first (``level_threads``,
 ``_each_block``), and the caller adds their sums in block order, so every
-output is that of one thread bit for bit.  The outer level and a study's
-replicate worlds are refitted with ``refit_worlds`` on the calling thread
-alone: an outer level's first block takes 2.4-3.0 MB on the fit design,
-too much to split the level's arena.
+output is that of one thread bit for bit.  ``refit_level`` refits the
+outer level and a study's replicate worlds with ``refit_worlds``, block
+by block on the calling thread alone: an outer level's first block takes
+2.4-3.0 MB on the fit design, too much to split the level's arena.
 Every array whose size scales with the block -- the draws, the statistics
 rows, the (B, n) arrays of ``solve``, the error rows, the outer level's
 residuals and power sums -- comes from a level call's ``Buffers`` and is
 reused from block to block; each kernel function makes a fresh set when
-it is given none.
+it is given none.  Every set follows one rule: arenas of ARENA_BYTES, or
+of one slot's bytes where that is more.
 """
 
 from __future__ import annotations
@@ -102,9 +103,10 @@ DEFAULT_RIDGE = (1e-6, 2.0)  # (B1, B2); B1 > 0, B2 >= 2
 # its two pool workers 3,400 against 18,000 (an idle two-worker pool costs
 # about 1,150); a desk-scale fit call 10 against 2,300-4,900.
 CHUNK_ELEMENTS = 2**16
-# The arena a level reserves: a whole draw block refitted with fourth moments
-# takes 2.4-3.0 MB on the ragged n = 600 design and 4.01-4.06 MB on the n = 60
-# and n = 100 study designs.  numpy advises MADV_HUGEPAGE on allocations of
+# The arena every ``Buffers`` set reserves, a level's, a fit's or a split
+# set's overflow alike: a whole draw block refitted with fourth moments takes
+# 2.4-3.0 MB on the ragged n = 600 design and 4.01-4.06 MB on the n = 60 and
+# n = 100 study designs.  numpy advises MADV_HUGEPAGE on allocations of
 # 2**22 bytes or more (alloc.c); under THP mode "madvise" the first touch of
 # such an arena faults a whole 2 MB page, even in a level that uses 84 KB.
 ARENA_BYTES = 2**22 - 2**16
@@ -161,25 +163,23 @@ class Buffers:
     "scratch" and "scratch2" are shared between functions: a function
     takes them for arrays that die before it returns, and holds neither
     across a call that takes it.  A level call makes one set, and one more
-    per further pool thread, as do ``refit_worlds`` and ``fit_model`` per
-    call, so no two threads and no pool workers use a set at once.
+    per further pool thread, as does each kernel function called without
+    one, so no two threads and no pool workers use a set at once.
 
-    Every key's memory is a slot of an arena of at least ``reserve``
-    bytes; a slot that does not fit opens a new arena of at least twice the
-    size, and every earlier slot keeps its memory, so a set touches no more
-    than its slots.  Below numpy's huge-page threshold of 2**22 bytes,
-    untouched reserve costs no memory.  A level reserves ARENA_BYTES, just
-    under it: one allocation per level lifts glibc's dynamic mmap and trim
+    Every key's memory is a slot of an arena; a slot that does not fit
+    opens a new arena of max(ARENA_BYTES, the slot's bytes), and every
+    earlier slot keeps its memory, so a set touches no more than its slots
+    and, below numpy's huge-page threshold, untouched reserve costs no
+    memory.  One allocation per level lifts glibc's dynamic mmap and trim
     thresholds above the level's whole working set, so a freed arena stays
     in the heap and the next level call finds its pages mapped.  ``split``
-    carves the sets of a level's further pool threads out of that arena.
+    carves the sets of a level's further pool threads out of its arena.
     """
 
-    def __init__(self, reserve=0):
+    def __init__(self):
         self._arena = np.empty(0, np.uint8)
         self._slots = {}  # key -> its memory, a slice of an arena
         self._end = 0  # bytes of the arena in slots
-        self._reserve = reserve
         self._views = {}  # (key, shape, dtype) -> the array handed out
 
     def split(self, count):
@@ -204,8 +204,7 @@ class Buffers:
         if slot is None or slot.nbytes < nbytes:  # arrays of the old slot keep it
             room = -(-nbytes // 64) * 64
             if self._end + room > len(self._arena):
-                size = max(self._reserve, 2 * len(self._arena), room)
-                self._arena, self._end = np.empty(size, np.uint8), 0
+                self._arena, self._end = np.empty(max(ARENA_BYTES, room), np.uint8), 0
             slot = self._slots[key] = self._arena[self._end : self._end + room]
             self._end += room
         view = slot[:nbytes].view(dtype).reshape(shape)
@@ -488,7 +487,7 @@ def _each_block(d: Dataset, count: int, block, add) -> None:
     blocks = list(draw_blocks(d, count))
     if not blocks:
         return
-    buffers = Buffers(ARENA_BYTES)  # the level's, shared by its blocks
+    buffers = Buffers()  # the level's, shared by its blocks
     add(block(*blocks[0], buffers))
     threads = level_threads(d, len(blocks) - 1)
     if threads == 1:
@@ -511,6 +510,17 @@ def _each_block(d: Dataset, count: int, block, add) -> None:
             add(result)
 
 
+def refit_level(d: Dataset, draw, count: int, ridge=DEFAULT_RIDGE):
+    """The draws U (B, n) and the ``refit_worlds`` fits, fourth moments
+    included, of each draw block of the ``count`` worlds of ``draw``, in
+    block order.  They live in the level's ``Buffers``, so a caller copies
+    what it keeps before it asks for the next block."""
+    buffers = Buffers()  # the level's, shared by its blocks
+    for lo, hi in draw_blocks(d, count):
+        u, v = draw(lo, hi, buffers)
+        yield u, refit_worlds(d, u, v, ridge, buffers)
+
+
 def fit_model(d: Dataset, ridge=DEFAULT_RIDGE) -> WorldFits:
     """Fit variance components, fixed effects, EBLUPs and fourth moments on
     a dataset: its responses y refit as the world U = 0, V = r / s of their
@@ -521,9 +531,7 @@ def fit_model(d: Dataset, ridge=DEFAULT_RIDGE) -> WorldFits:
     proj = design.q / d.s[:, None]
     b0 = np.linalg.solve(design.ru, d.y @ proj[:, : design.r_aug])
     v = (d.y - b0[0] - d.x @ b0[1:]) / d.s
-    # one arena: 3 rows of N and 9 of n float64 in 12 slots, each padded to 64 B
-    buffers = Buffers(8 * (3 * d.total + 9 * d.n) + 12 * 64)
-    fit = refit_worlds(d, np.zeros((1, d.n)), v[None, :], ridge, buffers)
+    fit = refit_worlds(d, np.zeros((1, d.n)), v[None, :], ridge)
     if not fit.ok[0]:
         raise RankDeficient(
             "GLS normal equations are singular or the fit is not finite"

@@ -11,9 +11,10 @@ truth simulation or of a study replicate, is drawn mean-free like a
 bootstrap world by ``mspe._keyed_draw``: replicate r from the seed words
 of key (STUDY, r), all derived in one ``mspe._level_states`` call.  No
 world forms y, since GLS and the EBLUP are equivariant.  A study refits
-its replicate worlds in one pass with fourth moments (``mspe._refit_level``)
-and raises RankDeficient if any fails, before any bootstrap starts; each
-replicate's task then bootstraps from its fit alone on the shared design.
+its replicate worlds in one pass with fourth moments
+(``pipeline.refit_level``) and raises RankDeficient if any fails, before
+any bootstrap starts; each replicate's task then bootstraps from its fit
+alone on the shared design.
 Records add the mean MU + x_under' BETA back to theta and theta-hat.
 
 For each replicate the harness records the true and predicted mixed
@@ -44,15 +45,8 @@ from . import streams
 from .model import Dataset, from_arrays
 from .errors import RankDeficient
 from .mmdist import make_study_law, sample
-from .mspe import (
-    BootstrapConfig,
-    _keyed_draw,
-    _level_states,
-    _refit_level,
-    mse_double,
-    mse_single,
-)
-from .pipeline import squared_error
+from .mspe import BootstrapConfig, _keyed_draw, _level_states, mse_double, mse_single
+from .pipeline import refit_level, squared_error
 
 # record-log columns, in file order
 RECORD_COLUMNS = (
@@ -275,7 +269,7 @@ def run_study(
     records = np.full((replicates, scenario.n, len(RECORD_COLUMNS)), np.nan)
     shift = MU + design.design.x_under @ BETA
     fits = []
-    for u, block in _refit_level(design, draw, replicates, cfg.ridge):
+    for u, block in refit_level(design, draw, replicates, cfg.ridge):
         if not block.ok.all():
             raise RankDeficient("a study replicate's refit failed")
         rows = records[len(fits) : len(fits) + len(u)]

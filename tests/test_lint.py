@@ -2,8 +2,9 @@
 module level, is used in that module; only ``streams`` makes generators and
 reads the seed range, only ``mspe`` derives seed words and replays keyed
 streams into worlds, only ``mmdist`` draws from generators, only ``pipeline``
-starts threads, only ``simulate`` starts processes and only ``mspe`` fits a
-dataset's responses."""
+starts threads, only ``simulate`` starts processes, only ``mspe`` fits a
+dataset's responses and only ``pipeline`` and ``mmdist.sample`` make
+``Buffers`` sets."""
 
 import ast
 from pathlib import Path
@@ -286,3 +287,45 @@ def test_fit_model_call_is_reported():
         "    return fit_model(d), nerboot.fit_model(d)\n"
     )
     assert _calls(source, {"fit_model"}) == ["line 4: fit_model", "line 4: fit_model"]
+
+
+def _buffers_made(source: str) -> list:
+    """Calls of ``Buffers``, each with the module-level function or class
+    that makes it, if any."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = f": {top.name}" if hasattr(top, "name") else ""
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and "Buffers" in (
+                getattr(node.func, "attr", None), getattr(node.func, "id", None)
+            ):
+                found.append(f"line {node.lineno}{owner}")
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in Path(nerboot.__file__).parent.glob("*.py") if p.name != "pipeline.py"],
+    ids=lambda path: path.name,
+)
+def test_only_pipeline_and_mmdist_sample_make_buffers(path):
+    # every level's arenas follow the one rule of ``pipeline``, which makes
+    # them; ``mmdist.sample`` draws one world outside any level
+    made = _buffers_made(path.read_text())
+    if path.name == "mmdist.py":
+        made = [line for line in made if not line.endswith(": sample")]
+    assert made == []
+
+
+def test_buffers_made_is_reported():
+    source = (
+        "from . import pipeline\n"
+        "from .pipeline import Buffers\n"
+        "SHARED = Buffers()\n"
+        "def level(d, buffers: Buffers = None):\n"
+        "    return pipeline.Buffers() if buffers is None else buffers\n"
+        "class Level:\n"
+        "    def __init__(self):\n"
+        "        self.buffers = Buffers()\n"
+    )
+    assert _buffers_made(source) == ["line 3", "line 5: level", "line 8: Level"]

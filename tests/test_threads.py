@@ -1,8 +1,9 @@
 """The level engine on several threads: the same sums, failure counts and
 aborts as on one, exceptions raised in the caller, buffer sets split with
 room for later blocks, one arena per level call below numpy's huge-page
-threshold, and no thread left behind by a level call or started in a
-study's pool workers."""
+threshold at 2 CPUs and none at or above it on any CPU count, and no
+thread left behind by a level call or started in a study's pool
+workers."""
 
 import os
 import threading
@@ -21,7 +22,6 @@ from nerboot.mspe import (
     _keyed_draw,
     _laws,
     _level_states,
-    _refit_level,
     mse_double,
 )
 from nerboot.mmdist import make_distribution
@@ -33,6 +33,7 @@ from nerboot.pipeline import (
     draw_statistics,
     fit_model,
     level_threads,
+    refit_level,
     solve,
     squared_error,
     usable_cpus,
@@ -223,7 +224,7 @@ def test_split_sets_take_three_point_masks_after_a_student_t_block():
         u, v = draw(0, len(states), buffers)
         solve(d, draw_statistics(d, u, v, buffers), buffers=buffers)
 
-    level = Buffers(ARENA_BYTES)
+    level = Buffers()
     solve_block("student_t", level)
     sets = [level, *level.split(1)]
     arenas = [part._arena for part in sets]
@@ -255,9 +256,14 @@ def opened_arenas(monkeypatch):
 
 
 def _design(n):
-    """The ragged n = 600 fit design, or the study design of n clusters."""
+    """The ragged n = 600 fit design, 1,024 clusters of 2 (32 worlds a
+    block), or the study design of n clusters."""
     if n == 600:
         return _ragged_fit_design()
+    if n == 1024:
+        rng = np.random.default_rng(7)
+        x, y = rng.uniform(0.5, 1.0, size=(2 * n, 1)), rng.normal(size=2 * n)
+        return nerboot.from_arrays(np.repeat(np.arange(n), 2), x, y)
     return make_design(Scenario.from_ratio(n, 0.5), np.random.default_rng(n))
 
 
@@ -287,7 +293,7 @@ def test_the_level_arena_holds_an_outer_block_below_the_huge_page_rule(
     states = _level_states(3, streams.OUTER, (), range(block_size(d)))
     draw = _keyed_draw(d, [_laws(fit, family)], states, len(states))
     opened_arenas.clear()
-    next(_refit_level(d, draw, len(states)))
+    next(refit_level(d, draw, len(states)))
     assert list(opened_arenas.values()) == [[ARENA_BYTES]]
 
 
@@ -310,3 +316,32 @@ def test_a_desk_double_bootstrap_opens_one_arena_per_level(
     assert len(opened_arenas) == sets
     arenas = [size for sizes in opened_arenas.values() for size in sizes]
     assert arenas == [ARENA_BYTES] * 3
+
+
+@pytest.mark.parametrize("family", ["three_point", "student_t"])
+@pytest.mark.parametrize("n, cpus", [(1024, 2), (600, 4), (600, 8)])
+def test_a_desk_double_bootstrap_opens_no_huge_page_arena(
+    monkeypatch, opened_arenas, n, cpus, family
+):
+    # a set that outgrows its arena opens another, never one of 2**22 bytes
+    # or more: on clusters of 2 at 2 CPUs, a first block of 2.8 MB leaves no
+    # room for its split set and an outer block takes more than the reserve;
+    # on the ragged n = 600 design at 4 and 8 CPUs, the split sets overflow
+    monkeypatch.setattr("nerboot.pipeline.usable_cpus", lambda: cpus)
+    d = _design(n)
+    assert level_threads(d, 100) == cpus
+    fit = _t_fit(d, n)
+    assert {law.family for law in _laws(fit, family)} == {family}
+    opened_arenas.clear()
+    mse_double(d, fit, BootstrapConfig.desk_scale(master_seed=n, family=family))
+    arenas = [size for sizes in opened_arenas.values() for size in sizes]
+    assert len(arenas) > 3 and max(arenas) < 2**22  # some level overflowed
+
+
+def test_a_slot_opens_an_arena_of_the_reserve_or_of_its_own_size(opened_arenas):
+    buffers = Buffers()
+    small = buffers.take("small", (8,))
+    big = buffers.take("big", (ARENA_BYTES // 8 + 1,))
+    buffers.take("next", (8,))
+    assert opened_arenas[buffers] == [ARENA_BYTES, ARENA_BYTES + 64, ARENA_BYTES]
+    assert not np.shares_memory(small, big)  # earlier slots keep their memory
