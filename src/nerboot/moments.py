@@ -30,21 +30,18 @@ def _square(sigma2):
     return np.float_power(sigma2, 2)
 
 
-def power_sums(d: Dataset, resid: np.ndarray, buffers=None):
+def power_sums(d: Dataset, resid: np.ndarray, buffers):
     """Per-cluster power sums (S1, S2, S3, S4), S_k = sum_j e_ij^k, of fitted
     residuals y_ij - mu-hat - x_ij' beta-hat, (B, n) for a (B, N) block of
-    residual rows: both estimators read them.  ``buffers``, a level's
-    ``pipeline.Buffers``, lends every array if given."""
-
-    def out(key, shape=resid.shape):
-        return None if buffers is None else buffers.take(key, shape)
+    residual rows: both estimators read them.  ``buffers``, the caller's
+    ``pipeline.Buffers``, lends every array."""
 
     def cluster_sums(power, k):
-        sums = out(f"power{k}", resid.shape[:-1] + (d.n,))
+        sums = buffers.take(f"power{k}", resid.shape[:-1] + (d.n,))
         return np.add.reduceat(power, d.starts[:-1], axis=-1, out=sums)
 
-    e2 = np.multiply(resid, resid, out=out("scratch"))
-    higher = out("scratch2")
+    e2 = np.multiply(resid, resid, out=buffers.take("scratch", resid.shape))
+    higher = buffers.take("scratch2", resid.shape)
     return (
         cluster_sums(resid, 1),
         cluster_sums(e2, 2),

@@ -67,9 +67,11 @@ by block on the calling thread alone: an outer level's first block takes
 Every array whose size scales with the block -- the draws, the statistics
 rows, the (B, n) arrays of ``solve``, the error rows, the outer level's
 residuals and power sums -- comes from a level call's ``Buffers`` and is
-reused from block to block; each kernel function makes a fresh set when
-it is given none.  Every set follows one rule: arenas of ARENA_BYTES, or
-of one slot's bytes where that is more.
+reused from block to block.  Sets are made only by a level call
+(``_each_block``, ``refit_level``), by ``Buffers.split`` for its pool
+threads, by ``fit_model`` for its one world and by ``mmdist.sample``; every
+kernel function borrows its caller's.  Every set follows one rule: arenas
+of ARENA_BYTES, or of one slot's bytes where that is more.
 """
 
 from __future__ import annotations
@@ -162,9 +164,10 @@ class Buffers:
     it reads.  Two arrays live at once need two keys.  Only the keys
     "scratch" and "scratch2" are shared between functions: a function
     takes them for arrays that die before it returns, and holds neither
-    across a call that takes it.  A level call makes one set, and one more
-    per further pool thread, as does each kernel function called without
-    one, so no two threads and no pool workers use a set at once.
+    across a call that takes it.  A level call makes one set, and ``split``
+    one more per further pool thread; ``fit_model`` makes one for its world
+    and ``mmdist.sample`` one for its draw.  Kernel functions only borrow
+    their caller's, so no two threads and no pool workers use a set at once.
 
     Every key's memory is a slot of an arena; a slot that does not fit
     opens a new arena of max(ARENA_BYTES, the slot's bytes), and every
@@ -235,12 +238,9 @@ def _sse(ss, z):
     return np.maximum(ss - np.einsum("bk,bk->b", z, z), 0.0)
 
 
-def draw_statistics(
-    d: Dataset, u: np.ndarray, v: np.ndarray, buffers=None
-) -> Statistics:
+def draw_statistics(d: Dataset, u: np.ndarray, v: np.ndarray, buffers) -> Statistics:
     """The statistics of the mean-free worlds y_ij = U_i + s_ij V_ij from
     their draws ``u`` (B, n) and ``v`` (B, N), without forming y."""
-    buffers = Buffers() if buffers is None else buffers
     design = d.design
     # V/s in "scratch2", where a Student-t law's gamma draws were
     v_s = np.divide(v, d.s, out=buffers.take("scratch2", v.shape))
@@ -270,14 +270,13 @@ def estimate_variances(d: Dataset, sse1, sse2, ridge=DEFAULT_RIDGE):
     return sse1, sigma2_v, sigma2_u
 
 
-def normal_equations(d: Dataset, xwy, zy, sigma2_u, sigma2_v, buffers=None):
+def normal_equations(d: Dataset, xwy, zy, sigma2_u, sigma2_v, buffers):
     """Stacked GLS normal matrices (B, r+1, r+1) and right-hand sides (B, r+1).
 
     Row b uses the weighted cross-products xwy[b] = sum_ij w_ij y_ij
     (1, x_ij'), the cluster sums zy[b] = a_i y_bar_i and the variance
     components sigma2_u[b], sigma2_v[b].
     """
-    buffers = Buffers() if buffers is None else buffers
     design = d.design
     s2u, s2v = sigma2_u[:, None], sigma2_v[:, None]
     # lam = s2u / (s2v (s2v + s2u a)), (B, n), in one buffer
@@ -317,13 +316,12 @@ def solve_normal_equations(normal: np.ndarray, rhs: np.ndarray):
     return np.linalg.solve(safe, rhs[:, :, None])[:, :, 0], ok
 
 
-def predict(d: Dataset, y_bar, mu, beta, sigma2_u, sigma2_v, buffers=None):
+def predict(d: Dataset, y_bar, mu, beta, sigma2_u, sigma2_v, buffers):
     """(EBLUP, shrinkage factor, naive MSE) per cluster of ``d``.
 
     Broadcasts over a leading world axis: with mu, sigma2_u and sigma2_v of
     shape (B, 1), beta (B, r) and y_bar (B, n), each is (B, n).
     """
-    buffers = Buffers() if buffers is None else buffers
     design = d.design
     shape = np.broadcast_shapes(
         np.shape(y_bar), np.shape(mu), np.shape(sigma2_u), np.shape(sigma2_v),
@@ -370,12 +368,9 @@ class WorldFits:
         )
 
 
-def solve(
-    d: Dataset, stats: Statistics, ridge=DEFAULT_RIDGE, buffers=None
-) -> WorldFits:
+def solve(d: Dataset, stats: Statistics, ridge, buffers) -> WorldFits:
     """The n-level stage: variance components, GLS and EBLUP of every world
     of a block from its ``Statistics``, without fourth moments."""
-    buffers = Buffers() if buffers is None else buffers
     design = d.design
     sse1, sigma2_v, sigma2_u = estimate_variances(d, stats.sse1, stats.sse2, ridge)
     normal, rhs = normal_equations(
@@ -404,13 +399,10 @@ def solve(
     )
 
 
-def refit_worlds(
-    d: Dataset, u: np.ndarray, v: np.ndarray, ridge=DEFAULT_RIDGE, buffers=None
-) -> WorldFits:
+def refit_worlds(d: Dataset, u: np.ndarray, v: np.ndarray, ridge, buffers) -> WorldFits:
     """Fit the mean-free worlds y_ij = U_i + s_ij V_ij from their draws ``u``
     (B, n) and ``v`` (B, N): both stages, and the fourth moments from the
     residuals."""
-    buffers = Buffers() if buffers is None else buffers
     fits = solve(d, draw_statistics(d, u, v, buffers), ridge, buffers)
     u_rows = buffers.take("scratch2", u.shape)  # contiguous, for take
     u_rows[...] = u
@@ -531,7 +523,7 @@ def fit_model(d: Dataset, ridge=DEFAULT_RIDGE) -> WorldFits:
     proj = design.q / d.s[:, None]
     b0 = np.linalg.solve(design.ru, d.y @ proj[:, : design.r_aug])
     v = (d.y - b0[0] - d.x @ b0[1:]) / d.s
-    fit = refit_worlds(d, np.zeros((1, d.n)), v[None, :], ridge)
+    fit = refit_worlds(d, np.zeros((1, d.n)), v[None, :], ridge, Buffers())
     if not fit.ok[0]:
         raise RankDeficient(
             "GLS normal equations are singular or the fit is not finite"

@@ -5,6 +5,7 @@ import pytest
 
 import nerboot as nb
 from nerboot.pipeline import (
+    Buffers,
     fit_model,
     normal_equations,
     solve_normal_equations,
@@ -24,6 +25,7 @@ def _gls_system(d, sigma2_u, sigma2_v):
         (d.design.a * _brute.summarize(d, d.y))[None],
         np.array([sigma2_u]),
         np.array([sigma2_v]),
+        Buffers(),
     )
 
 

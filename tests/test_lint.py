@@ -3,8 +3,8 @@ module level, is used in that module; only ``streams`` makes generators and
 reads the seed range, only ``mspe`` derives seed words and replays keyed
 streams into worlds, only ``mmdist`` draws from generators, only ``pipeline``
 starts threads, only ``simulate`` starts processes, only ``mspe`` fits a
-dataset's responses and only ``pipeline`` and ``mmdist.sample`` make
-``Buffers`` sets."""
+dataset's responses and only the level calls, ``fit_model`` and ``Buffers``
+of ``pipeline`` and ``mmdist.sample`` make ``Buffers`` sets."""
 
 import ast
 from pathlib import Path
@@ -303,17 +303,28 @@ def _buffers_made(source: str) -> list:
     return sorted(found)
 
 
+# the module-level functions and classes that may make a set: a level call,
+# ``fit_model`` for its one world, ``Buffers.split`` for a level's further
+# pool threads, and ``mmdist.sample``, which draws one world outside any
+# level; every kernel function borrows its caller's set
+BUFFER_MAKERS = {
+    "pipeline.py": {"_each_block", "refit_level", "fit_model", "Buffers"},
+    "mmdist.py": {"sample"},
+}
+
+
+def _stray_buffers(source: str, makers: set) -> list:
+    """``_buffers_made`` outside the functions and classes in ``makers``."""
+    return [
+        line for line in _buffers_made(source) if line.split(": ")[-1] not in makers
+    ]
+
+
 @pytest.mark.parametrize(
-    "path",
-    [p for p in Path(nerboot.__file__).parent.glob("*.py") if p.name != "pipeline.py"],
-    ids=lambda path: path.name,
+    "path", list(Path(nerboot.__file__).parent.glob("*.py")), ids=lambda path: path.name
 )
 def test_only_pipeline_and_mmdist_sample_make_buffers(path):
-    # every level's arenas follow the one rule of ``pipeline``, which makes
-    # them; ``mmdist.sample`` draws one world outside any level
-    made = _buffers_made(path.read_text())
-    if path.name == "mmdist.py":
-        made = [line for line in made if not line.endswith(": sample")]
+    made = _stray_buffers(path.read_text(), BUFFER_MAKERS.get(path.name, set()))
     assert made == []
 
 
@@ -329,3 +340,16 @@ def test_buffers_made_is_reported():
         "        self.buffers = Buffers()\n"
     )
     assert _buffers_made(source) == ["line 3", "line 5: level", "line 8: Level"]
+
+
+def test_kernel_fallback_buffers_is_reported():
+    source = (
+        "class Buffers:\n"
+        "    def split(self, count):\n"
+        "        return [Buffers() for _ in range(count)]\n"
+        "def solve(d, stats, ridge, buffers=None):\n"
+        "    buffers = Buffers() if buffers is None else buffers\n"
+        "def fit_model(d, ridge):\n"
+        "    return solve(d, None, ridge, Buffers())\n"
+    )
+    assert _stray_buffers(source, BUFFER_MAKERS["pipeline.py"]) == ["line 5: solve"]

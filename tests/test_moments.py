@@ -4,7 +4,7 @@ import pytest
 import nerboot as nb
 from nerboot import mmdist
 from nerboot.moments import estimate_gamma_u, estimate_gamma_v, power_sums
-from nerboot.pipeline import fit_model
+from nerboot.pipeline import Buffers, fit_model
 
 import _brute
 from conftest import benchmark_dataset, random_ragged_dataset
@@ -31,7 +31,7 @@ def test_pair_contrast_matches_double_loop_oracle():
         sigma2_v = 0.3
         want = (w4 - 6.0 * design.c_pair * sigma2_v**2) / (2.0 * design.a4_pair)
         assert want > sigma2_v**2  # the untruncated branch
-        got = estimate_gamma_v(d, power_sums(d, resid), sigma2_v)
+        got = estimate_gamma_v(d, power_sums(d, resid, Buffers()), sigma2_v)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
@@ -54,7 +54,7 @@ def test_gamma_v_truncation_branch():
     d = benchmark_dataset(n=5, m=3, seed=2)
     fe = fit_model(d)
     # huge sigma2_v forces the raw expression negative
-    sums = power_sums(d, d.y - fe.mu - d.x @ fe.beta)
+    sums = power_sums(d, d.y - fe.mu - d.x @ fe.beta, Buffers())
     val = estimate_gamma_v(d, sums, sigma2_v=100.0)
     assert val == 100.0**2
 
@@ -64,7 +64,7 @@ def test_floored_gamma_is_feasible_for_matching():
     # must be the value the matched-law check z4 >= z2**2 compares against
     sigma2 = np.array([0.7257929380218189])
     d = benchmark_dataset(n=5, m=3, seed=2)
-    sums = power_sums(d, np.zeros((1, d.total)))
+    sums = power_sums(d, np.zeros((1, d.total)), Buffers())
     gamma_v = estimate_gamma_v(d, sums, sigma2)
     gamma_u = estimate_gamma_u(d, sums, sigma2, sigma2, gamma_v)
     for gamma in (gamma_v, gamma_u):
@@ -138,7 +138,7 @@ def test_exact_error_fourth_moment_identity():
     errors = u + s * v
     d = nb.from_arrays(labels, x, errors, s)
     # known fixed effects mu = 0, beta = 0: the residuals are the errors
-    sums = power_sums(d, d.y)
+    sums = power_sums(d, d.y, Buffers())
     got = estimate_gamma_u(d, sums, sigma2_u=1.0, sigma2_v=1.0, gamma_v=3.0)
     # only the mean of errors^4 is random here; self-calibrated 4-sigma band
     se = (errors**4).std(ddof=1) / np.sqrt(errors.size)

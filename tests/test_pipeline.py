@@ -9,6 +9,8 @@ import nerboot
 import nerboot.pipeline
 from nerboot.errors import RankDeficient
 from nerboot.pipeline import (
+    DEFAULT_RIDGE,
+    Buffers,
     Statistics,
     WorldFits,
     block_size,
@@ -36,7 +38,7 @@ def _response_block(d, worlds, seed):
 def _refit_rows(d, y):
     """The kernel's refit of response rows y (B, N): the worlds U = 0,
     V = y / s."""
-    return refit_worlds(d, np.zeros((len(y), d.n)), y / d.s)
+    return refit_worlds(d, np.zeros((len(y), d.n)), y / d.s, DEFAULT_RIDGE, Buffers())
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -94,8 +96,9 @@ def test_draw_statistics_match_responses_and_dense_oracle():
     d = random_ragged_dataset(17, n=12, r=2)
     assert np.ptp(d.s) > 0.5 and np.ptp(d.sizes) > 0
     u, v, y = _mean_free_draws(d, 6, 3)
-    from_draws = draw_statistics(d, u, v)
-    from_y = draw_statistics(d, np.zeros_like(u), y / d.s)
+    # a set each: results taken from one set would share its slots
+    from_draws = draw_statistics(d, u, v, Buffers())
+    from_y = draw_statistics(d, np.zeros_like(u), y / d.s, Buffers())
     for got, want in zip(from_draws, from_y):
         _assert_close(got, want)
     aug = np.column_stack([np.ones(d.total), d.x])
@@ -160,8 +163,8 @@ def test_mean_free_worlds_refit_as_shifted_worlds(worlds):
     # that fits data recorded at a large level as well as at level 0
     d, u, v, mu, beta = worlds
     y = u[:, d.design.cluster] + d.s * v
-    from_y = draw_statistics(d, np.zeros_like(u), y / d.s)
-    for got, want in zip(draw_statistics(d, u, v), from_y):
+    from_y = draw_statistics(d, np.zeros_like(u), y / d.s, Buffers())
+    for got, want in zip(draw_statistics(d, u, v, Buffers()), from_y):
         _assert_close(got, want, rtol=1e-10)
     offset = mu + d.design.x_under @ beta
     for row, fit in zip(y, _fits(d, y)):
@@ -212,9 +215,13 @@ def test_fit_scales_with_responses_and_ignores_row_order(worlds, c, seed):
 def test_one_batched_solve_equals_per_block_solves():
     d = random_ragged_dataset(23, n=10, r=2)
     u, v, _ = _mean_free_draws(d, 9, 5)
-    blocks = [draw_statistics(d, u[lo : lo + 3], v[lo : lo + 3]) for lo in (0, 3, 6)]
-    batch = solve(d, Statistics(*map(np.concatenate, zip(*blocks))))
-    per_block = [solve(d, stats) for stats in blocks]
+    blocks = [
+        draw_statistics(d, u[lo : lo + 3], v[lo : lo + 3], Buffers())
+        for lo in (0, 3, 6)
+    ]
+    stacked = Statistics(*map(np.concatenate, zip(*blocks)))
+    batch = solve(d, stacked, DEFAULT_RIDGE, Buffers())
+    per_block = [solve(d, stats, DEFAULT_RIDGE, Buffers()) for stats in blocks]
     assert batch.ok.all()
     for f in dataclasses.fields(WorldFits):
         got = getattr(batch, f.name)

@@ -3,14 +3,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nerboot.pipeline import predict, ridge_floor
+from nerboot.pipeline import Buffers, predict, ridge_floor
 
 import _brute
 
 
 def eblup(d, fe, sigma2_u, sigma2_v):
     theta_hat, rho, naive_mse = predict(
-        d, _brute.summarize(d, d.y), fe.mu, fe.beta, sigma2_u, sigma2_v
+        d, _brute.summarize(d, d.y), fe.mu, fe.beta, sigma2_u, sigma2_v, Buffers()
     )
     return SimpleNamespace(theta_hat=theta_hat, rho=rho, naive_mse=naive_mse)
 
@@ -20,7 +20,7 @@ def naive_mse(sigma2_u, sigma2_v, a):
     a = np.asarray(a, dtype=float)
     zeros = np.zeros((a.size, 1))
     d = SimpleNamespace(design=SimpleNamespace(a=a, x_bar=zeros, x_under=zeros))
-    return predict(d, zeros[:, 0], 0.0, np.zeros(1), sigma2_u, sigma2_v)[2]
+    return predict(d, zeros[:, 0], 0.0, np.zeros(1), sigma2_u, sigma2_v, Buffers())[2]
 
 
 def test_shrinkage_factor_values(benchmark_fixture):

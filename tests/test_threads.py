@@ -1,13 +1,16 @@
 """The level engine on several threads: the same sums, failure counts and
 aborts as on one, exceptions raised in the caller, buffer sets split with
 room for later blocks, one arena per level call below numpy's huge-page
-threshold at 2 CPUs and none at or above it on any CPU count, and no
-thread left behind by a level call or started in a study's pool
-workers."""
+threshold at 2 CPUs and none at or above it on any CPU count, a second
+desk double bootstrap that faults no pages, and no thread left behind by a
+level call or started in a study's pool workers."""
 
 import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from nerboot.mspe import (
 from nerboot.mmdist import make_distribution
 from nerboot.pipeline import (
     ARENA_BYTES,
+    DEFAULT_RIDGE,
     THREAD_BLOCK_WORLDS,
     Buffers,
     block_size,
@@ -222,7 +226,7 @@ def test_split_sets_take_three_point_masks_after_a_student_t_block():
         law = make_distribution(1.0, 6.0, family)
         draw = _keyed_draw(d, [(law, law)], states, len(states))
         u, v = draw(0, len(states), buffers)
-        solve(d, draw_statistics(d, u, v, buffers), buffers=buffers)
+        solve(d, draw_statistics(d, u, v, buffers), DEFAULT_RIDGE, buffers)
 
     level = Buffers()
     solve_block("student_t", level)
@@ -345,3 +349,45 @@ def test_a_slot_opens_an_arena_of_the_reserve_or_of_its_own_size(opened_arenas):
     buffers.take("next", (8,))
     assert opened_arenas[buffers] == [ARENA_BYTES, ARENA_BYTES + 64, ARENA_BYTES]
     assert not np.shares_memory(small, big)  # earlier slots keep their memory
+
+
+# One warm-up desk double bootstrap, then the minor page faults of a second:
+# on the n = 60 study design under three-point laws and on the n = 600 study
+# design under Student-t laws, both with serial levels.
+FAULTS_OF_A_SECOND_CALL = """
+import resource
+import numpy as np
+import nerboot
+from nerboot.mspe import BootstrapConfig, _laws, mse_double
+from nerboot.simulate import Scenario, make_design
+
+def faults(n, family):
+    d = make_design(Scenario.from_ratio(n, 0.5), np.random.default_rng(n))
+    rng = np.random.default_rng(n)
+    y = np.repeat(rng.standard_t(5, size=d.n), d.sizes)
+    y += d.s * rng.standard_t(6, size=d.total)
+    d = nerboot.from_arrays(np.repeat(np.arange(d.n), d.sizes), d.x, y, d.s)
+    fit = nerboot.fit_model(d)
+    assert {law.family for law in _laws(fit, family)} == {family}
+    cfg = BootstrapConfig.desk_scale(master_seed=n, family=family)
+    mse_double(d, fit, cfg)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    mse_double(d, fit, cfg)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+print(faults(60, "three_point"), faults(600, "student_t"))
+"""
+
+
+def test_a_second_desk_double_bootstrap_faults_no_pages():
+    # every block-sized array is a slot of a level's arena, which stays in
+    # the heap between level calls; arrays allocated per block would fault
+    # in their pages again on every block (thousands of faults per call)
+    src = str(Path(nerboot.mspe.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", FAULTS_OF_A_SECOND_CALL],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    ).stdout
+    study60, study600 = map(int, out.split())
+    assert study60 <= 100 and study600 <= 100, (study60, study600)
